@@ -73,6 +73,6 @@ from .metrics import (
 from .probgen import ProblemSpec, build_constraint_sets, child_seed, generate, make_batch
 from .product import diagonal_part, make_product_point, project_cartesian, project_diagonal
 from .sets import BallSet, HalfspaceSet, SlabSet, SpanSet
-from .superior import Superiorized, superiorize
+from .superior import Superiorized
 
 __version__ = "0.1.0"

@@ -240,15 +240,8 @@ class HaugazeauDouglasRachford(_Anchored):
             self.parts = parts0.copy()
         self._anchor = self.parts.copy()
 
-    def _dr(self, parts):
-        xbar = product.diagonal_part(parts)
-        out = np.empty_like(parts)
-        for i, c in enumerate(self.sets):
-            out[i] = parts[i] - xbar + c.project(2.0 * xbar - parts[i])
-        return out
-
     def step(self):
-        target = self._dr(self.parts)
+        target = product.dr_step(self.parts, self.sets)
         flat = q_operator(self._anchor.ravel(), self.parts.ravel(), target.ravel())
         self.parts = flat.reshape(self.parts.shape)
 

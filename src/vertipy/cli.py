@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -248,7 +248,7 @@ def cmd_run(opts) -> int:
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_pair, a, p, stop, options) for a, p in pairs]
-            for future in futures:
+            for future in as_completed(futures):  # append each pair as soon as it finishes
                 rec = future.result()
                 storage.append_record(rec, record_path)
                 records.append(rec)
@@ -402,10 +402,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         opts = _Options(args)
         return COMMANDS[args.command](opts)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidSpecError, OSError) as exc:
+    except (UsageError, InvalidSpecError, storage.RecordFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import bestapprox, product
 from .geometry import Breakpoints, InvalidSpecError
 from .metrics import RunRecord, StopRule, proximity_squared_sum
+from .product import dr_step
 from .superior import Superiorized
 
 __all__ = [
@@ -154,20 +155,6 @@ def exaltp_step(x, sets):
     return z + mu * (p - z)
 
 
-def dr_step(parts, sets):
-    """Douglas-Rachford in the product space.
-
-    Row i updates to x_i - xbar + P_i(2 xbar - x_i); the monitored iterate
-    is the row average xbar.
-    """
-    parts = np.asarray(parts, dtype=float)
-    xbar = product.diagonal_part(parts)
-    out = np.empty_like(parts)
-    for i, c in enumerate(sets):
-        out[i] = parts[i] - xbar + c.project(2.0 * xbar - parts[i])
-    return out
-
-
 def dr_two_set_step(x, set_a, set_b):
     """Plain two-set Douglas-Rachford.  Returns (x_next, shadow P_B x)."""
     y = set_b.project(x)
@@ -198,23 +185,28 @@ class _SweepAlgo:
         self._step_fn = step_fn
         self.sets = list(sets)
         self.x = np.asarray(v, dtype=float).copy()
+        self._prev = None
 
     def step(self):
+        self._prev = self.x
         self.x = self._step_fn(self.x, self.sets)
+
+    def stalled(self) -> bool:
+        """True if the last sweep returned its input: x is a fixed point."""
+        return self._prev is not None and self._prev.tobytes() == self.x.tobytes()
 
     def monitor(self):
         return self.x
 
 
-class _ExAltPAlgo(_SweepAlgo):
-    def __init__(self, sets, v):
-        sets = list(sets)
-        affine = [i for i, c in enumerate(sets) if getattr(c, "is_affine", False)]
-        if not affine:
-            raise AlgorithmConfigError("ExAltP needs an affine set (none in problem)")
-        first = affine[0]
-        ordered = [sets[first]] + sets[:first] + sets[first + 1 :]
-        super().__init__(exaltp_step, ordered, v)
+def _affine_first(sets):
+    """The sets with the first affine one moved to the front, as ExAltP needs."""
+    sets = list(sets)
+    affine = [i for i, c in enumerate(sets) if getattr(c, "is_affine", False)]
+    if not affine:
+        raise AlgorithmConfigError("ExAltP needs an affine set (none in problem)")
+    first = affine[0]
+    return [sets[first]] + sets[:first] + sets[first + 1 :]
 
 
 class _ProductDR:
@@ -239,13 +231,14 @@ class _ProductDR:
         return product.diagonal_part(self.parts)
 
 
-def _sweep(step_fn):
-    return lambda sets, v: _SweepAlgo(step_fn, sets, v)
+def _sweep(step_fn, order=list):
+    return lambda sets, v: _SweepAlgo(step_fn, order(sets), v)
 
 
-def _superiorized(step_fn):
+def _superiorized(step_fn, order=list):
     def factory(sets, v, direction="away"):
-        return Superiorized(lambda x: step_fn(x, sets), sets, v, direction=direction)
+        ordered = order(sets)
+        return Superiorized(lambda x: step_fn(x, ordered), sets, v, direction=direction)
 
     return factory
 
@@ -256,14 +249,9 @@ FEASIBILITY_ALGORITHMS = {
     "ParP": _sweep(parp_step),
     "SaP": _sweep(sap_step),
     "ExParP": _sweep(exparp_step),
-    "ExAltP": _ExAltPAlgo,
+    "ExAltP": _sweep(exaltp_step, _affine_first),
     "D-R": _ProductDR,
 }
-
-def _superiorized_exaltp(sets, v, direction="away"):
-    ordered = _ExAltPAlgo(sets, v).sets  # affine-first reorder, validated once
-    return Superiorized(lambda x: exaltp_step(x, ordered), sets, v, direction=direction)
-
 
 SUPERIORIZED_ALGORITHMS = {
     "sCycP": _superiorized(cycp_step),
@@ -271,7 +259,7 @@ SUPERIORIZED_ALGORITHMS = {
     "sParP": _superiorized(parp_step),
     "sSaP": _superiorized(sap_step),
     "sExParP": _superiorized(exparp_step),
-    "sExAltP": _superiorized_exaltp,
+    "sExAltP": _superiorized(exaltp_step, _affine_first),
 }
 
 BEST_APPROXIMATION_ALGORITHMS = {
@@ -315,7 +303,9 @@ def run(
     The trace starts at d(x_0) = 1 and gains one entry per iteration.  A
     start that is already feasible (zero normalizer) short-circuits to a
     converged record with trace [0.0].  An infeasibility signal from the
-    Q-based methods ends the run with converged=False and a flag.
+    Q-based methods ends the run with converged=False and a flag.  A run
+    whose ``stalled()`` says its next step changes nothing ends early,
+    recorded exactly as if it had run to the cap plus ``flags["stalled_at"]``.
     """
     stop = stop or StopRule()
     sets = problem.sets
@@ -335,6 +325,7 @@ def run(
 
     algo = make_algorithm(algorithm, sets, v, **options)
     needs_small_step = algo.kind == "ba"
+    stalled = getattr(algo, "stalled", None)
     trace = [1.0]
     converged = trace[-1] < stop.eps
     iterations = 0
@@ -356,6 +347,11 @@ def run(
                 not needs_small_step or float(np.linalg.norm(x - prev)) < stop.eps
             ):
                 converged = True
+                break
+            if stalled is not None and d == trace[-2] and stalled():
+                trace.extend([d] * (stop.k_max - k))
+                iterations = stop.k_max
+                flags["stalled_at"] = k
                 break
             prev = x
 

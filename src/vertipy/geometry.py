@@ -330,15 +330,7 @@ def project_slope_parity(x, bounds: SlopeBounds, parity: str) -> np.ndarray:
             "(got beta; use SlopeConstraint.project)"
         )
     x = np.asarray(x, dtype=float)
-    if bounds.alpha.size != x.size - 1:
-        raise InvalidSpecError("alpha must have length n - 1")
-    idx = _parity_indices(x.size, parity)
-    d = x[idx + 1] - x[idx]
-    h = 0.5 * (_stripe_dstar(d, bounds.alpha[idx]) - d)
-    out = x.copy()
-    out[idx] -= h
-    out[idx + 1] += h
-    return out
+    return SlopeConstraint(bounds, parity, x.size, "exact").project(x)
 
 
 def _check_curvature_args(x, i, bounds, bp):

@@ -14,7 +14,9 @@ import numpy as np
 
 from .geometry import InvalidSpecError
 
-__all__ = ["make_product_point", "project_cartesian", "project_diagonal", "diagonal_part"]
+__all__ = [
+    "make_product_point", "project_cartesian", "project_diagonal", "diagonal_part", "dr_step"
+]
 
 
 def make_product_point(x, m: int) -> np.ndarray:
@@ -48,3 +50,17 @@ def diagonal_part(parts: np.ndarray) -> np.ndarray:
     """The row average of a product point (the monitored iterate)."""
     parts = np.asarray(parts, dtype=float)
     return parts.mean(axis=0)
+
+
+def dr_step(parts, sets):
+    """Douglas-Rachford in the product space.
+
+    Row i updates to x_i - xbar + P_i(2 xbar - x_i); the monitored iterate
+    is the row average xbar.
+    """
+    parts = np.asarray(parts, dtype=float)
+    xbar = diagonal_part(parts)
+    out = np.empty_like(parts)
+    for i, c in enumerate(sets):
+        out[i] = parts[i] - xbar + c.project(2.0 * xbar - parts[i])
+    return out

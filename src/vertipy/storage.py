@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .metrics import STAT_FIELDS, RunRecord
 from .probgen import build_constraint_sets
 
 __all__ = [
+    "RecordFileError",
     "problem_to_dict",
     "problem_from_dict",
     "save_problem",
@@ -46,6 +48,10 @@ __all__ = [
 ]
 
 _FMT = "{:.12g}".format
+
+
+class RecordFileError(ValueError):
+    """A complete line of a record file does not hold a run record."""
 
 
 def _floats(values):
@@ -151,15 +157,28 @@ def append_record(rec: RunRecord, path) -> None:
 
 
 def read_records(path) -> list:
+    """Read a JSONL record file.
+
+    Bytes after the last newline are an interrupted append: they are dropped
+    with a warning and cut from the file, so the next append starts a fresh
+    line.  A malformed complete line raises RecordFileError.
+    """
     path = Path(path)
     if not path.exists():
         return []
+    data = path.read_bytes()
+    body, _, tail = data.rpartition(b"\n")
     records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_dict(json.loads(line)))
+    for lineno, line in enumerate(body.split(b"\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(record_from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise RecordFileError(f"{path}, line {lineno}: malformed record ({exc})") from exc
+    if tail.strip():
+        print(f"warning: {path}: dropped a torn last line ({len(tail)} bytes)", file=sys.stderr)
+        os.truncate(path, len(data) - len(tail))
     return records
 
 

@@ -14,18 +14,20 @@ afterwards leaves the iterate unchanged while theta decays.  ``"toward"``
 flips the sign, so perturbations reduce ||x - v|| and acceptance depends
 only on T improving proximity -- the behavior to use when the goal is
 actually steering toward the anchor.  The default is ``"away"``.
+
+Once x~ rounds back to x bitwise and T(x) is rejected, every later pass
+repeats that (theta only shrinks, rounding is monotone): `stalled` says so, and
+`feasibility.run` records the run as reaching the cap, with ``flags["stalled_at"]``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import InvalidSpecError
-from .metrics import StopRule, proximity_squared_sum
+from .metrics import proximity_squared_sum
 
-__all__ = ["Superiorized", "superiorize"]
+__all__ = ["Superiorized"]
 
 
 class Superiorized:
@@ -43,6 +45,7 @@ class Superiorized:
         self.x = self.v.copy()
         self.theta = 1.0
         self._d2 = proximity_squared_sum(self.x, self.sets)
+        self._xt = None  # perturbed point of the last pass whose candidate was rejected
 
     def step(self):
         x = self.x
@@ -53,39 +56,19 @@ class Superiorized:
         else:
             xt = x
         self.theta *= 0.5
+        self._xt = None
         if float(np.linalg.norm(xt - self.v)) <= norm:
             candidate = self.base_step(xt)
             d2 = proximity_squared_sum(candidate, self.sets)
             if d2 < self._d2:
                 self.x = candidate
                 self._d2 = d2
+            else:
+                self._xt = xt
+
+    def stalled(self) -> bool:
+        """True if the last pass perturbed x to itself and rejected T(x)."""
+        return self._xt is not None and self._xt.tobytes() == self.x.tobytes()
 
     def monitor(self):
         return self.x
-
-
-def superiorize(base_step, sets, v, stop: StopRule | None = None, direction: str = "away"):
-    """Run the superiorized loop until d < eps or the iteration cap.
-
-    base_step maps a profile to a profile and must fix exactly the
-    intersection of `sets` (e.g. one sweep of cyclic projections).  Returns
-    (x_final, iterations, d_trace, converged); the trace holds the
-    normalized proximity of each pass, starting at 1.0.  A feasible v
-    returns immediately with trace [0.0].
-    """
-    stop = stop or StopRule()
-    v = np.asarray(v, dtype=float)
-    denom = proximity_squared_sum(v, sets)
-    if denom == 0.0:
-        return v.copy(), 0, [0.0], True
-    state = Superiorized(base_step, sets, v, direction=direction)
-    trace = [1.0]
-    if trace[-1] < stop.eps:
-        return v.copy(), 0, trace, True
-    for k in range(1, stop.k_max + 1):
-        state.step()
-        d = math.sqrt(proximity_squared_sum(state.x, sets) / denom)
-        trace.append(d)
-        if d < stop.eps:
-            return state.x, k, trace, True
-    return state.x, stop.k_max, trace, False

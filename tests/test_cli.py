@@ -108,21 +108,59 @@ def test_csv_outputs_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def _records_without_wall_time(path):
+    records = []
+    for rec in storage.read_records(path):
+        data = storage.record_to_dict(rec)
+        del data["wall_time"]
+        records.append(data)
+    return records
+
+
 def test_parallel_jobs_match_sequential(tmp_path):
+    # sExParP stalls early on these problems, so flags.stalled_at is compared too
     recs = {}
     for jobs, sub in (("1", "seq"), ("2", "par")):
         out = _generate(tmp_path / sub, count=2, seed=3)
         rc = cli.main(
-            ["run", "--out", str(out), "--algorithms", "CycP", "--jobs", jobs]
+            ["run", "--out", str(out), "--algorithms", "CycP,sExParP", "--jobs", jobs]
         )
         assert rc == 0
-        recs[sub] = storage.read_records(out / "records.jsonl")
-    for a, b in zip(recs["seq"], recs["par"]):
-        assert (a.algorithm, a.problem_id) == (b.algorithm, b.problem_id)
-        assert a.iterations == b.iterations
-        assert a.converged == b.converged
-        assert np.array_equal(a.final, b.final)
-        assert np.array_equal(a.d_trace, b.d_trace)
+        recs[sub] = _records_without_wall_time(out / "records.jsonl")
+    assert len(recs["seq"]) == 4
+    assert any("stalled_at" in r["flags"] for r in recs["seq"])
+    assert recs["seq"] == recs["par"]
+
+
+def test_resume_after_torn_append_matches_clean_run(tmp_path, capsys):
+    runs = {}
+    for sub in ("clean", "torn"):
+        out = _generate(tmp_path / sub, count=2, seed=3)
+        args = ["run", "--out", str(out), "--algorithms", "CycP,SaP", "--jobs", "1"]
+        assert cli.main(args) == 0
+        runs[sub] = out / "records.jsonl"
+    body = runs["torn"].read_text()
+    runs["torn"].write_text(body[: len(body) - 40])  # the last append was cut short
+    capsys.readouterr()
+    assert cli.main(["run", "--out", str(runs["torn"].parent), "--algorithms", "CycP,SaP"]) == 0
+    captured = capsys.readouterr()
+    assert "dropped a torn last line" in captured.err
+    assert "resuming: 3 finished pair(s) found, 1 to go" in captured.out
+    assert _records_without_wall_time(runs["torn"]) == _records_without_wall_time(runs["clean"])
+
+
+def test_malformed_record_line_exits_1(tmp_path, capsys):
+    out = _generate(tmp_path, count=2, seed=3)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
+    path = out / "records.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["{not json"] + lines[1:]) + "\n")
+    capsys.readouterr()
+    for command in ("run", "report"):
+        assert cli.main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 1: malformed record" in err
+        assert "Traceback" not in err
 
 
 def test_mode_selects_family(tmp_path):

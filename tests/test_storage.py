@@ -92,6 +92,41 @@ def test_write_records_overwrites(tmp_path):
     assert len(storage.read_records(path)) == 1
 
 
+def _two_records(path):
+    r1 = RunRecord("p0", "A", 1, True, [1.0, 0.0], np.zeros(2))
+    r2 = RunRecord("p1", "B", 2, False, [1.0, 0.9, 0.8], np.ones(2))
+    storage.append_record(r1, path)
+    storage.append_record(r2, path)
+    return r2
+
+
+def test_torn_last_line_is_dropped_and_cut(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    r2 = _two_records(path)
+    whole = path.read_bytes()
+    first = whole.index(b"\n") + 1
+    path.write_bytes(whole[: first + 20])  # a crash in the middle of the second append
+    assert [r.problem_id for r in storage.read_records(path)] == ["p0"]
+    assert "dropped a torn last line (20 bytes)" in capsys.readouterr().err
+    assert path.read_bytes() == whole[:first]
+    storage.append_record(r2, path)  # starts on a fresh line, not glued to the fragment
+    assert path.read_bytes() == whole
+    assert [r.problem_id for r in storage.read_records(path)] == ["p0", "p1"]
+    assert capsys.readouterr().err == ""
+
+
+def test_malformed_line_before_the_last_raises(tmp_path):
+    path = tmp_path / "records.jsonl"
+    _two_records(path)
+    lines = path.read_text().splitlines()
+    path.write_text(lines[0][:20] + "\n" + lines[1] + "\n")
+    with pytest.raises(storage.RecordFileError, match="line 1: malformed record"):
+        storage.read_records(path)
+    path.write_text(lines[0] + "\n" + json.dumps({"problem_id": "p1"}) + "\n")
+    with pytest.raises(storage.RecordFileError, match="line 2: malformed record"):
+        storage.read_records(path)
+
+
 def test_profile_csv(tmp_path):
     path = tmp_path / "profile.csv"
     kappa = np.array([0.0, 0.05, 0.1])

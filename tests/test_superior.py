@@ -9,30 +9,32 @@ from vertipy.feasibility import FeasibilityProblem
 from vertipy.geometry import InvalidSpecError
 from vertipy.metrics import StopRule
 from vertipy.sets import HalfspaceSet, SpanSet
-from vertipy.superior import Superiorized, superiorize
+from vertipy.superior import Superiorized
 
 
 def _half_and_axis():
     return [HalfspaceSet([1.0, 0.0], 0.0), SpanSet([[1.0, 0.0]])]
 
 
+def _half_line(v):
+    # C = {x <= 0} plus the whole line, which a feasibility problem needs as
+    # its second set; projecting onto the line is the identity
+    return FeasibilityProblem(v=v, sets=[HalfspaceSet([1.0], 0.0), SpanSet([[1.0]])])
+
+
 def test_one_dimensional_trace():
     # v = 1, C = {x <= 0}: the first pass perturbs at the anchor itself
     # (zero offset), accepts T(v) = 0, and stops feasible
-    h = HalfspaceSet([1.0], 0.0)
-    x, k, trace, converged = superiorize(
-        lambda z: h.project(z), [h], np.array([1.0]), StopRule(eps=1e-9, k_max=10)
-    )
-    assert converged and k == 1
-    assert trace == [1.0, 0.0]
-    assert_allclose(x, [0.0], atol=0)
+    rec = F.run("sCycP", _half_line([1.0]), StopRule(eps=1e-9, k_max=10))
+    assert rec.converged and rec.iterations == 1
+    assert rec.d_trace == [1.0, 0.0]
+    assert_allclose(rec.final, [0.0], atol=0)
 
 
 def test_feasible_anchor_short_circuits():
-    h = HalfspaceSet([1.0], 0.0)
-    x, k, trace, converged = superiorize(lambda z: h.project(z), [h], np.array([-2.0]))
-    assert converged and k == 0 and trace == [0.0]
-    assert_allclose(x, [-2.0], atol=0)
+    rec = F.run("sCycP", _half_line([-2.0]))
+    assert rec.converged and rec.iterations == 0 and rec.d_trace == [0.0]
+    assert_allclose(rec.final, [-2.0], atol=0)
 
 
 def test_theta_halves_every_pass_accepted_or_not():
