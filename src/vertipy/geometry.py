@@ -25,11 +25,27 @@ projections.
 Indices are 0-based throughout: slope pair i couples (x_i, x_{i+1}) over
 interval length tau_i = t_{i+1} - t_i, curvature index i couples
 (x_i, x_{i+1}, x_{i+2}).
+
+The six sets of one problem share a :class:`ProfileKernel` that precomputes
+their bounds and weights once.  Its layout needs no index arrays: the k
+pairs of one slope parity tile x[off : off + 2k] (off = 0 for "odd", 1 for
+"even") and the k triples of curvature block b tile x[b-1 : b-1 + 3k], so a
+set reads and updates its pairs or triples as the rows of a (k, 2) or
+(k, 3) view.  The kernel's fused monitor `proximity2` takes all n-1
+differences and n-2 triples in one pass and returns exactly (bitwise) the
+sum of the six sets' squared residuals in canonical order: each residual
+is rounded to a float as the set's own `residual` rounds it, the slope
+violations are permuted so each parity's dot product runs on a contiguous
+slice (np.dot on a strided view rounds differently), and each curvature
+block sums its every-third-triple slice, which np.add.reduce adds as it
+adds a contiguous copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -52,7 +68,7 @@ __all__ = [
     "project_curvature_single",
     "intrepid_curvature_single",
     "project_curvature_block",
-    "residual",
+    "ProfileKernel",
 ]
 
 
@@ -169,10 +185,26 @@ class CurvatureBounds:
 # (x_i - h, x_{i+1} + h) with h = (d* - d)/2.  The same applies to curvature
 # via the inner product s = tau_{i+1} x_i - (tau_i + tau_{i+1}) x_{i+1}
 # + tau_i x_{i+2}.
+#
+# The intrepid maps are piecewise: the first matching case wins.  Their
+# breakpoints depend on the bounds only, so a "table" of them is built once
+# per set and `_first_match` picks the case with nested np.where.
+
+
+def _clip(v, lo, hi):
+    # np.clip without its Python wrapper; same values
+    return np.minimum(np.maximum(v, lo), hi)
+
+
+def _first_match(cases, default):
+    out = default
+    for cond, choice in reversed(cases):
+        out = np.where(cond, choice, out)
+    return out
 
 
 def _stripe_dstar(d, alpha):
-    return np.clip(d, -alpha, alpha)
+    return _clip(d, -alpha, alpha)
 
 
 def _stripe_dstar_intrepid(d, alpha):
@@ -189,45 +221,55 @@ def _band_dstar(d, alpha, beta):
     return np.where(ad < beta, up * beta, np.where(ad <= alpha, d, np.sign(d) * alpha))
 
 
-def _band_dstar_intrepid(d, alpha, beta):
-    # first matching case wins; at every boundary overlap the adjacent
-    # formulas agree, and the two midline-jump cases around d = 0 are
-    # reachable only when 3*beta > alpha
+def _band_intrepid_table(alpha, beta):
     mid = 0.5 * (alpha + beta)
-    conds = [
-        d < 0.5 * (beta - 3.0 * alpha),
-        d < -alpha,
-        d <= -beta,
-        d <= np.minimum(0.0, 0.5 * (alpha - 3.0 * beta)),
-        d <= 0.0,
-        d <= 0.5 * (3.0 * beta - alpha),
-        d < beta,
-        d <= alpha,
-        d <= 0.5 * (3.0 * alpha - beta),
-    ]
-    choices = [
-        -mid,
-        -2.0 * alpha - d,
-        d,
-        -2.0 * beta - d,
-        -mid,
-        mid,
-        2.0 * beta - d,
-        d,
-        2.0 * alpha - d,
-    ]
+    return (
+        0.5 * (beta - 3.0 * alpha), -alpha, -beta, np.minimum(0.0, 0.5 * (alpha - 3.0 * beta)),
+        0.5 * (3.0 * beta - alpha), beta, alpha, 0.5 * (3.0 * alpha - beta),
+        mid, -mid, -2.0 * alpha, -2.0 * beta, 2.0 * beta, 2.0 * alpha,
+    )
+
+
+def _band_dstar_from(d, table):
+    # at every boundary overlap the adjacent formulas agree, and the two
+    # midline-jump cases around d = 0 are reachable only when 3*beta > alpha
+    (far_lo, neg_alpha, neg_beta, near_lo, near_hi, beta, alpha, far_hi,
+     mid, neg_mid, neg_2alpha, neg_2beta, two_beta, two_alpha) = table
     with np.errstate(invalid="ignore"):
-        return np.select(conds, choices, default=mid)
+        return _first_match(
+            [
+                (d < far_lo, neg_mid),
+                (d < neg_alpha, neg_2alpha - d),
+                (d <= neg_beta, d),
+                (d <= near_lo, neg_2beta - d),
+                (d <= 0.0, neg_mid),
+                (d <= near_hi, mid),
+                (d < beta, two_beta - d),
+                (d <= alpha, d),
+                (d <= far_hi, two_alpha - d),
+            ],
+            mid,
+        )
+
+
+def _band_dstar_intrepid(d, alpha, beta):
+    return _band_dstar_from(d, _band_intrepid_table(alpha, beta))
+
+
+def _interval_intrepid_table(lo, hi):
+    half = 0.5 * (hi - lo)
+    return lo - half, lo, hi, hi + half, 0.5 * (lo + hi), 2.0 * lo, 2.0 * hi
+
+
+def _interval_sstar_from(s, table):
+    far_lo, lo, hi, far_hi, mid, two_lo, two_hi = table
+    return _first_match(
+        [(s < far_lo, mid), (s < lo, two_lo - s), (s <= hi, s), (s <= far_hi, two_hi - s)], mid
+    )
 
 
 def _interval_sstar_intrepid(s, lo, hi):
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    return np.select(
-        [s < lo - half, s < lo, s <= hi, s <= hi + half],
-        [mid, 2.0 * lo - s, s, 2.0 * hi - s],
-        default=mid,
-    )
+    return _interval_sstar_from(s, _interval_intrepid_table(lo, hi))
 
 
 def _band_distance(d, alpha, beta):
@@ -236,6 +278,35 @@ def _band_distance(d, alpha, beta):
     with np.errstate(invalid="ignore"):
         over = np.where(ad > alpha, ad - alpha, 0.0)
     return np.where(ad < beta, beta - ad, over)
+
+
+def _pair_violation(d, alpha, beta):
+    # how far each difference lies outside its stripe (or band, given beta)
+    if beta is not None:
+        return _band_distance(d, alpha, beta)
+    with np.errstate(invalid="ignore"):
+        return np.maximum(np.abs(d) - alpha, 0.0)
+
+
+def _slope_residual(viol):
+    # each violated pair moves by viol/2 in two coordinates; `viol` must be
+    # contiguous, since np.dot on a strided view rounds differently
+    return math.sqrt(0.5 * np.dot(viol, viol))
+
+
+def _curvature_terms(s, lo, hi, unorm2):
+    gap = s - _clip(s, lo, hi)
+    return gap * gap / unorm2
+
+
+def _curvature_residual(terms):
+    # np.sum without its Python wrapper; a strided slice sums as its copy does
+    return math.sqrt(np.add.reduce(terms))
+
+
+def _interp_residual(x, spec):
+    diff = x[spec.indices] - spec.values
+    return math.sqrt(np.dot(diff, diff))  # np.linalg.norm(diff), without its wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +416,15 @@ def _check_curvature_args(x, i, bounds, bp):
     return x
 
 
-def _curvature_update(x, idx, bounds, bp, sstar_fn):
-    t0 = bp.tau[idx]
-    t1 = bp.tau[idx + 1]
-    s = t1 * x[idx] - (t0 + t1) * x[idx + 1] + t0 * x[idx + 2]
-    tt = t0 * t1
-    sstar = sstar_fn(s, bounds.delta[idx] * tt, bounds.gamma[idx] * tt)
-    coef = (sstar - s) / (t0 * t0 + t1 * t1 + (t0 + t1) ** 2)
-    out = x.copy()
-    out[idx] += coef * t1
-    out[idx + 1] -= coef * (t0 + t1)
-    out[idx + 2] += coef * t0
-    return out
+def _triple_weights(bounds, bp):
+    t0, t1 = bp.tau[:-1], bp.tau[1:]
+    t01 = t0 + t1
+    return t0, t1, t01, bounds.delta * t0 * t1, bounds.gamma * t0 * t1, t0 * t0 + t1 * t1 + t01**2
+
+
+def _single_triple(x, i, bounds, bp):
+    x = _check_curvature_args(x, i, bounds, bp)
+    return x, _TripleBlock(i, *(w[i : i + 1] for w in _triple_weights(bounds, bp)))
 
 
 def project_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
@@ -366,8 +434,8 @@ def project_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoints
     tau_{i+1} for u = tau_{i+1} e_i - (tau_i + tau_{i+1}) e_{i+1}
     + tau_i e_{i+2}; the projection moves x along u.
     """
-    x = _check_curvature_args(x, i, bounds, bp)
-    return _curvature_update(x, np.array([i]), bounds, bp, np.clip)
+    x, triple = _single_triple(x, i, bounds, bp)
+    return triple.project(x)
 
 
 def intrepid_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
@@ -377,8 +445,8 @@ def intrepid_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoint
     near half of the slab; beyond that it jumps to the midline (the slab of
     zero width at (delta + gamma)/2 tau_i tau_{i+1}).
     """
-    x = _check_curvature_args(x, i, bounds, bp)
-    return _curvature_update(x, np.array([i]), bounds, bp, _interval_sstar_intrepid)
+    x, triple = _single_triple(x, i, bounds, bp)
+    return triple.intrepid(x)
 
 
 def project_curvature_block(x, block: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
@@ -388,22 +456,180 @@ def project_curvature_block(x, block: int, bounds: CurvatureBounds, bp: Breakpoi
     Every third triple is coordinate-disjoint, so the per-triple projections
     combine into the exact projection onto the block intersection.
     """
-    if block not in (1, 2, 3):
-        raise InvalidSpecError(f"block must be 1, 2, or 3, got {block}")
-    x = np.asarray(x, dtype=float)
-    if bp.n != x.size:
-        raise InvalidSpecError("breakpoints and profile lengths differ")
-    if bounds.gamma.size != x.size - 2:
-        raise InvalidSpecError("curvature bounds must have length n - 2")
-    idx = np.arange(block - 1, x.size - 2, 3)
-    if idx.size == 0:
-        return x.copy()
-    return _curvature_update(x, idx, bounds, bp, np.clip)
+    return CurvatureConstraint(bounds, bp, block, "exact").project(x)
 
 
-def residual(x, constraint) -> float:
-    """Distance from x to the constraint set (via its exact projector)."""
-    return constraint.residual(x)
+# ---------------------------------------------------------------------------
+# profile kernel (layout in the module docstring)
+
+
+_CANONICAL_TAGS = ("Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3")
+
+
+class _Part:
+    """One set's share of a kernel; `_move` applies a target map to its pairs or triples."""
+
+    def project(self, x):
+        return self._move(x, self._exact)
+
+    def intrepid(self, x):
+        return self._move(x, self._intrepid)
+
+
+class _PairBlock(_Part):
+    """Slope pairs of one parity: k pairs tiling x[off : off + 2k], rows of a (k, 2)."""
+
+    def __init__(self, off, alpha, beta):
+        idx = np.arange(off, alpha.size, 2)
+        self.k = k = idx.size
+        self.rows = slice(off, off + 2 * k)
+        self.alpha = alpha = alpha[idx]
+        self.beta = beta = None if beta is None else beta[idx]
+        # partials, not lambdas: problems are pickled to pool workers
+        if beta is None:
+            self._exact = partial(_clip, lo=-alpha, hi=alpha)
+            self._intrepid = partial(_stripe_dstar_intrepid, alpha=alpha)
+        else:
+            self._exact = partial(_band_dstar, alpha=alpha, beta=beta)
+            self._intrepid = partial(_band_dstar_from, table=_band_intrepid_table(alpha, beta))
+
+    def _move(self, x, dstar_fn):
+        out = x.copy()
+        pairs = out[self.rows].reshape(self.k, 2)
+        d = pairs[:, 1] - pairs[:, 0]
+        h = 0.5 * (dstar_fn(d) - d)
+        pairs[:, 0] -= h
+        pairs[:, 1] += h
+        return out
+
+    def residual(self, x):
+        pairs = x[self.rows].reshape(self.k, 2)
+        return _slope_residual(_pair_violation(pairs[:, 1] - pairs[:, 0], self.alpha, self.beta))
+
+
+class _TripleBlock(_Part):
+    """Curvature triples of one block: k triples tiling x[off : off + 3k], rows of a (k, 3)."""
+
+    def __init__(self, off, t0, t1, t01, lo, hi, unorm2):
+        self.k = k = t0.size
+        self.rows = slice(off, off + 3 * k)
+        self.t0, self.t1, self.t01 = t0, t1, t01
+        self.lo, self.hi, self.unorm2 = lo, hi, unorm2
+        self._exact = partial(_clip, lo=lo, hi=hi)
+        self._intrepid = partial(_interval_sstar_from, table=_interval_intrepid_table(lo, hi))
+
+    def _s(self, triples):
+        return self.t1 * triples[:, 0] - self.t01 * triples[:, 1] + self.t0 * triples[:, 2]
+
+    def _move(self, x, sstar):
+        out = x.copy()
+        triples = out[self.rows].reshape(self.k, 3)
+        s = self._s(triples)
+        coef = (sstar(s) - s) / self.unorm2
+        triples[:, 0] += coef * self.t1
+        triples[:, 1] -= coef * self.t01
+        triples[:, 2] += coef * self.t0
+        return out
+
+    def residual(self, x):
+        s = self._s(x[self.rows].reshape(self.k, 3))
+        return _curvature_residual(_curvature_terms(s, self.lo, self.hi, self.unorm2))
+
+
+class ProfileKernel:
+    """Precomputed data of one problem's profile sets, and their fused monitor.
+
+    `probgen.build_constraint_sets` builds one from all four specs and makes
+    the six constraints on it with `constraint_sets`; a constraint built on
+    its own gets a kernel of its own spec only.  `pairs[parity]` and
+    `blocks[block]` are each set's share of the arrays over all differences
+    and triples; `perm` lists the even-parity differences, then the odd.
+
+    The arrays are computed on first use and then kept.  Generating and
+    saving a problem uses none of them, and a problem sent to a pool worker
+    pickles as its specs.  The kernel does not refer back to its
+    constraints: a reference cycle would leave every loaded problem to the
+    cyclic garbage collector, and memory would grow from run to run.
+    """
+
+    def __init__(self, n, interp=None, slope=None, curvature=None, bp=None):
+        self.n = n
+        self.interp = interp
+        self.slope = slope
+        self.curvature = curvature
+        self.bp = bp
+
+    @cached_property
+    def pairs(self):
+        alpha, beta = self.slope.alpha, self.slope.beta
+        return {"even": _PairBlock(1, alpha, beta), "odd": _PairBlock(0, alpha, beta)}
+
+    @cached_property
+    def perm(self):
+        return np.concatenate([np.arange(1, self.n - 1, 2), np.arange(0, self.n - 1, 2)])
+
+    @cached_property
+    def weights(self):
+        """t0 = tau_i, t1 = tau_{i+1}, t0 + t1, lo, hi and ||u||^2 over all n-2 triples."""
+        return _triple_weights(self.curvature, self.bp)
+
+    @cached_property
+    def blocks(self):
+        return {
+            b: _TripleBlock(b - 1, *(w[b - 1 :: 3].copy() for w in self.weights))
+            for b in (1, 2, 3)
+        }
+
+    def constraint_sets(self, mode: str = "intrepid") -> list:
+        """The six sets on this kernel, in canonical order."""
+        n = self.n
+        return [
+            InterpolationConstraint(self.interp, n, mode, kernel=self),
+            SlopeConstraint(self.slope, "even", n, mode, kernel=self),
+            SlopeConstraint(self.slope, "odd", n, mode, kernel=self),
+            *(CurvatureConstraint(self.curvature, self.bp, b, mode, kernel=self)
+              for b in (1, 2, 3)),
+        ]
+
+    def owns(self, sets) -> bool:
+        """True if `sets` is this kernel's six constraints in canonical order."""
+        return len(sets) == len(_CANONICAL_TAGS) and all(
+            getattr(c, "kernel", None) is self and c.tag == tag
+            for c, tag in zip(sets, _CANONICAL_TAGS)
+        )
+
+    def proximity2(self, x) -> float:
+        """Sum of squared distances from x to the six sets, in one pass.
+
+        Bitwise equal to summing `c.residual(x) ** 2` over the six sets in
+        canonical order: each distance is rounded to a float as the
+        constraint's `residual` rounds it, slope dots run on contiguous
+        slices, and a curvature block sums its every-third-triple slice.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):  # as the first set, Interp, would report it
+            raise InvalidSpecError(f"Interp: expected shape ({self.n},), got {x.shape}")
+        viol = _pair_violation(x[1:] - x[:-1], self.slope.alpha, self.slope.beta)[self.perm]
+        t0, t1, t01, lo, hi, unorm2 = self.weights
+        terms = _curvature_terms(t1 * x[:-2] - t01 * x[1:-1] + t0 * x[2:], lo, hi, unorm2)
+        k = (self.n - 1) // 2  # even-parity differences
+        r = (
+            _interp_residual(x, self.interp),
+            _slope_residual(viol[:k]),
+            _slope_residual(viol[k:]),
+            _curvature_residual(terms[0::3]),
+            _curvature_residual(terms[1::3]),
+            _curvature_residual(terms[2::3]),
+        )
+        return float(sum(ri ** 2 for ri in r))
+
+
+def _own_kernel(kernel, n, **specs):
+    if kernel is None:
+        return ProfileKernel(n, **specs)
+    if kernel.n != n or any(getattr(kernel, k) is not v for k, v in specs.items()):
+        raise InvalidSpecError("kernel was built from other constraint data")
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +638,8 @@ def residual(x, constraint) -> float:
 # A Constraint bundles a projector with its intrepid companion and a cheap
 # closed-form residual.  `mode` selects which operator `apply` uses; the
 # overshooting algorithm variants call `apply`, plain ones call `project`.
+# The profile constraints check the shape at these public methods and run
+# the operators of their kernel part.
 
 
 class Constraint:
@@ -454,74 +682,60 @@ class InterpolationConstraint(Constraint):
     tag = "Interp"
     is_affine = True
 
-    def __init__(self, spec: InterpolationSpec, n: int, mode: str = "intrepid"):
+    def __init__(self, spec: InterpolationSpec, n: int, mode: str = "intrepid", *, kernel=None):
         super().__init__(n, mode)
         if spec.indices[-1] >= n:
             raise InvalidSpecError("interpolation index out of range")
         if spec.indices[0] != 0 or spec.indices[-1] != n - 1:
             raise InvalidSpecError("interpolation must pin both endpoints (indices 0 and n-1)")
         self.spec = spec
+        self.kernel = _own_kernel(kernel, n, interp=spec)
 
     def project(self, x):
         return project_interpolation(self._check(x), self.spec)
 
     def residual(self, x):
-        x = self._check(x)
-        return float(np.linalg.norm(x[self.spec.indices] - self.spec.values))
+        return _interp_residual(self._check(x), self.spec)
 
 
-class SlopeConstraint(Constraint):
+class _PartConstraint(Constraint):
+    """A profile set whose operators run on its part (`_part`) of a ProfileKernel."""
+
+    def project(self, x):
+        return self._part.project(self._check(x))
+
+    def intrepid(self, x):
+        return self._part.intrepid(self._check(x))
+
+    def residual(self, x):
+        return self._part.residual(self._check(x))
+
+
+class SlopeConstraint(_PartConstraint):
     """Intersection of the slope pair sets of one parity ("odd" or "even")."""
 
-    def __init__(self, bounds: SlopeBounds, parity: str, n: int, mode: str = "intrepid"):
+    def __init__(
+        self, bounds: SlopeBounds, parity: str, n: int, mode: str = "intrepid", *, kernel=None
+    ):
         super().__init__(n, mode)
         if bounds.alpha.size != n - 1:
             raise InvalidSpecError("alpha must have length n - 1")
+        self.idx = _parity_indices(n, parity)
         self.bounds = bounds
         self.parity = parity
         self.tag = "SlopeOdd" if parity == "odd" else "SlopeEven"
-        self.idx = _parity_indices(n, parity)
-        self._alpha = bounds.alpha[self.idx]
-        self._beta = None if bounds.beta is None else bounds.beta[self.idx]
+        self.kernel = _own_kernel(kernel, n, slope=bounds)
 
     @property
     def convex(self) -> bool:
-        return self._beta is None
+        return self.bounds.convex
 
-    def _move(self, x, dstar_fn):
-        x = self._check(x)
-        idx = self.idx
-        d = x[idx + 1] - x[idx]
-        if self._beta is None:
-            h = 0.5 * (dstar_fn(d, self._alpha) - d)
-        else:
-            h = 0.5 * (dstar_fn(d, self._alpha, self._beta) - d)
-        out = x.copy()
-        out[idx] -= h
-        out[idx + 1] += h
-        return out
-
-    def project(self, x):
-        return self._move(x, _stripe_dstar if self._beta is None else _band_dstar)
-
-    def intrepid(self, x):
-        return self._move(
-            x, _stripe_dstar_intrepid if self._beta is None else _band_dstar_intrepid
-        )
-
-    def residual(self, x):
-        x = self._check(x)
-        d = x[self.idx + 1] - x[self.idx]
-        if self._beta is None:
-            with np.errstate(invalid="ignore"):
-                viol = np.maximum(np.abs(d) - self._alpha, 0.0)
-        else:
-            viol = _band_distance(d, self._alpha, self._beta)
-        # each violated pair moves by viol/2 in two coordinates
-        return float(np.sqrt(0.5 * np.dot(viol, viol)))
+    @property
+    def _part(self):
+        return self.kernel.pairs[self.parity]
 
 
-class CurvatureConstraint(Constraint):
+class CurvatureConstraint(_PartConstraint):
     """Intersection of curvature triples i = block-1, block+2, ... (block 1..3)."""
 
     def __init__(
@@ -530,6 +744,8 @@ class CurvatureConstraint(Constraint):
         bp: Breakpoints,
         block: int,
         mode: str = "intrepid",
+        *,
+        kernel=None,
     ):
         super().__init__(bp.n, mode)
         if block not in (1, 2, 3):
@@ -540,40 +756,9 @@ class CurvatureConstraint(Constraint):
         self.bp = bp
         self.block = block
         self.tag = f"Curv{block}"
-        idx = np.arange(block - 1, bp.n - 2, 3)
-        self.idx = idx
-        t0 = bp.tau[idx]
-        t1 = bp.tau[idx + 1]
-        self._t0 = t0
-        self._t1 = t1
-        self._lo = bounds.delta[idx] * t0 * t1
-        self._hi = bounds.gamma[idx] * t0 * t1
-        self._unorm2 = t0 * t0 + t1 * t1 + (t0 + t1) ** 2
+        self.idx = np.arange(block - 1, bp.n - 2, 3)
+        self.kernel = _own_kernel(kernel, bp.n, curvature=bounds, bp=bp)
 
-    def _move(self, x, sstar_fn):
-        x = self._check(x)
-        idx = self.idx
-        if idx.size == 0:
-            return x.copy()
-        s = self._t1 * x[idx] - (self._t0 + self._t1) * x[idx + 1] + self._t0 * x[idx + 2]
-        coef = (sstar_fn(s, self._lo, self._hi) - s) / self._unorm2
-        out = x.copy()
-        out[idx] += coef * self._t1
-        out[idx + 1] -= coef * (self._t0 + self._t1)
-        out[idx + 2] += coef * self._t0
-        return out
-
-    def project(self, x):
-        return self._move(x, np.clip)
-
-    def intrepid(self, x):
-        return self._move(x, _interval_sstar_intrepid)
-
-    def residual(self, x):
-        x = self._check(x)
-        idx = self.idx
-        if idx.size == 0:
-            return 0.0
-        s = self._t1 * x[idx] - (self._t0 + self._t1) * x[idx + 1] + self._t0 * x[idx + 2]
-        gap = s - np.clip(s, self._lo, self._hi)
-        return float(np.sqrt(np.sum(gap * gap / self._unorm2)))
+    @property
+    def _part(self):
+        return self.kernel.blocks[self.block]

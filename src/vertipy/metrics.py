@@ -74,7 +74,15 @@ class RunRecord:
 
 
 def proximity_squared_sum(x, sets) -> float:
-    """Unnormalized sum of squared distances to the given sets."""
+    """Unnormalized sum of squared distances to the given sets.
+
+    The six sets of one profile kernel, in canonical order, take its fused
+    `proximity2`, which returns this same sum bitwise; any other list sums
+    the residuals of its sets in order.
+    """
+    kernel = getattr(sets[0], "kernel", None) if len(sets) else None
+    if kernel is not None and kernel.owns(sets):
+        return kernel.proximity2(x)
     return float(sum(c.residual(x) ** 2 for c in sets))
 
 

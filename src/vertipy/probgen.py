@@ -42,12 +42,10 @@ from .feasibility import FeasibilityProblem
 from .geometry import (
     Breakpoints,
     CurvatureBounds,
-    CurvatureConstraint,
-    InterpolationConstraint,
     InterpolationSpec,
     InvalidSpecError,
+    ProfileKernel,
     SlopeBounds,
-    SlopeConstraint,
 )
 
 __all__ = [
@@ -118,16 +116,11 @@ def child_seed(master_seed: int, index: int) -> int:
 
 
 def build_constraint_sets(bp, interp, slope, curvature, mode: str = "intrepid"):
-    """The canonical six-set list: Interp, SlopeEven, SlopeOdd, Curv1..3."""
-    n = bp.n
-    return [
-        InterpolationConstraint(interp, n, mode),
-        SlopeConstraint(slope, "even", n, mode),
-        SlopeConstraint(slope, "odd", n, mode),
-        CurvatureConstraint(curvature, bp, 1, mode),
-        CurvatureConstraint(curvature, bp, 2, mode),
-        CurvatureConstraint(curvature, bp, 3, mode),
-    ]
+    """The canonical six-set list: Interp, SlopeEven, SlopeOdd, Curv1..3.
+
+    The six share one `geometry.ProfileKernel`, built here once per problem.
+    """
+    return ProfileKernel(bp.n, interp, slope, curvature, bp).constraint_sets(mode)
 
 
 def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProblem:

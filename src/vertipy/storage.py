@@ -21,9 +21,12 @@ from .feasibility import FeasibilityProblem
 from .geometry import (
     Breakpoints,
     CurvatureBounds,
+    CurvatureConstraint,
+    InterpolationConstraint,
     InterpolationSpec,
     InvalidSpecError,
     SlopeBounds,
+    SlopeConstraint,
 )
 from .metrics import STAT_FIELDS, RunRecord
 from .probgen import build_constraint_sets
@@ -58,12 +61,19 @@ def _floats(values):
     return [float(x) for x in np.asarray(values, dtype=float)]
 
 
+def _first_set(problem, cls):
+    for c in problem.sets:
+        if isinstance(c, cls):
+            return c
+    raise InvalidSpecError(f"problem {problem.problem_id} has no {cls.__name__}")
+
+
 def problem_to_dict(problem: FeasibilityProblem) -> dict:
     if problem.breakpoints is None:
         raise InvalidSpecError("only breakpoint-based problems are serializable")
-    interp = problem.sets[0].spec
-    slope = problem.sets[1].bounds
-    curv = problem.sets[3].bounds
+    interp = _first_set(problem, InterpolationConstraint).spec
+    slope = _first_set(problem, SlopeConstraint).bounds
+    curv = _first_set(problem, CurvatureConstraint).bounds
     return {
         "problem_id": problem.problem_id,
         "t": _floats(problem.breakpoints.t),
@@ -183,11 +193,25 @@ def read_records(path) -> list:
 
 
 def write_records(records, path) -> None:
-    """Write records sorted by (algorithm, problem), replacing the file."""
+    """Write records sorted by (algorithm, problem), replacing the file atomically.
+
+    The records go to a temporary file in the same directory, which is
+    fsync'd and then renamed over `path`; if anything fails first, the old
+    file is left as it was and the temporary file is removed.
+    """
     ordered = sorted(records, key=lambda r: (r.algorithm, r.problem_id))
-    with open(path, "w") as fh:
-        for rec in ordered:
-            fh.write(json.dumps(record_to_dict(rec)) + "\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            for rec in ordered:
+                fh.write(json.dumps(record_to_dict(rec)) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_profile_csv(path, kappa, rho) -> None:

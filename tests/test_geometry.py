@@ -348,9 +348,3 @@ def test_slope_ops_preserve_pair_sums(rng):
                         touched |= {i, i + 1}
                     for i in set(range(n)) - touched:
                         assert out[i] == x[i]
-
-
-def test_residual_helper_delegates():
-    con = SlopeConstraint(SlopeBounds(np.ones(3)), "odd", 4)
-    x = np.array([0.0, 3.0, 0.0, 3.0])
-    assert G.residual(x, con) == con.residual(x)

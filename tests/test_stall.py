@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from vertipy import feasibility as F
-from vertipy.metrics import StopRule, proximity_squared_sum
+from vertipy.metrics import StopRule
 from vertipy.probgen import ProblemSpec, generate, make_batch
 
 STALLING = ["CycP", "CycP+", "ParP", "SaP", "ExParP", "ExAltP", *sorted(F.SUPERIORIZED_ALGORITHMS)]
@@ -20,17 +20,25 @@ def _nonconvex_p0010():
     return make_batch(0, count=11, nonconvex=True, speeds=[30.0, 80.0], xi_max=[100.0])[10]
 
 
+def _generic_monitor(x, sets):
+    """The per-set residual sum, never the profile kernel's fused monitor."""
+    return float(sum(c.residual(x) ** 2 for c in sets))
+
+
 def _hand_run(name, problem, stop):
     """The loop and d formula of `feasibility.run`, stepped to the cap with no early exit."""
     algo = F.make_algorithm(name, problem.sets, problem.v)
-    denom = proximity_squared_sum(problem.v, problem.sets)
+    denom = _generic_monitor(problem.v, problem.sets)
     trace = [1.0]
+    prev = problem.v
     for k in range(1, stop.k_max + 1):
         algo.step()
-        d = float(np.sqrt(proximity_squared_sum(algo.monitor(), problem.sets) / denom))
+        x = algo.monitor()
+        d = float(np.sqrt(_generic_monitor(x, problem.sets) / denom))
         trace.append(d)
-        if d < stop.eps:
-            return k, True, trace, algo.monitor()
+        if d < stop.eps and (algo.kind != "ba" or float(np.linalg.norm(x - prev)) < stop.eps):
+            return k, True, trace, x
+        prev = x
     return stop.k_max, False, trace, algo.monitor()
 
 
@@ -52,6 +60,19 @@ def test_stalled_record_matches_run_to_cap(name, problem, k_max):
     assert rec.converged is converged is False
     assert rec.d_trace == trace
     assert np.array_equal(rec.final, final)
+
+
+@pytest.mark.parametrize("name", ["CycP", "ParP", "D-R", "sCycP", "hParP"])
+def test_record_matches_generic_monitor_loop(name):
+    # feasibility.run monitors through the fused kernel; the hand loop sums residuals
+    problem = _convex_p0000()
+    stop = StopRule(k_max=300)
+    rec = F.run(name, problem, stop)
+    iterations, converged, trace, final = _hand_run(name, problem, stop)
+    assert "stalled_at" not in rec.flags
+    assert (rec.iterations, rec.converged) == (iterations, converged)
+    assert rec.d_trace == trace
+    assert rec.final.tobytes() == final.tobytes()
 
 
 def test_converged_runs_are_not_marked_stalled():

@@ -92,6 +92,30 @@ def test_write_records_overwrites(tmp_path):
     assert len(storage.read_records(path)) == 1
 
 
+def test_failed_rewrite_keeps_the_old_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    old = [RunRecord(f"p{i}", "B", i, True, [1.0, 0.0], np.full(2, i)) for i in range(3)]
+    storage.write_records(old, path)
+    before = path.read_bytes()
+    # sorts first, so the rewrite fails before it reaches the good records
+    bad = RunRecord("p9", "A", 1, True, [1.0, 0.0], np.zeros(2), flags={"x": object()})
+    with pytest.raises(TypeError):
+        storage.write_records([*old, bad], path)
+    assert path.read_bytes() == before
+    assert len(storage.read_records(path)) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+
+def test_problem_to_dict_finds_specs_by_type():
+    for nonconvex in (False, True):
+        prob = _problem(nonconvex)
+        shuffled = FeasibilityProblem(
+            v=prob.v, sets=[prob.sets[i] for i in (5, 2, 0, 4, 1, 3)],
+            breakpoints=prob.breakpoints, problem_id=prob.problem_id, meta=prob.meta,
+        )
+        assert storage.problem_to_dict(shuffled) == storage.problem_to_dict(prob)
+
+
 def _two_records(path):
     r1 = RunRecord("p0", "A", 1, True, [1.0, 0.0], np.zeros(2))
     r2 = RunRecord("p1", "B", 2, False, [1.0, 0.9, 0.8], np.ones(2))
