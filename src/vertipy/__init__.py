@@ -71,7 +71,7 @@ from .metrics import (
     relative_proximity_curve,
 )
 from .probgen import ProblemSpec, build_constraint_sets, child_seed, generate, make_batch
-from .product import diagonal_part, make_product_point, project_cartesian, project_diagonal
+from .product import diagonal_part, make_product_point
 from .sets import BallSet, HalfspaceSet, SlabSet, SpanSet
 from .superior import Superiorized
 

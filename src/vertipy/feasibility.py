@@ -1,6 +1,6 @@
 """Feasibility-seeking algorithms and the run driver.
 
-All methods consume a list of sets exposing project()/apply()/residual()
+All methods consume a list of sets exposing project()/intrepid()/residual()
 and drive an iterate toward the intersection.  One iteration means one
 sweep (or one product-space update); the cyclic Dykstra variant over in
 :mod:`vertipy.bestapprox` is the only per-projection counter.
@@ -86,9 +86,9 @@ def cycp_step(x, sets):
 
 
 def cycp_plus_step(x, sets):
-    """Cyclic sweep using each set's mode-selected operator (intrepid by default)."""
+    """Cyclic sweep using each set's intrepid operator (its projection if it has none)."""
     for c in sets:
-        x = c.apply(x)
+        x = c.intrepid(x)
     return x
 
 

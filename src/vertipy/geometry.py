@@ -26,19 +26,20 @@ Indices are 0-based throughout: slope pair i couples (x_i, x_{i+1}) over
 interval length tau_i = t_{i+1} - t_i, curvature index i couples
 (x_i, x_{i+1}, x_{i+2}).
 
-The six sets of one problem share a :class:`ProfileKernel` that precomputes
-their bounds and weights once.  Its layout needs no index arrays: the k
-pairs of one slope parity tile x[off : off + 2k] (off = 0 for "odd", 1 for
-"even") and the k triples of curvature block b tile x[b-1 : b-1 + 3k], so a
-set reads and updates its pairs or triples as the rows of a (k, 2) or
-(k, 3) view.  The kernel's fused monitor `proximity2` takes all n-1
-differences and n-2 triples in one pass and returns exactly (bitwise) the
-sum of the six sets' squared residuals in canonical order: each residual
-is rounded to a float as the set's own `residual` rounds it, the slope
-violations are permuted so each parity's dot product runs on a contiguous
-slice (np.dot on a strided view rounds differently), and each curvature
-block sums its every-third-triple slice, which np.add.reduce adds as it
-adds a contiguous copy.
+A slope or curvature set needs no index arrays: the k pairs of one slope
+parity tile x[off : off + 2k] (off = 0 for "odd", 1 for "even") and the k
+triples of curvature block b tile x[b-1 : b-1 + 3k], so the set reads and
+updates its pairs or triples as the rows of a (k, 2) or (k, 3) view.  Each
+set computes the bounds and weights of its rows from its own spec on first
+use.  The six sets of one problem share a :class:`ProfileKernel` that
+holds their fused monitor: `proximity2` takes all n-1 differences and n-2
+triples in one pass and returns exactly (bitwise) the sum of the six sets'
+squared residuals in canonical order: each residual is rounded to a float
+as the set's own `residual` rounds it, the slope violations are permuted
+so each parity's dot product runs on a contiguous slice (np.dot on a
+strided view rounds differently), and each curvature block sums its
+every-third-triple slice, which np.add.reduce adds as it adds a contiguous
+copy.
 """
 
 from __future__ import annotations
@@ -380,13 +381,6 @@ def intrepid_slope_pair_nonconvex(xi: float, xj: float, alpha: float, beta: floa
     return xi - h, xj + h
 
 
-def _parity_indices(n: int, parity: str) -> np.ndarray:
-    if parity not in ("odd", "even"):
-        raise InvalidSpecError(f"parity must be 'odd' or 'even', got {parity!r}")
-    offset = 0 if parity == "odd" else 1
-    return np.arange(offset, n - 1, 2)
-
-
 def project_slope_parity(x, bounds: SlopeBounds, parity: str) -> np.ndarray:
     """Project onto the intersection of all slope stripes of one parity.
 
@@ -401,7 +395,7 @@ def project_slope_parity(x, bounds: SlopeBounds, parity: str) -> np.ndarray:
             "(got beta; use SlopeConstraint.project)"
         )
     x = np.asarray(x, dtype=float)
-    return SlopeConstraint(bounds, parity, x.size, "exact").project(x)
+    return SlopeConstraint(bounds, parity, x.size).project(x)
 
 
 def _check_curvature_args(x, i, bounds, bp):
@@ -422,9 +416,17 @@ def _triple_weights(bounds, bp):
     return t0, t1, t01, bounds.delta * t0 * t1, bounds.gamma * t0 * t1, t0 * t0 + t1 * t1 + t01**2
 
 
-def _single_triple(x, i, bounds, bp):
+def _on_triple(op, x, i, bounds, bp):
+    # a one-triple constraint on x[i : i + 3]; its tau is bp.tau[i : i + 2] bitwise
     x = _check_curvature_args(x, i, bounds, bp)
-    return x, _TripleBlock(i, *(w[i : i + 1] for w in _triple_weights(bounds, bp)))
+    triple = CurvatureConstraint(
+        CurvatureBounds(bounds.gamma[i : i + 1], bounds.delta[i : i + 1]),
+        Breakpoints(bp.t[i : i + 3]),
+        1,
+    )
+    out = x.copy()
+    out[i : i + 3] = op(triple, x[i : i + 3])
+    return out
 
 
 def project_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
@@ -434,8 +436,7 @@ def project_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoints
     tau_{i+1} for u = tau_{i+1} e_i - (tau_i + tau_{i+1}) e_{i+1}
     + tau_i e_{i+2}; the projection moves x along u.
     """
-    x, triple = _single_triple(x, i, bounds, bp)
-    return triple.project(x)
+    return _on_triple(CurvatureConstraint.project, x, i, bounds, bp)
 
 
 def intrepid_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
@@ -445,8 +446,7 @@ def intrepid_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoint
     near half of the slab; beyond that it jumps to the midline (the slab of
     zero width at (delta + gamma)/2 tau_i tau_{i+1}).
     """
-    x, triple = _single_triple(x, i, bounds, bp)
-    return triple.intrepid(x)
+    return _on_triple(CurvatureConstraint.intrepid, x, i, bounds, bp)
 
 
 def project_curvature_block(x, block: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
@@ -456,94 +456,23 @@ def project_curvature_block(x, block: int, bounds: CurvatureBounds, bp: Breakpoi
     Every third triple is coordinate-disjoint, so the per-triple projections
     combine into the exact projection onto the block intersection.
     """
-    return CurvatureConstraint(bounds, bp, block, "exact").project(x)
+    return CurvatureConstraint(bounds, bp, block).project(x)
 
 
 # ---------------------------------------------------------------------------
-# profile kernel (layout in the module docstring)
+# profile kernel: the fused monitor of one problem's six sets
 
 
 _CANONICAL_TAGS = ("Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3")
 
 
-class _Part:
-    """One set's share of a kernel; `_move` applies a target map to its pairs or triples."""
-
-    def project(self, x):
-        return self._move(x, self._exact)
-
-    def intrepid(self, x):
-        return self._move(x, self._intrepid)
-
-
-class _PairBlock(_Part):
-    """Slope pairs of one parity: k pairs tiling x[off : off + 2k], rows of a (k, 2)."""
-
-    def __init__(self, off, alpha, beta):
-        idx = np.arange(off, alpha.size, 2)
-        self.k = k = idx.size
-        self.rows = slice(off, off + 2 * k)
-        self.alpha = alpha = alpha[idx]
-        self.beta = beta = None if beta is None else beta[idx]
-        # partials, not lambdas: problems are pickled to pool workers
-        if beta is None:
-            self._exact = partial(_clip, lo=-alpha, hi=alpha)
-            self._intrepid = partial(_stripe_dstar_intrepid, alpha=alpha)
-        else:
-            self._exact = partial(_band_dstar, alpha=alpha, beta=beta)
-            self._intrepid = partial(_band_dstar_from, table=_band_intrepid_table(alpha, beta))
-
-    def _move(self, x, dstar_fn):
-        out = x.copy()
-        pairs = out[self.rows].reshape(self.k, 2)
-        d = pairs[:, 1] - pairs[:, 0]
-        h = 0.5 * (dstar_fn(d) - d)
-        pairs[:, 0] -= h
-        pairs[:, 1] += h
-        return out
-
-    def residual(self, x):
-        pairs = x[self.rows].reshape(self.k, 2)
-        return _slope_residual(_pair_violation(pairs[:, 1] - pairs[:, 0], self.alpha, self.beta))
-
-
-class _TripleBlock(_Part):
-    """Curvature triples of one block: k triples tiling x[off : off + 3k], rows of a (k, 3)."""
-
-    def __init__(self, off, t0, t1, t01, lo, hi, unorm2):
-        self.k = k = t0.size
-        self.rows = slice(off, off + 3 * k)
-        self.t0, self.t1, self.t01 = t0, t1, t01
-        self.lo, self.hi, self.unorm2 = lo, hi, unorm2
-        self._exact = partial(_clip, lo=lo, hi=hi)
-        self._intrepid = partial(_interval_sstar_from, table=_interval_intrepid_table(lo, hi))
-
-    def _s(self, triples):
-        return self.t1 * triples[:, 0] - self.t01 * triples[:, 1] + self.t0 * triples[:, 2]
-
-    def _move(self, x, sstar):
-        out = x.copy()
-        triples = out[self.rows].reshape(self.k, 3)
-        s = self._s(triples)
-        coef = (sstar(s) - s) / self.unorm2
-        triples[:, 0] += coef * self.t1
-        triples[:, 1] -= coef * self.t01
-        triples[:, 2] += coef * self.t0
-        return out
-
-    def residual(self, x):
-        s = self._s(x[self.rows].reshape(self.k, 3))
-        return _curvature_residual(_curvature_terms(s, self.lo, self.hi, self.unorm2))
-
-
 class ProfileKernel:
-    """Precomputed data of one problem's profile sets, and their fused monitor.
+    """The fused proximity monitor of one problem's six profile sets.
 
     `probgen.build_constraint_sets` builds one from all four specs and makes
-    the six constraints on it with `constraint_sets`; a constraint built on
-    its own gets a kernel of its own spec only.  `pairs[parity]` and
-    `blocks[block]` are each set's share of the arrays over all differences
-    and triples; `perm` lists the even-parity differences, then the odd.
+    the six constraints on it with `constraint_sets`, the only place that
+    sets a constraint's `kernel`.  `perm` lists the even-parity differences,
+    then the odd; `weights` holds the curvature weights over all triples.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and a problem sent to a pool worker
@@ -552,17 +481,12 @@ class ProfileKernel:
     cyclic garbage collector, and memory would grow from run to run.
     """
 
-    def __init__(self, n, interp=None, slope=None, curvature=None, bp=None):
+    def __init__(self, n, interp, slope, curvature, bp):
         self.n = n
         self.interp = interp
         self.slope = slope
         self.curvature = curvature
         self.bp = bp
-
-    @cached_property
-    def pairs(self):
-        alpha, beta = self.slope.alpha, self.slope.beta
-        return {"even": _PairBlock(1, alpha, beta), "odd": _PairBlock(0, alpha, beta)}
 
     @cached_property
     def perm(self):
@@ -573,23 +497,18 @@ class ProfileKernel:
         """t0 = tau_i, t1 = tau_{i+1}, t0 + t1, lo, hi and ||u||^2 over all n-2 triples."""
         return _triple_weights(self.curvature, self.bp)
 
-    @cached_property
-    def blocks(self):
-        return {
-            b: _TripleBlock(b - 1, *(w[b - 1 :: 3].copy() for w in self.weights))
-            for b in (1, 2, 3)
-        }
-
-    def constraint_sets(self, mode: str = "intrepid") -> list:
+    def constraint_sets(self) -> list:
         """The six sets on this kernel, in canonical order."""
         n = self.n
-        return [
-            InterpolationConstraint(self.interp, n, mode, kernel=self),
-            SlopeConstraint(self.slope, "even", n, mode, kernel=self),
-            SlopeConstraint(self.slope, "odd", n, mode, kernel=self),
-            *(CurvatureConstraint(self.curvature, self.bp, b, mode, kernel=self)
-              for b in (1, 2, 3)),
+        sets = [
+            InterpolationConstraint(self.interp, n),
+            SlopeConstraint(self.slope, "even", n),
+            SlopeConstraint(self.slope, "odd", n),
+            *(CurvatureConstraint(self.curvature, self.bp, b) for b in (1, 2, 3)),
         ]
+        for c in sets:
+            c.kernel = self
+        return sets
 
     def owns(self, sets) -> bool:
         """True if `sets` is this kernel's six constraints in canonical order."""
@@ -624,33 +543,25 @@ class ProfileKernel:
         return float(sum(ri ** 2 for ri in r))
 
 
-def _own_kernel(kernel, n, **specs):
-    if kernel is None:
-        return ProfileKernel(n, **specs)
-    if kernel.n != n or any(getattr(kernel, k) is not v for k, v in specs.items()):
-        raise InvalidSpecError("kernel was built from other constraint data")
-    return kernel
-
-
 # ---------------------------------------------------------------------------
 # constraint-set objects
 #
 # A Constraint bundles a projector with its intrepid companion and a cheap
-# closed-form residual.  `mode` selects which operator `apply` uses; the
-# overshooting algorithm variants call `apply`, plain ones call `project`.
-# The profile constraints check the shape at these public methods and run
-# the operators of their kernel part.
+# closed-form residual; a set without an intrepid operator of its own uses
+# its projector.  The plain algorithms call `project`, the overshooting ones
+# `intrepid`.  The profile constraints check the shape at these public
+# methods.  A slope or curvature set computes the bounds and weights of its
+# pairs or triples from its own spec on first use and keeps them; `_move`
+# applies a target map (layout in the module docstring).
 
 
 class Constraint:
     tag = "?"
     is_affine = False
+    kernel = None  # the shared ProfileKernel, set by ProfileKernel.constraint_sets
 
-    def __init__(self, n: int, mode: str = "intrepid"):
-        if mode not in ("exact", "intrepid"):
-            raise InvalidSpecError(f"mode must be 'exact' or 'intrepid', got {mode!r}")
+    def __init__(self, n: int):
         self.n = int(n)
-        self.mode = mode
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -662,11 +573,6 @@ class Constraint:
         raise NotImplementedError
 
     def intrepid(self, x) -> np.ndarray:
-        return self.project(x)
-
-    def apply(self, x) -> np.ndarray:
-        if self.mode == "intrepid":
-            return self.intrepid(x)
         return self.project(x)
 
     def residual(self, x) -> float:
@@ -682,14 +588,13 @@ class InterpolationConstraint(Constraint):
     tag = "Interp"
     is_affine = True
 
-    def __init__(self, spec: InterpolationSpec, n: int, mode: str = "intrepid", *, kernel=None):
-        super().__init__(n, mode)
+    def __init__(self, spec: InterpolationSpec, n: int):
+        super().__init__(n)
         if spec.indices[-1] >= n:
             raise InvalidSpecError("interpolation index out of range")
         if spec.indices[0] != 0 or spec.indices[-1] != n - 1:
             raise InvalidSpecError("interpolation must pin both endpoints (indices 0 and n-1)")
         self.spec = spec
-        self.kernel = _own_kernel(kernel, n, interp=spec)
 
     def project(self, x):
         return project_interpolation(self._check(x), self.spec)
@@ -698,56 +603,71 @@ class InterpolationConstraint(Constraint):
         return _interp_residual(self._check(x), self.spec)
 
 
-class _PartConstraint(Constraint):
-    """A profile set whose operators run on its part (`_part`) of a ProfileKernel."""
-
-    def project(self, x):
-        return self._part.project(self._check(x))
-
-    def intrepid(self, x):
-        return self._part.intrepid(self._check(x))
-
-    def residual(self, x):
-        return self._part.residual(self._check(x))
-
-
-class SlopeConstraint(_PartConstraint):
+class SlopeConstraint(Constraint):
     """Intersection of the slope pair sets of one parity ("odd" or "even")."""
 
-    def __init__(
-        self, bounds: SlopeBounds, parity: str, n: int, mode: str = "intrepid", *, kernel=None
-    ):
-        super().__init__(n, mode)
+    def __init__(self, bounds: SlopeBounds, parity: str, n: int):
+        super().__init__(n)
         if bounds.alpha.size != n - 1:
             raise InvalidSpecError("alpha must have length n - 1")
-        self.idx = _parity_indices(n, parity)
+        if parity not in ("odd", "even"):
+            raise InvalidSpecError(f"parity must be 'odd' or 'even', got {parity!r}")
         self.bounds = bounds
         self.parity = parity
         self.tag = "SlopeOdd" if parity == "odd" else "SlopeEven"
-        self.kernel = _own_kernel(kernel, n, slope=bounds)
+        self._off = 0 if parity == "odd" else 1
 
     @property
     def convex(self) -> bool:
         return self.bounds.convex
 
-    @property
-    def _part(self):
-        return self.kernel.pairs[self.parity]
+    @cached_property
+    def _pair_bounds(self):
+        """alpha and beta (None if convex) of this parity's pairs, contiguous."""
+        alpha, beta = self.bounds.alpha, self.bounds.beta
+        return alpha[self._off :: 2].copy(), None if beta is None else beta[self._off :: 2].copy()
+
+    @cached_property
+    def _dstar(self):
+        """The exact and the intrepid target map d -> d* of this parity's pairs."""
+        # partials, not lambdas: problems are pickled to pool workers
+        alpha, beta = self._pair_bounds
+        if beta is None:
+            return partial(_clip, lo=-alpha, hi=alpha), partial(_stripe_dstar_intrepid, alpha=alpha)
+        return (
+            partial(_band_dstar, alpha=alpha, beta=beta),
+            partial(_band_dstar_from, table=_band_intrepid_table(alpha, beta)),
+        )
+
+    def _pairs(self, x):
+        k = self._pair_bounds[0].size
+        return x[self._off : self._off + 2 * k].reshape(k, 2)
+
+    def _move(self, x, dstar):
+        out = self._check(x).copy()
+        pairs = self._pairs(out)
+        d = pairs[:, 1] - pairs[:, 0]
+        h = 0.5 * (dstar(d) - d)
+        pairs[:, 0] -= h
+        pairs[:, 1] += h
+        return out
+
+    def project(self, x):
+        return self._move(x, self._dstar[0])
+
+    def intrepid(self, x):
+        return self._move(x, self._dstar[1])
+
+    def residual(self, x):
+        pairs = self._pairs(self._check(x))
+        return _slope_residual(_pair_violation(pairs[:, 1] - pairs[:, 0], *self._pair_bounds))
 
 
-class CurvatureConstraint(_PartConstraint):
+class CurvatureConstraint(Constraint):
     """Intersection of curvature triples i = block-1, block+2, ... (block 1..3)."""
 
-    def __init__(
-        self,
-        bounds: CurvatureBounds,
-        bp: Breakpoints,
-        block: int,
-        mode: str = "intrepid",
-        *,
-        kernel=None,
-    ):
-        super().__init__(bp.n, mode)
+    def __init__(self, bounds: CurvatureBounds, bp: Breakpoints, block: int):
+        super().__init__(bp.n)
         if block not in (1, 2, 3):
             raise InvalidSpecError(f"block must be 1, 2, or 3, got {block}")
         if bounds.gamma.size != bp.n - 2:
@@ -756,9 +676,44 @@ class CurvatureConstraint(_PartConstraint):
         self.bp = bp
         self.block = block
         self.tag = f"Curv{block}"
-        self.idx = np.arange(block - 1, bp.n - 2, 3)
-        self.kernel = _own_kernel(kernel, bp.n, curvature=bounds, bp=bp)
 
-    @property
-    def _part(self):
-        return self.kernel.blocks[self.block]
+    @cached_property
+    def _weights(self):
+        """t0, t1, t0 + t1, lo, hi and ||u||^2 of this block's triples, contiguous."""
+        return tuple(w[self.block - 1 :: 3].copy() for w in _triple_weights(self.bounds, self.bp))
+
+    @cached_property
+    def _sstar(self):
+        """The exact and the intrepid target map s -> s* of this block's triples."""
+        lo, hi = self._weights[3:5]
+        return (
+            partial(_clip, lo=lo, hi=hi),
+            partial(_interval_sstar_from, table=_interval_intrepid_table(lo, hi)),
+        )
+
+    def _triples_and_s(self, x):
+        t0, t1, t01 = self._weights[:3]
+        k = t0.size
+        triples = x[self.block - 1 : self.block - 1 + 3 * k].reshape(k, 3)
+        return triples, t1 * triples[:, 0] - t01 * triples[:, 1] + t0 * triples[:, 2]
+
+    def _move(self, x, sstar):
+        out = self._check(x).copy()
+        triples, s = self._triples_and_s(out)
+        t0, t1, t01, _, _, unorm2 = self._weights
+        coef = (sstar(s) - s) / unorm2
+        triples[:, 0] += coef * t1
+        triples[:, 1] -= coef * t01
+        triples[:, 2] += coef * t0
+        return out
+
+    def project(self, x):
+        return self._move(x, self._sstar[0])
+
+    def intrepid(self, x):
+        return self._move(x, self._sstar[1])
+
+    def residual(self, x):
+        _, s = self._triples_and_s(self._check(x))
+        lo, hi, unorm2 = self._weights[3:]
+        return _curvature_residual(_curvature_terms(s, lo, hi, unorm2))

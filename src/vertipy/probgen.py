@@ -115,12 +115,12 @@ def child_seed(master_seed: int, index: int) -> int:
     return (int(state[0]) << 32) | int(state[1])
 
 
-def build_constraint_sets(bp, interp, slope, curvature, mode: str = "intrepid"):
+def build_constraint_sets(bp, interp, slope, curvature):
     """The canonical six-set list: Interp, SlopeEven, SlopeOdd, Curv1..3.
 
     The six share one `geometry.ProfileKernel`, built here once per problem.
     """
-    return ProfileKernel(bp.n, interp, slope, curvature, bp).constraint_sets(mode)
+    return ProfileKernel(bp.n, interp, slope, curvature, bp).constraint_sets()
 
 
 def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProblem:

@@ -14,9 +14,7 @@ import numpy as np
 
 from .geometry import InvalidSpecError
 
-__all__ = [
-    "make_product_point", "project_cartesian", "project_diagonal", "diagonal_part", "dr_step"
-]
+__all__ = ["make_product_point", "diagonal_part", "dr_step"]
 
 
 def make_product_point(x, m: int) -> np.ndarray:
@@ -25,25 +23,6 @@ def make_product_point(x, m: int) -> np.ndarray:
         raise InvalidSpecError("need m >= 1 copies")
     x = np.asarray(x, dtype=float)
     return np.tile(x, (m, 1))
-
-
-def project_cartesian(parts: np.ndarray, sets) -> np.ndarray:
-    """Project row i of `parts` onto sets[i] (the Cartesian product set)."""
-    parts = np.asarray(parts, dtype=float)
-    if parts.ndim != 2 or parts.shape[0] != len(sets):
-        raise InvalidSpecError(
-            f"expected ({len(sets)}, n) product point, got shape {parts.shape}"
-        )
-    return np.stack([c.project(parts[i]) for i, c in enumerate(sets)])
-
-
-def project_diagonal(parts: np.ndarray) -> np.ndarray:
-    """Project onto the diagonal: every row becomes the row average."""
-    parts = np.asarray(parts, dtype=float)
-    if parts.ndim != 2:
-        raise InvalidSpecError(f"expected a 2-D product point, got shape {parts.shape}")
-    mean = parts.mean(axis=0)
-    return np.tile(mean, (parts.shape[0], 1))
 
 
 def diagonal_part(parts: np.ndarray) -> np.ndarray:

@@ -20,11 +20,11 @@ class HalfspaceSet(Constraint):
 
     tag = "Halfspace"
 
-    def __init__(self, a, b: float, mode: str = "exact"):
+    def __init__(self, a, b: float):
         a = np.asarray(a, dtype=float)
         if np.linalg.norm(a) == 0:
             raise InvalidSpecError("halfspace normal must be nonzero")
-        super().__init__(a.size, mode)
+        super().__init__(a.size)
         self.a = a
         self.b = float(b)
         self._nn = float(np.dot(a, a))
@@ -46,13 +46,13 @@ class SlabSet(Constraint):
 
     tag = "Slab"
 
-    def __init__(self, a, lo: float, hi: float, mode: str = "exact"):
+    def __init__(self, a, lo: float, hi: float):
         a = np.asarray(a, dtype=float)
         if np.linalg.norm(a) == 0:
             raise InvalidSpecError("slab normal must be nonzero")
         if not lo <= hi:
             raise InvalidSpecError("need lo <= hi")
-        super().__init__(a.size, mode)
+        super().__init__(a.size)
         self.a = a
         self.lo = float(lo)
         self.hi = float(hi)
@@ -83,11 +83,11 @@ class BallSet(Constraint):
 
     tag = "Ball"
 
-    def __init__(self, center, radius: float, mode: str = "exact"):
+    def __init__(self, center, radius: float):
         center = np.asarray(center, dtype=float)
         if radius <= 0:
             raise InvalidSpecError("radius must be positive")
-        super().__init__(center.size, mode)
+        super().__init__(center.size)
         self.center = center
         self.radius = float(radius)
 
@@ -110,13 +110,13 @@ class SpanSet(Constraint):
     tag = "Span"
     is_affine = True
 
-    def __init__(self, vectors, offset=None, mode: str = "exact"):
+    def __init__(self, vectors, offset=None):
         v = np.atleast_2d(np.asarray(vectors, dtype=float))  # rows span the set
         q, r = np.linalg.qr(v.T)
         keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
         if not keep.any():
             raise InvalidSpecError("spanning vectors are all (numerically) zero")
-        super().__init__(v.shape[1], mode)
+        super().__init__(v.shape[1])
         self.basis = q[:, keep]  # columns orthonormal
         self.offset = (
             np.zeros(self.n) if offset is None else np.asarray(offset, dtype=float)

@@ -66,10 +66,8 @@ def cycling_sets(alpha: float = 5.0, beta: float = 5.0):
     """
     if not 0 < beta <= alpha:
         raise InvalidSpecError("need 0 < beta <= alpha")
-    stripe = SlopeConstraint(SlopeBounds([alpha]), "odd", 2, mode="exact")
-    complement = SlopeConstraint(
-        SlopeBounds([math.inf], [beta]), "odd", 2, mode="exact"
-    )
+    stripe = SlopeConstraint(SlopeBounds([alpha]), "odd", 2)
+    complement = SlopeConstraint(SlopeBounds([math.inf], [beta]), "odd", 2)
     return [stripe, complement]
 
 

@@ -9,7 +9,7 @@ from vertipy import verify
 from vertipy.feasibility import AlgorithmConfigError, FeasibilityProblem
 from vertipy.geometry import InvalidSpecError
 from vertipy.metrics import StopRule
-from vertipy.sets import HalfspaceSet, SpanSet
+from vertipy.sets import HalfspaceSet, SlabSet, SpanSet
 
 
 def _half_and_axis():
@@ -33,8 +33,13 @@ def test_step_operators_worked_example():
     assert_allclose(F.exparp_step(x, sets), [0.0, 0.0], atol=1e-14)
     # extrapolated alternating (affine set first): z = (1,0), mu = 1
     assert_allclose(F.exaltp_step(x, [sets[1], sets[0]]), [0.0, 0.0], atol=1e-14)
-    # on exact-mode sets the mode-dispatching sweep equals plain cyclic
+    # on sets without an intrepid operator the intrepid sweep is plain cyclic
     assert_allclose(F.cycp_plus_step(x, sets), F.cycp_step(x, sets), atol=0)
+    # a slab's intrepid rule reflects across the violated face, (1.5,1) -> (0.5,1),
+    # where its projection stops on the face, (1.5,1) -> (1,1)
+    slab_and_axis = [SlabSet([1.0, 0.0], -1.0, 1.0), sets[1]]
+    assert_allclose(F.cycp_plus_step([1.5, 1.0], slab_and_axis), [0.5, 0.0], atol=1e-14)
+    assert_allclose(F.cycp_step([1.5, 1.0], slab_and_axis), [1.0, 0.0], atol=1e-14)
 
 
 def test_step_operators_identity_on_intersection():

@@ -259,16 +259,16 @@ def _random_road(rng, n, nonconvex=False):
 
 
 def test_constraint_tags_and_modes():
+    # the two operator modes: every profile set but Interp has an intrepid
+    # operator of its own; Interp's is its projection
     sets = _random_road(np.random.default_rng(0), 8)
     assert [c.tag for c in sets] == ["Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3"]
-    assert all(c.mode == "intrepid" for c in sets)
     x = np.random.default_rng(1).uniform(-4, 4, 8)
-    for c in sets:
-        assert_allclose(c.apply(x), c.intrepid(x), atol=0)
-    exact = SlopeConstraint(SlopeBounds(np.ones(7)), "odd", 8, mode="exact")
-    assert_allclose(exact.apply(x), exact.project(x), atol=0)
+    assert_allclose(sets[0].intrepid(x), sets[0].project(x), atol=0)
+    for c in sets[1:]:
+        assert not np.array_equal(c.intrepid(x), c.project(x)), c.tag
     with pytest.raises(InvalidSpecError):
-        SlopeConstraint(SlopeBounds(np.ones(7)), "odd", 8, mode="overshoot")
+        SlopeConstraint(SlopeBounds(np.ones(7)), "middle", 8)
 
 
 def test_interpolation_constraint_requires_pinned_endpoints():

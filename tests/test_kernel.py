@@ -1,10 +1,11 @@
 """The profile kernel against naive per-set formulas, bitwise.
 
 The references below are the fancy-index formulas the constraint classes
-used before they ran on `geometry.ProfileKernel`: gather the pairs or
-triples of one set with an index array, map them with np.clip / np.select,
-and scatter the update back.  The kernel must reproduce them exactly (==),
-and its fused monitor must reproduce the per-set residual sum exactly.
+used before they ran on row views: gather the pairs or triples of one set
+with an index array, map them with np.clip / np.select, and scatter the
+update back.  The sets must reproduce them exactly (==), and the fused
+monitor of `geometry.ProfileKernel` must reproduce the per-set residual sum
+exactly.
 """
 
 import numpy as np
@@ -15,11 +16,13 @@ from vertipy.geometry import (
     Breakpoints,
     CurvatureBounds,
     CurvatureConstraint,
+    InterpolationConstraint,
     InterpolationSpec,
     InvalidSpecError,
-    ProfileKernel,
     SlopeBounds,
     SlopeConstraint,
+    intrepid_curvature_single,
+    project_curvature_single,
 )
 from vertipy.metrics import proximity_squared_sum
 from vertipy.probgen import build_constraint_sets
@@ -89,8 +92,7 @@ def _ref_interval_intrepid(s, lo, hi):
     )
 
 
-def _ref_curvature(x, bounds, bp, block, op):
-    idx = np.arange(block - 1, x.size - 2, 3)
+def _ref_curvature(x, bounds, bp, idx, op):
     if idx.size == 0:
         return 0.0 if op == "residual" else x.copy()
     t0 = bp.tau[idx]
@@ -124,7 +126,7 @@ def _reference(c, x, op):
         return _ref_interp(x, c.spec, op)
     if c.tag.startswith("Slope"):
         return _ref_slope(x, c.bounds, c.parity, op)
-    return _ref_curvature(x, c.bounds, c.bp, c.block, op)
+    return _ref_curvature(x, c.bounds, c.bp, np.arange(c.block - 1, x.size - 2, 3), op)
 
 
 # ------------------------------------------------------------ inputs
@@ -217,10 +219,10 @@ def test_other_set_lists_take_the_generic_sum():
     assert all(c.kernel is kernel for c in sets) and kernel.owns(sets)
     for others in (sets[::-1], sets[:5], sets[1:], [*sets[:3], *sets[3:]]):
         assert proximity_squared_sum(x, others) == float(sum(c.residual(x) ** 2 for c in others))
-    # a second problem's sets are not this kernel's; the same sets in another mode are
+    # a second problem's sets are not this kernel's; a fresh list from it is
     twin, _ = _problem(40, 3, False)
     assert not kernel.owns(twin) and not kernel.owns([*sets[:5], twin[5]])
-    assert kernel.owns(kernel.constraint_sets("exact"))
+    assert kernel.owns(kernel.constraint_sets())
 
 
 def test_fused_monitor_checks_shape():
@@ -229,14 +231,46 @@ def test_fused_monitor_checks_shape():
         proximity_squared_sum(x[:-1], sets)
 
 
-def test_standalone_constraints_build_their_own_kernel():
-    bounds = SlopeBounds(np.ones(5))
-    c = SlopeConstraint(bounds, "even", 6)
-    assert c.kernel.slope is bounds and not c.kernel.owns([c] * 6)
-    other = ProfileKernel(6, slope=SlopeBounds(np.ones(5)))
-    with pytest.raises(InvalidSpecError, match="kernel"):
-        SlopeConstraint(bounds, "even", 6, kernel=other)
-    bp = Breakpoints(np.arange(6.0))
-    curv = CurvatureBounds(np.ones(4), -np.ones(4))
-    with pytest.raises(InvalidSpecError, match="kernel"):
-        CurvatureConstraint(curv, bp, 1, kernel=other)
+def test_standalone_constraints_have_no_kernel():
+    sets, x = _problem(12, 0, False)
+    kernel = sets[0].kernel
+    alone = [
+        InterpolationConstraint(kernel.interp, 12),
+        SlopeConstraint(kernel.slope, "even", 12),
+        SlopeConstraint(kernel.slope, "odd", 12),
+        *(CurvatureConstraint(kernel.curvature, kernel.bp, b) for b in (1, 2, 3)),
+    ]
+    assert all(c.kernel is None for c in alone) and not kernel.owns(alone)
+    # they take the generic sum, which the kernel's own sets match bitwise
+    generic = float(sum(c.residual(x) ** 2 for c in alone))
+    assert proximity_squared_sum(x, alone) == generic == proximity_squared_sum(x, sets)
+
+
+@settings(max_examples=40, deadline=None)
+@_examples
+@given(**PROBLEMS)
+def test_convex_projections_firmly_nonexpansive(n, seed, nonconvex):
+    # ||Px - Py||^2 <= <Px - Py, x - y>; a nonconvex problem's slope sets are skipped
+    sets, x = _problem(n, seed, nonconvex)
+    rng = np.random.default_rng(seed)
+    near = x + rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 1.0)
+    for y in (near, sets[0].project(x), x[::-1].copy()):
+        dx = x - y
+        for c in sets:
+            if not getattr(c, "convex", True):
+                continue
+            dp = c.project(x) - c.project(y)
+            assert dp @ dp <= dp @ dx + 1e-9 * (dx @ dx), c.tag
+
+
+@settings(max_examples=40, deadline=None)
+@_examples
+@given(**PROBLEMS)
+def test_single_curvature_operators_equal_reference(n, seed, nonconvex):
+    sets, x = _problem(n, seed, nonconvex)
+    bounds, bp = sets[3].bounds, sets[3].bp
+    single = {"project": project_curvature_single, "intrepid": intrepid_curvature_single}
+    for i in range(0, n - 2, 1 + n // 16):
+        for op, fn in single.items():
+            want = _ref_curvature(x, bounds, bp, np.array([i]), op)
+            assert fn(x, i, bounds, bp).tobytes() == want.tobytes(), (i, op)

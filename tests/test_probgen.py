@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from vertipy import probgen
@@ -37,25 +38,38 @@ def test_generate_is_deterministic():
     assert p1.v.shape != q.v.shape or not np.allclose(p1.v, q.v)
 
 
-def test_generate_postconditions():
-    for seed in range(12):
-        spec = ProblemSpec(length=1000.0, speed=50.0, xi_max=60.0, seed=seed)
-        prob = probgen.generate(spec)
-        v, bp = prob.v, prob.breakpoints
-        n = v.size
-        lo, hi = probgen.point_count_range(1000.0, 50.0)
-        assert lo <= n <= hi
-        # stations start at 0, end at the length, strictly increasing
-        assert bp.t[0] == 0.0
-        assert bp.t[-1] == pytest.approx(1000.0)
-        assert np.all(bp.tau > 0)
-        # elevations live in [0, xi_max]
-        assert np.all((v >= 0.0) & (v <= 60.0))
-        # consecutive stations keep the 2-D design spacing
-        spacing = np.hypot(bp.tau, np.diff(v))
-        assert np.all(spacing >= 0.625 * 50.0 - 1e-9)
-        # the pinned chord stays within the feasible-grade window
-        assert abs(v[-1] - v[0]) <= 0.9 * spec.sigma_max * 1000.0 + 1e-9
+@settings(max_examples=100, deadline=None)
+@given(
+    length=st.floats(100.0, 20000.0),
+    xi_max=st.floats(1.0, 200.0),
+    speed=st.sampled_from(sorted(probgen.default_curvature_table())),
+    seed=st.integers(0, 2**32 - 1),
+    nonconvex=st.booleans(),
+)
+def test_generate_postconditions(length, xi_max, speed, seed, nonconvex):
+    spec = ProblemSpec(length=length, speed=speed, xi_max=xi_max, seed=seed, nonconvex=nonconvex)
+    prob = probgen.generate(spec)
+    v, bp = prob.v, prob.breakpoints
+    lo, hi = probgen.point_count_range(length, speed)
+    assert lo <= v.size <= hi
+    # stations start at 0, strictly increasing, and span the length; a gap
+    # stretched to the design spacing makes the span longer
+    assert bp.t[0] == 0.0
+    assert np.all(bp.tau > 0)
+    assert bp.t[-1] >= length * (1.0 - 1e-12)
+    if not np.any(np.isclose(bp.tau, 0.625 * speed, rtol=1e-9, atol=0.0)):
+        assert bp.t[-1] == pytest.approx(length)
+    # consecutive stations keep the 2-D design spacing
+    assert np.all(np.hypot(bp.tau, np.diff(v)) >= 0.625 * speed - 1e-9)
+    # elevations live in [0, xi_max]
+    assert np.all((v >= 0.0) & (v <= xi_max))
+    # the pinned chord stays within the grade window, and on convex specs the
+    # straight chord is feasible for all six sets
+    assert abs(v[-1] - v[0]) <= 0.9 * spec.sigma_max * bp.t[-1] + 1e-9
+    if not nonconvex:
+        chord = np.interp(bp.t, bp.t[[0, -1]], v[[0, -1]])
+        for c in prob.sets:
+            assert c.residual(chord) <= 1e-9, c.tag
 
 
 def test_generate_constraint_sets_structure():
@@ -63,7 +77,7 @@ def test_generate_constraint_sets_structure():
     prob = probgen.generate(spec)
     tags = [c.tag for c in prob.sets]
     assert tags == ["Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3"]
-    assert all(c.mode == "intrepid" for c in prob.sets)
+    assert prob.sets[0].kernel.owns(prob.sets)
     # interpolation pins the generated endpoints
     interp = prob.sets[0]
     assert_allclose(interp.spec.values, [prob.v[0], prob.v[-1]], atol=0)

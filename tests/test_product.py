@@ -1,45 +1,16 @@
-"""Product-space formulation: C_1 x ... x C_m and the diagonal."""
+"""Product-space points and their monitored row average."""
 
-import numpy as np
 from numpy.testing import assert_allclose
 
 from vertipy import product
-from vertipy.geometry import SlopeBounds, SlopeConstraint
 
 
 def test_make_product_point():
     parts = product.make_product_point([1.0, 2.0], 3)
     assert parts.shape == (3, 2)
     assert_allclose(parts, [[1.0, 2.0]] * 3, atol=0)
-    # rows are independent copies
+    # rows are independent copies, and the monitored iterate is their average
     parts[0, 0] = 9.0
     assert parts[1, 0] == 1.0
+    assert_allclose(product.diagonal_part(parts), [11.0 / 3.0, 2.0], atol=0)
 
-
-def test_project_diagonal_averages_rows():
-    parts = np.array([[1.0, 0.0], [3.0, 6.0]])
-    out = product.project_diagonal(parts)
-    assert_allclose(out, [[2.0, 3.0], [2.0, 3.0]], atol=0)
-    assert_allclose(product.diagonal_part(out), [2.0, 3.0], atol=0)
-
-
-def test_project_diagonal_is_projection(rng):
-    # idempotent, and no diagonal point is closer than the projection
-    parts = rng.uniform(-5, 5, (4, 6))
-    out = product.project_diagonal(parts)
-    assert_allclose(product.project_diagonal(out), out, atol=1e-14)
-    for _ in range(20):
-        z = np.tile(rng.uniform(-5, 5, 6), (4, 1))
-        assert np.linalg.norm(parts - out) <= np.linalg.norm(parts - z) + 1e-12
-
-
-def test_project_cartesian_rowwise():
-    bounds = SlopeBounds(np.array([1.0]))
-    sets = [SlopeConstraint(bounds, "odd", 2), SlopeConstraint(bounds, "even", 2)]
-    parts = np.array([[0.0, 3.0], [0.0, 3.0]])
-    out = product.project_cartesian(parts, sets)
-    # row 0 gets the odd projector (pair clipped), row 1 even (no even pairs)
-    assert_allclose(out[0], [1.0, 2.0], atol=1e-12)
-    assert_allclose(out[1], [0.0, 3.0], atol=0)
-    # input rows are not mutated
-    assert_allclose(parts, [[0.0, 3.0], [0.0, 3.0]], atol=0)
