@@ -9,14 +9,7 @@ script drives the generate/run/report/verify pipeline.
 """
 
 from .bestapprox import (
-    AnchoredDouglasRachford,
-    CyclicDykstra,
-    HalpernWittmann,
-    HaugazeauCyclic,
-    HaugazeauDouglasRachford,
-    HaugazeauParallel,
     InfeasibleIntersectionError,
-    ParallelDykstra,
     badr_two_set_step,
     dykstra_two_set_step,
     q_operator,
@@ -27,7 +20,14 @@ from .feasibility import (
     FEASIBILITY_ALGORITHMS,
     SUPERIORIZED_ALGORITHMS,
     AlgorithmConfigError,
+    AnchoredDouglasRachford,
+    CyclicDykstra,
     FeasibilityProblem,
+    HalpernWittmann,
+    HaugazeauCyclic,
+    HaugazeauDouglasRachford,
+    HaugazeauParallel,
+    ParallelDykstra,
     admm_two_set_step,
     cycp_plus_step,
     cycp_step,

@@ -382,7 +382,7 @@ def build_parser() -> _Parser:
     rep.add_argument("--k-max", type=int, help="iteration cap used by the profiles")
 
     ver = commands.add_parser("verify", help="run the built-in consistency checks")
-    ver.add_argument("--config", help="JSON config file (unused; accepted for symmetry)")
+    ver.add_argument("--config", help="JSON config file (lowest precedence; only checks applies)")
     ver.add_argument("--checks", help=f"comma-separated subset of {', '.join(verify.ALL_CHECKS)}")
 
     return parser

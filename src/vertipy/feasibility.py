@@ -1,9 +1,13 @@
-"""Feasibility-seeking algorithms and the run driver.
+"""Feasibility-seeking and best-approximation algorithms and the run driver.
 
-All methods consume a list of sets exposing project()/intrepid()/residual()
-and drive an iterate toward the intersection.  One iteration means one
-sweep (or one product-space update); the cyclic Dykstra variant over in
-:mod:`vertipy.bestapprox` is the only per-projection counter.
+All methods consume a list of sets exposing project()/intrepid()/residual().
+The feasibility methods drive an iterate toward the intersection; the
+best-approximation methods seek the intersection point nearest the anchor
+v, and are built from the same steps: H-W sweeps with `cycp_step`, hParP
+wraps `parp_step` in Haugazeau's Q (:func:`vertipy.bestapprox.q_operator`),
+and ParDyk, hD-R and baD-R share D-R's product-space start, `parts0` check
+and diagonal monitor.  One iteration means one sweep (or one product-space
+update), except that CycDyk and hCycP take one projection per iteration.
 
 `run` executes any registered algorithm on a `FeasibilityProblem` under a
 `StopRule`, recording the normalized proximity trace of the monitored
@@ -42,10 +46,17 @@ __all__ = [
     "BEST_APPROXIMATION_ALGORITHMS",
     "make_algorithm",
     "run",
+    "HalpernWittmann",
+    "CyclicDykstra",
+    "ParallelDykstra",
+    "HaugazeauCyclic",
+    "HaugazeauParallel",
+    "HaugazeauDouglasRachford",
+    "AnchoredDouglasRachford",
 ]
 
 
-class AlgorithmConfigError(ValueError):
+class AlgorithmConfigError(InvalidSpecError):
     """An algorithm was asked to run on a problem it cannot accept."""
 
 
@@ -93,8 +104,17 @@ def cycp_plus_step(x, sets):
 
 
 def parp_step(x, sets):
-    """Average of the projections onto every set."""
-    return np.mean([c.project(x) for c in sets], axis=0)
+    """Average of the projections onto every set.
+
+    The projections are added in set order onto zeros and divided once:
+    bit for bit what np.mean(axis=0) gives, whose reduction also starts at
+    +0.0, without stacking them into an array first.
+    """
+    acc = np.zeros(np.shape(x))
+    for c in sets:
+        acc += c.project(x)
+    acc /= len(sets)
+    return acc
 
 
 def sap_step(x, sets):
@@ -209,19 +229,28 @@ def _affine_first(sets):
     return [sets[first]] + sets[:first] + sets[first + 1 :]
 
 
+def _set_list(sets):
+    sets = list(sets)
+    if not sets:
+        raise InvalidSpecError("need at least one set")
+    return sets
+
+
 class _ProductDR:
+    """D-R in the product space: rows start at v (or at parts0), monitored on the diagonal."""
+
     kind = "feas"
 
     def __init__(self, sets, v, parts0=None):
-        self.sets = list(sets)
+        self.sets = _set_list(sets)
+        self.v = np.asarray(v, dtype=float)
+        shape = (len(self.sets), self.v.size)
         if parts0 is None:
-            self.parts = product.make_product_point(np.asarray(v, dtype=float), len(self.sets))
+            self.parts = product.make_product_point(self.v, len(self.sets))
         else:
             parts0 = np.asarray(parts0, dtype=float)
-            if parts0.shape != (len(self.sets), np.asarray(v).size):
-                raise AlgorithmConfigError(
-                    f"parts0 must have shape ({len(self.sets)}, {np.asarray(v).size})"
-                )
+            if parts0.shape != shape:
+                raise AlgorithmConfigError(f"parts0 must have shape {shape}")
             self.parts = parts0.copy()
 
     def step(self):
@@ -229,6 +258,128 @@ class _ProductDR:
 
     def monitor(self):
         return product.diagonal_part(self.parts)
+
+
+# ---------------------------------------------------------------------------
+# best approximation: anchored algorithms over m sets
+#
+# Each starts at the anchor v and keeps the driver interface kind, step(),
+# monitor(); kind "ba" makes `run` also require a small monitored step.
+
+
+class _Anchored:
+    """Anchor v, iterate x (starting at v) and pass counter k of the single-iterate methods."""
+
+    kind = "ba"
+
+    def __init__(self, sets, v):
+        self.sets = _set_list(sets)
+        self.v = np.asarray(v, dtype=float)
+        self.x = self.v.copy()
+        self.k = 0
+
+    def monitor(self):
+        return self.x
+
+
+class HalpernWittmann(_Anchored):
+    """Anchored cyclic projections: x_{k+1} = v/(k+1) + k/(k+1) P_m...P_1 x_k."""
+
+    def step(self):
+        w = self.k / (self.k + 1.0)
+        self.x = (1.0 - w) * self.v + w * cycp_step(self.x, self.sets)
+        self.k += 1
+
+
+class CyclicDykstra(_Anchored):
+    """Dykstra's algorithm, one projection per iteration.
+
+    Each set keeps the correction produced at its previous visit; iteration
+    k projects x + q_set onto set k mod m and stores the new correction.
+    """
+
+    def __init__(self, sets, v):
+        super().__init__(sets, v)
+        self.q = np.zeros((len(self.sets), self.x.size))
+
+    def step(self):
+        j = self.k % len(self.sets)
+        shifted = self.x + self.q[j]
+        x_next = self.sets[j].project(shifted)
+        self.q[j] = shifted - x_next
+        self.x = x_next
+        self.k += 1
+
+
+class HaugazeauCyclic(_Anchored):
+    """Cyclic projections made strongly convergent: x <- Q(v, x, P_[k] x)."""
+
+    def step(self):
+        c = self.sets[self.k % len(self.sets)]
+        self.x = bestapprox.q_operator(self.v, self.x, c.project(self.x))
+        self.k += 1
+
+
+class HaugazeauParallel(_Anchored):
+    """Averaged projections wrapped in Q: x <- Q(v, x, ParP(x))."""
+
+    def step(self):
+        self.x = bestapprox.q_operator(self.v, self.x, parp_step(self.x, self.sets))
+
+
+class ParallelDykstra(_ProductDR):
+    """Dykstra in the product space: project corrections in parallel, average."""
+
+    kind = "ba"
+
+    def __init__(self, sets, v):
+        super().__init__(sets, v)
+        self.z = np.zeros_like(self.parts)
+
+    def step(self):
+        xbar = product.diagonal_part(self.parts)
+        for i, c in enumerate(self.sets):
+            shifted = self.z[i] + xbar
+            self.parts[i] = c.project(shifted)
+            self.z[i] = shifted - self.parts[i]
+
+
+class HaugazeauDouglasRachford(_ProductDR):
+    """D-R in the product space wrapped in Q, anchored at the start point."""
+
+    kind = "ba"
+
+    def __init__(self, sets, v, parts0=None):
+        super().__init__(sets, v, parts0)
+        self._anchor = self.parts.copy()
+
+    def step(self):
+        target = dr_step(self.parts, self.sets)
+        flat = bestapprox.q_operator(self._anchor.ravel(), self.parts.ravel(), target.ravel())
+        self.parts = flat.reshape(self.parts.shape)
+
+
+class AnchoredDouglasRachford(_ProductDR):
+    """Best-approximation D-R in the product space.
+
+    x_{k+1,i} = x_{k,i} - xbar_k + P_i( (v + 2 xbar_k - x_{k,i}) / 2 ),
+    monitored on the diagonal part xbar_k.  The halved point rounds
+    differently from `dr_step`'s 2 xbar - x_i, so the step is its own.
+    """
+
+    kind = "ba"
+
+    def __init__(self, sets, v):  # no parts0: the anchored recursion starts at v
+        super().__init__(sets, v)
+
+    def step(self):
+        xbar = product.diagonal_part(self.parts)
+        out = np.empty_like(self.parts)
+        for i, c in enumerate(self.sets):
+            out[i] = self.parts[i] - xbar + c.project(
+                0.5 * (self.v + 2.0 * xbar - self.parts[i])
+            )
+        self.parts = out
 
 
 def _sweep(step_fn, order=list):
@@ -263,13 +414,13 @@ SUPERIORIZED_ALGORITHMS = {
 }
 
 BEST_APPROXIMATION_ALGORITHMS = {
-    "H-W": bestapprox.HalpernWittmann,
-    "CycDyk": bestapprox.CyclicDykstra,
-    "ParDyk": bestapprox.ParallelDykstra,
-    "hCycP": bestapprox.HaugazeauCyclic,
-    "hParP": bestapprox.HaugazeauParallel,
-    "hD-R": bestapprox.HaugazeauDouglasRachford,
-    "baD-R": bestapprox.AnchoredDouglasRachford,
+    "H-W": HalpernWittmann,
+    "CycDyk": CyclicDykstra,
+    "ParDyk": ParallelDykstra,
+    "hCycP": HaugazeauCyclic,
+    "hParP": HaugazeauParallel,
+    "hD-R": HaugazeauDouglasRachford,
+    "baD-R": AnchoredDouglasRachford,
 }
 
 ALGORITHMS = {

@@ -204,13 +204,10 @@ def _first_match(cases, default):
     return out
 
 
-def _stripe_dstar(d, alpha):
-    return _clip(d, -alpha, alpha)
-
-
 def _stripe_dstar_intrepid(d, alpha):
+    # copysign, not sign(d) * alpha: at d = 0 with alpha = inf that is 0 * inf
     ad = np.abs(d)
-    reflect = np.sign(d) * 2.0 * alpha - d
+    reflect = np.copysign(2.0 * alpha, d) - d
     return np.where(ad <= alpha, d, np.where(ad < 2.0 * alpha, reflect, 0.0))
 
 
@@ -219,7 +216,7 @@ def _band_dstar(d, alpha, beta):
     # upward branch +beta
     ad = np.abs(d)
     up = np.where(d >= 0.0, 1.0, -1.0)
-    return np.where(ad < beta, up * beta, np.where(ad <= alpha, d, np.sign(d) * alpha))
+    return np.where(ad < beta, up * beta, np.where(ad <= alpha, d, np.copysign(alpha, d)))
 
 
 def _band_intrepid_table(alpha, beta):
@@ -251,10 +248,6 @@ def _band_dstar_from(d, table):
             ],
             mid,
         )
-
-
-def _band_dstar_intrepid(d, alpha, beta):
-    return _band_dstar_from(d, _band_intrepid_table(alpha, beta))
 
 
 def _interval_intrepid_table(lo, hi):
@@ -324,17 +317,20 @@ def project_interpolation(x, spec: InterpolationSpec) -> np.ndarray:
     return out
 
 
+def _on_pair(op, xi, xj, alpha, beta=None):
+    # a one-pair slope constraint on (xi, xj); SlopeBounds checks alpha and beta
+    bounds = SlopeBounds([alpha], None if beta is None else [beta])
+    xi, xj = op(SlopeConstraint(bounds, "odd", 2), np.array([xi, xj], dtype=float))
+    return float(xi), float(xj)
+
+
 def project_slope_pair(xi: float, xj: float, alpha: float):
     """Project (xi, xj) onto {|xj - xi| <= alpha}.
 
     The pair moves symmetrically: both coordinates shift by (|d| - alpha)/2
     toward each other when the stripe is violated, preserving xi + xj.
     """
-    if not alpha > 0:
-        raise InvalidSpecError("alpha must be positive")
-    d = xj - xi
-    h = 0.5 * (float(_stripe_dstar(d, alpha)) - d)
-    return xi - h, xj + h
+    return _on_pair(SlopeConstraint.project, xi, xj, alpha)
 
 
 def intrepid_slope_pair(xi: float, xj: float, alpha: float):
@@ -344,11 +340,7 @@ def intrepid_slope_pair(xi: float, xj: float, alpha: float):
     reflection into the near half.  Farther out: jump to the midline
     xi = xj.
     """
-    if not alpha > 0:
-        raise InvalidSpecError("alpha must be positive")
-    d = xj - xi
-    h = 0.5 * (float(_stripe_dstar_intrepid(d, alpha)) - d)
-    return xi - h, xj + h
+    return _on_pair(SlopeConstraint.intrepid, xi, xj, alpha)
 
 
 def project_slope_pair_nonconvex(xi: float, xj: float, alpha: float, beta: float):
@@ -358,11 +350,7 @@ def project_slope_pair_nonconvex(xi: float, xj: float, alpha: float, beta: float
     go to the nearer stripe; the tie xi = xj resolves to the upward branch
     xj - xi = +beta.
     """
-    if not (alpha > 0 and 0 <= beta < alpha):
-        raise InvalidSpecError("need alpha > 0 and 0 <= beta < alpha")
-    d = xj - xi
-    h = 0.5 * (float(_band_dstar(d, alpha, beta)) - d)
-    return xi - h, xj + h
+    return _on_pair(SlopeConstraint.project, xi, xj, alpha, beta)
 
 
 def intrepid_slope_pair_nonconvex(xi: float, xj: float, alpha: float, beta: float):
@@ -374,11 +362,7 @@ def intrepid_slope_pair_nonconvex(xi: float, xj: float, alpha: float, beta: floa
     order of the defining formula; the tie xi = xj lands on the downward
     branch.
     """
-    if not (alpha > 0 and 0 <= beta < alpha):
-        raise InvalidSpecError("need alpha > 0 and 0 <= beta < alpha")
-    d = xj - xi
-    h = 0.5 * (float(_band_dstar_intrepid(d, alpha, beta)) - d)
-    return xi - h, xj + h
+    return _on_pair(SlopeConstraint.intrepid, xi, xj, alpha, beta)
 
 
 def project_slope_parity(x, bounds: SlopeBounds, parity: str) -> np.ndarray:

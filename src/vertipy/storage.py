@@ -123,7 +123,12 @@ def save_problem(problem: FeasibilityProblem, path) -> None:
 
 
 def load_problem(path) -> FeasibilityProblem:
-    return problem_from_dict(json.loads(Path(path).read_text()))
+    """Read one problem file; a file that does not hold a problem raises InvalidSpecError."""
+    try:
+        return problem_from_dict(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        cause = f"{type(exc).__name__}: {exc}"
+        raise InvalidSpecError(f"{path}: malformed problem ({cause})") from exc
 
 
 def load_problem_dir(directory) -> list:

@@ -128,7 +128,7 @@ def test_cyclic_dykstra_class_matches_two_set_recursion():
     disk = BallSet([0.0, 1.0], 1.0)
     line = SpanSet([[1.0, 0.0]])
     v = np.array([1.0, 0.0])
-    algo = BA.CyclicDykstra([disk, line], v)
+    algo = F.CyclicDykstra([disk, line], v)
     b, p, q = v.copy(), np.zeros(2), np.zeros(2)
     for _ in range(8):
         _, b, p, q = BA.dykstra_two_set_step(b, p, q, disk, line)
@@ -186,11 +186,11 @@ def test_infeasible_pair_raises_through_the_q_methods():
 def test_hdr_parts0_validation():
     sets = [HalfspaceSet([1.0, 0.0], 0.0), SpanSet([[1.0, 0.0]])]
     with pytest.raises(InvalidSpecError):
-        BA.HaugazeauDouglasRachford(sets, [1.0, 1.0], parts0=np.zeros((3, 2)))
-    algo = BA.HaugazeauDouglasRachford(sets, [1.0, 1.0], parts0=np.eye(2))
+        F.HaugazeauDouglasRachford(sets, [1.0, 1.0], parts0=np.zeros((3, 2)))
+    algo = F.HaugazeauDouglasRachford(sets, [1.0, 1.0], parts0=np.eye(2))
     assert_allclose(algo.parts, np.eye(2), atol=0)
     with pytest.raises(InvalidSpecError):
-        BA.HalpernWittmann([], [1.0])
+        F.HalpernWittmann([], [1.0])
 
 
 def test_dykstra_variants_agree_on_random_instances(rng):

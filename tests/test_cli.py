@@ -163,6 +163,30 @@ def test_malformed_record_line_exits_1(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (None, "JSONDecodeError"),  # None: the file cut off half-way
+        ('{"problem_id": "p0000"}', "KeyError: 't'"),
+        ('{"problem_id": "p0000", "t": 3}', "one-dimensional"),
+        ("[1, 2]", "TypeError"),
+    ],
+)
+def test_malformed_problem_file_exits_1(tmp_path, capsys, text, cause):
+    out = _generate(tmp_path, count=2, seed=3)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
+    path = out / "problems" / "p0000.json"
+    body = path.read_text()
+    path.write_text(body[: len(body) // 2] if text is None else text)
+    capsys.readouterr()
+    for command in ("run", "report"):
+        assert cli.main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and cause in err
+        assert "Traceback" not in err
+
+
 def test_mode_selects_family(tmp_path):
     out = _generate(tmp_path, count=1)
     rc = cli.main(["run", "--out", str(out), "--mode", "super", "--k-max", "500"])
@@ -240,6 +264,14 @@ def test_verify_subset_and_unknown(capsys):
 
     assert cli.main(["verify", "--checks", "bogus"]) == 1
     assert "unknown check(s): bogus" in capsys.readouterr().err
+
+
+def test_verify_reads_checks_from_config(tmp_path, capsys):
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({"checks": ["dr-cycling"]}))
+    assert cli.main(["verify", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS ") == 1 and "dr-cycling" in out
 
 
 def test_verify_failure_exits_2(monkeypatch, capsys):

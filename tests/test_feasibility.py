@@ -50,6 +50,26 @@ def test_step_operators_identity_on_intersection():
     assert_allclose(F.exaltp_step(x, [sets[1], sets[0]]), x, atol=1e-14)
 
 
+class _FixedRow:
+    """A stand-in set whose projection is a fixed row (a fresh copy each call)."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def project(self, x):
+        return self.row.copy()
+
+
+def test_parp_step_is_np_mean_bitwise(rng):
+    # rows over many decades, with columns of -0.0, which np.mean turns into +0.0
+    for m in range(1, 8):
+        for n in (1, 7, 90, 650):
+            rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, size=(m, 1))
+            rows[:, rng.random(n) < 0.2] = -0.0
+            out = F.parp_step(np.zeros(n), [_FixedRow(r) for r in rows])
+            assert out.tobytes() == np.mean(list(rows), axis=0).tobytes(), (m, n)
+
+
 def test_exaltp_requires_affine_first():
     sets = _half_and_axis()
     with pytest.raises(AlgorithmConfigError):

@@ -7,6 +7,8 @@ module tests stay fast; the full 200-instance oracle sweep lives in the
 acceptance suite).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -109,6 +111,32 @@ def test_pair_argument_validation():
         G.project_slope_pair_nonconvex(0.0, 1.0, 1.0, 1.0)  # beta == alpha
     with pytest.raises(InvalidSpecError):
         G.intrepid_slope_pair_nonconvex(0.0, 1.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("beta", [None, 0.5])
+@pytest.mark.parametrize("x, d_zero", [([1.0, 1.0, 1.0], True), ([0.0, 2.0, -1.0], False)])
+def test_infinite_alpha_warns_nothing(beta, x, d_zero):
+    # SlopeBounds allows alpha = inf (no cap); at d = 0, sign(0) * inf used to warn
+    bounds = SlopeBounds([np.inf, np.inf], None if beta is None else [beta, beta])
+    x = np.array(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parity in ("odd", "even"):
+            c = SlopeConstraint(bounds, parity, 3)
+            p, q = c.project(x), c.intrepid(x)
+            r = c.residual(x)
+            assert np.all(np.isfinite(p)) and np.all(np.isfinite(q))
+            assert c.residual(p) == 0.0 and c.residual(q) == 0.0
+            if beta is None or not d_zero:
+                assert np.array_equal(p, x) and np.array_equal(q, x) and r == 0.0
+            else:
+                assert r == pytest.approx(beta / np.sqrt(2.0), abs=1e-15)
+        if d_zero and beta is None:  # the scalar pair functions at the same tie
+            assert G.project_slope_pair(1.0, 1.0, np.inf) == (1.0, 1.0)
+            assert G.intrepid_slope_pair(1.0, 1.0, np.inf) == (1.0, 1.0)
+        elif d_zero:
+            assert G.project_slope_pair_nonconvex(1.0, 1.0, np.inf, beta) == (0.75, 1.25)
+            assert G.intrepid_slope_pair_nonconvex(1.0, 1.0, np.inf, beta) == (1.5, 0.5)
 
 
 # ------------------------------------------------------------- parities
