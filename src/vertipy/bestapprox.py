@@ -23,11 +23,16 @@ __all__ = [
 ]
 
 
+# q_operator's roundoff guards (see its docstring)
+RHO_REL_TOL = 1e-14
+CHI_TOL = 1e-12
+
+
 class InfeasibleIntersectionError(RuntimeError):
     """Q detected two separating halfspaces with empty intersection."""
 
 
-def q_operator(x, y, z, *, rho_rel_tol: float = 1e-14, chi_tol: float = 1e-12):
+def q_operator(x, y, z):
     """Project x onto the intersection of the halfspaces carried by (y, z).
 
     Q(x, y, z) is the projection of x onto H(x, y) ∩ H(y, z) where
@@ -40,8 +45,8 @@ def q_operator(x, y, z, *, rho_rel_tol: float = 1e-14, chi_tol: float = 1e-12):
     * rho = 0 and chi < 0: the halfspaces do not intersect; raises
       :class:`InfeasibleIntersectionError`.
 
-    rho is clamped to zero when |rho| <= rho_rel_tol * mu * nu, and the
-    infeasibility branch fires only for chi < -chi_tol, so roundoff on
+    rho is clamped to zero when |rho| <= RHO_REL_TOL * mu * nu, and the
+    infeasibility branch fires only for chi < -CHI_TOL, so roundoff on
     nearly collinear triples cannot produce a spurious signal.
     """
     x = np.asarray(x, dtype=float)
@@ -53,10 +58,10 @@ def q_operator(x, y, z, *, rho_rel_tol: float = 1e-14, chi_tol: float = 1e-12):
     mu = float(np.dot(xy, xy))
     nu = float(np.dot(yz, yz))
     rho = mu * nu - chi * chi
-    if abs(rho) <= rho_rel_tol * mu * nu:
+    if abs(rho) <= RHO_REL_TOL * mu * nu:
         rho = 0.0
     if rho == 0.0:
-        if chi < -chi_tol:
+        if chi < -CHI_TOL:
             raise InfeasibleIntersectionError(
                 f"halfspaces cannot intersect (chi = {chi:.3e} < 0 with rho = 0)"
             )

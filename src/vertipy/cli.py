@@ -127,13 +127,20 @@ class _Options:
                 return False
         raise UsageError(f"invalid boolean for {name}: {value!r}")
 
-    def get_list(self, name: str, default=None):
+    def get_list(self, name: str, cast, default=None):
         value = self.get(name)
         if value is None:
             return default
         if isinstance(value, str):
-            return [part.strip() for part in value.split(",") if part.strip()]
-        return list(value)
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        if not isinstance(value, list):
+            raise UsageError(f"invalid list for {name}: {value!r}")
+        if not value:
+            raise UsageError(f"{name} must list at least one value")
+        try:
+            return [cast(v) for v in value]
+        except (TypeError, ValueError):
+            raise UsageError(f"invalid value for {name}: {value!r}")
 
 
 def _out_dir(opts, must_exist: bool = False) -> Path:
@@ -144,7 +151,7 @@ def _out_dir(opts, must_exist: bool = False) -> Path:
 
 
 def _select_algorithms(opts):
-    names = opts.get_list("algorithms")
+    names = opts.get_list("algorithms", str)
     if names is None:
         mode = opts.get("mode", "feas")
         if mode not in MODE_FAMILIES:
@@ -169,9 +176,9 @@ def cmd_generate(opts) -> int:
         raise UsageError("count must be at least 1")
     seed = opts.get("seed", 0, int)
     nonconvex = opts.get_bool("nonconvex")
-    lengths = [float(x) for x in opts.get_list("lengths", list(DEFAULT_LENGTHS))]
-    speeds = [float(x) for x in opts.get_list("speeds", list(DEFAULT_SPEEDS))]
-    xi_max = [float(x) for x in opts.get_list("xi_max", list(DEFAULT_XI_MAX))]
+    lengths = opts.get_list("lengths", float, list(DEFAULT_LENGTHS))
+    speeds = opts.get_list("speeds", float, list(DEFAULT_SPEEDS))
+    xi_max = opts.get_list("xi_max", float, list(DEFAULT_XI_MAX))
     k_table = opts.config.get("k_table")
 
     out = _out_dir(opts)
@@ -321,7 +328,7 @@ def cmd_report(opts) -> int:
 
 
 def cmd_verify(opts) -> int:
-    names = opts.get_list("checks")
+    names = opts.get_list("checks", str)
     results = verify.run_checks(names)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -22,6 +22,14 @@ reflected into it, and a point far outside jumps straight to the midline.
 Intrepid operators are the identity exactly on the set but are not
 projections.
 
+Every slope, curvature and slab map is an interval map: it clips (project)
+or reflects (intrepid) one scalar onto an interval [lo, hi].  A slope stripe
+is the interval [-alpha, alpha] of the difference d, a curvature triple (or
+a slab) the interval [lo, hi] of an inner product s = <u, x>, and the
+nonconvex band beta <= |d| <= alpha is its mirror: the interval [beta,
+alpha] of |d|, put back on d's side.  Every residual is the signed gap
+s - clip(s, lo, hi).
+
 Indices are 0-based throughout: slope pair i couples (x_i, x_{i+1}) over
 interval length tau_i = t_{i+1} - t_i, curvature index i couples
 (x_i, x_{i+1}, x_{i+2}).
@@ -35,7 +43,7 @@ use.  The six sets of one problem share a :class:`ProfileKernel` that
 holds their fused monitor: `proximity2` takes all n-1 differences and n-2
 triples in one pass and returns exactly (bitwise) the sum of the six sets'
 squared residuals in canonical order: each residual is rounded to a float
-as the set's own `residual` rounds it, the slope violations are permuted
+as the set's own `residual` rounds it, the slope gaps are permuted
 so each parity's dot product runs on a contiguous slice (np.dot on a
 strided view rounds differently), and each curvature block sums its
 every-third-triple slice, which np.add.reduce adds as it adds a contiguous
@@ -187,9 +195,11 @@ class CurvatureBounds:
 # via the inner product s = tau_{i+1} x_i - (tau_i + tau_{i+1}) x_{i+1}
 # + tau_i x_{i+2}.
 #
-# The intrepid maps are piecewise: the first matching case wins.  Their
-# breakpoints depend on the bounds only, so a "table" of them is built once
-# per set and `_first_match` picks the case with nested np.where.
+# Every target map acts on one interval [lo, hi] (module docstring): a convex
+# slope pair on d in [-alpha, alpha], a nonconvex one on |d| in [beta, alpha]
+# through `_mirrored`, a curvature triple on s in [lo, hi].  The intrepid map
+# is piecewise and the first matching case wins; its breakpoints depend on
+# the bounds only, so a "table" of them is built once per set.
 
 
 def _clip(v, lo, hi):
@@ -197,99 +207,52 @@ def _clip(v, lo, hi):
     return np.minimum(np.maximum(v, lo), hi)
 
 
-def _first_match(cases, default):
-    out = default
-    for cond, choice in reversed(cases):
-        out = np.where(cond, choice, out)
-    return out
-
-
-def _stripe_dstar_intrepid(d, alpha):
-    # copysign, not sign(d) * alpha: at d = 0 with alpha = inf that is 0 * inf
-    ad = np.abs(d)
-    reflect = np.copysign(2.0 * alpha, d) - d
-    return np.where(ad <= alpha, d, np.where(ad < 2.0 * alpha, reflect, 0.0))
-
-
-def _band_dstar(d, alpha, beta):
-    # exact projection onto {beta <= |d| <= alpha}; the tie d = 0 goes to the
-    # upward branch +beta
-    ad = np.abs(d)
-    up = np.where(d >= 0.0, 1.0, -1.0)
-    return np.where(ad < beta, up * beta, np.where(ad <= alpha, d, np.copysign(alpha, d)))
-
-
-def _band_intrepid_table(alpha, beta):
-    mid = 0.5 * (alpha + beta)
-    return (
-        0.5 * (beta - 3.0 * alpha), -alpha, -beta, np.minimum(0.0, 0.5 * (alpha - 3.0 * beta)),
-        0.5 * (3.0 * beta - alpha), beta, alpha, 0.5 * (3.0 * alpha - beta),
-        mid, -mid, -2.0 * alpha, -2.0 * beta, 2.0 * beta, 2.0 * alpha,
-    )
-
-
-def _band_dstar_from(d, table):
-    # at every boundary overlap the adjacent formulas agree, and the two
-    # midline-jump cases around d = 0 are reachable only when 3*beta > alpha
-    (far_lo, neg_alpha, neg_beta, near_lo, near_hi, beta, alpha, far_hi,
-     mid, neg_mid, neg_2alpha, neg_2beta, two_beta, two_alpha) = table
-    with np.errstate(invalid="ignore"):
-        return _first_match(
-            [
-                (d < far_lo, neg_mid),
-                (d < neg_alpha, neg_2alpha - d),
-                (d <= neg_beta, d),
-                (d <= near_lo, neg_2beta - d),
-                (d <= 0.0, neg_mid),
-                (d <= near_hi, mid),
-                (d < beta, two_beta - d),
-                (d <= alpha, d),
-                (d <= far_hi, two_alpha - d),
-            ],
-            mid,
-        )
+def _gap(s, lo, hi):
+    # signed distance from s to [lo, hi]
+    return s - _clip(s, lo, hi)
 
 
 def _interval_intrepid_table(lo, hi):
     half = 0.5 * (hi - lo)
-    return lo - half, lo, hi, hi + half, 0.5 * (lo + hi), 2.0 * lo, 2.0 * hi
+    with np.errstate(invalid="ignore"):  # lo = -inf, hi = inf: a NaN midpoint no finite s selects
+        mid = 0.5 * (lo + hi)
+    return lo - half, lo, hi, hi + half, mid, 2.0 * lo, 2.0 * hi
 
 
 def _interval_sstar_from(s, table):
     far_lo, lo, hi, far_hi, mid, two_lo, two_hi = table
-    return _first_match(
-        [(s < far_lo, mid), (s < lo, two_lo - s), (s <= hi, s), (s <= far_hi, two_hi - s)], mid
-    )
+    inner = np.where(s <= hi, s, np.where(s <= far_hi, two_hi - s, mid))
+    return np.where(s < far_lo, mid, np.where(s < lo, two_lo - s, inner))
 
 
-def _interval_sstar_intrepid(s, lo, hi):
-    return _interval_sstar_from(s, _interval_intrepid_table(lo, hi))
+def _interval_maps(lo, hi):
+    # the exact and the intrepid map onto [lo, hi]; partials, not lambdas,
+    # because problems are pickled to pool workers
+    table = _interval_intrepid_table(lo, hi)
+    return partial(_clip, lo=lo, hi=hi), partial(_interval_sstar_from, table=table)
 
 
-def _band_distance(d, alpha, beta):
-    # distance from d to {beta <= |d| <= alpha} along the d axis
-    ad = np.abs(d)
-    with np.errstate(invalid="ignore"):
-        over = np.where(ad > alpha, ad - alpha, 0.0)
-    return np.where(ad < beta, beta - ad, over)
+def _mirrored(interval_map, d, up):
+    # apply an interval map to |d| and put the result back on d's side; the
+    # tie d = 0 (either sign) takes the upward side if `up`, the downward if not
+    a = interval_map(np.abs(d))
+    return np.where(d >= 0.0 if up else d > 0.0, a, -a)
 
 
-def _pair_violation(d, alpha, beta):
-    # how far each difference lies outside its stripe (or band, given beta)
-    if beta is not None:
-        return _band_distance(d, alpha, beta)
-    with np.errstate(invalid="ignore"):
-        return np.maximum(np.abs(d) - alpha, 0.0)
+def _slope_interval(bounds):
+    # lo and hi of every difference's interval: on d if convex, on |d| if not
+    alpha = bounds.alpha
+    return (-alpha if bounds.convex else bounds.beta), alpha
 
 
-def _slope_residual(viol):
-    # each violated pair moves by viol/2 in two coordinates; `viol` must be
+def _slope_residual(gap):
+    # each violated pair moves by gap/2 in two coordinates; `gap` must be
     # contiguous, since np.dot on a strided view rounds differently
-    return math.sqrt(0.5 * np.dot(viol, viol))
+    return math.sqrt(0.5 * np.dot(gap, gap))
 
 
 def _curvature_terms(s, lo, hi, unorm2):
-    gap = s - _clip(s, lo, hi)
+    gap = _gap(s, lo, hi)
     return gap * gap / unorm2
 
 
@@ -456,7 +419,8 @@ class ProfileKernel:
     `probgen.build_constraint_sets` builds one from all four specs and makes
     the six constraints on it with `constraint_sets`, the only place that
     sets a constraint's `kernel`.  `perm` lists the even-parity differences,
-    then the odd; `weights` holds the curvature weights over all triples.
+    then the odd; `slope_interval` holds the interval of every difference and
+    `weights` the curvature weights over all triples.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and a problem sent to a pool worker
@@ -475,6 +439,11 @@ class ProfileKernel:
     @cached_property
     def perm(self):
         return np.concatenate([np.arange(1, self.n - 1, 2), np.arange(0, self.n - 1, 2)])
+
+    @cached_property
+    def slope_interval(self):
+        """lo and hi of all n-1 differences (of d if convex, of |d| if not)."""
+        return _slope_interval(self.slope)
 
     @cached_property
     def weights(self):
@@ -512,14 +481,15 @@ class ProfileKernel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):  # as the first set, Interp, would report it
             raise InvalidSpecError(f"Interp: expected shape ({self.n},), got {x.shape}")
-        viol = _pair_violation(x[1:] - x[:-1], self.slope.alpha, self.slope.beta)[self.perm]
+        d = x[1:] - x[:-1]
+        gap = _gap(d if self.slope.convex else np.abs(d), *self.slope_interval)[self.perm]
         t0, t1, t01, lo, hi, unorm2 = self.weights
         terms = _curvature_terms(t1 * x[:-2] - t01 * x[1:-1] + t0 * x[2:], lo, hi, unorm2)
         k = (self.n - 1) // 2  # even-parity differences
         r = (
             _interp_residual(x, self.interp),
-            _slope_residual(viol[:k]),
-            _slope_residual(viol[k:]),
+            _slope_residual(gap[:k]),
+            _slope_residual(gap[k:]),
             _curvature_residual(terms[0::3]),
             _curvature_residual(terms[1::3]),
             _curvature_residual(terms[2::3]),
@@ -606,25 +576,21 @@ class SlopeConstraint(Constraint):
         return self.bounds.convex
 
     @cached_property
-    def _pair_bounds(self):
-        """alpha and beta (None if convex) of this parity's pairs, contiguous."""
-        alpha, beta = self.bounds.alpha, self.bounds.beta
-        return alpha[self._off :: 2].copy(), None if beta is None else beta[self._off :: 2].copy()
+    def _interval(self):
+        """lo and hi of this parity's pairs (on d if convex, on |d| if not), contiguous."""
+        return tuple(b[self._off :: 2].copy() for b in _slope_interval(self.bounds))
 
     @cached_property
     def _dstar(self):
         """The exact and the intrepid target map d -> d* of this parity's pairs."""
-        # partials, not lambdas: problems are pickled to pool workers
-        alpha, beta = self._pair_bounds
-        if beta is None:
-            return partial(_clip, lo=-alpha, hi=alpha), partial(_stripe_dstar_intrepid, alpha=alpha)
-        return (
-            partial(_band_dstar, alpha=alpha, beta=beta),
-            partial(_band_dstar_from, table=_band_intrepid_table(alpha, beta)),
-        )
+        maps = _interval_maps(*self._interval)
+        if self.convex:
+            return maps
+        # the tie d = 0: the projection goes up to +beta, the intrepid map down
+        return partial(_mirrored, maps[0], up=True), partial(_mirrored, maps[1], up=False)
 
     def _pairs(self, x):
-        k = self._pair_bounds[0].size
+        k = self._interval[1].size
         return x[self._off : self._off + 2 * k].reshape(k, 2)
 
     def _move(self, x, dstar):
@@ -644,7 +610,8 @@ class SlopeConstraint(Constraint):
 
     def residual(self, x):
         pairs = self._pairs(self._check(x))
-        return _slope_residual(_pair_violation(pairs[:, 1] - pairs[:, 0], *self._pair_bounds))
+        d = pairs[:, 1] - pairs[:, 0]
+        return _slope_residual(_gap(d if self.convex else np.abs(d), *self._interval))
 
 
 class CurvatureConstraint(Constraint):
@@ -669,11 +636,7 @@ class CurvatureConstraint(Constraint):
     @cached_property
     def _sstar(self):
         """The exact and the intrepid target map s -> s* of this block's triples."""
-        lo, hi = self._weights[3:5]
-        return (
-            partial(_clip, lo=lo, hi=hi),
-            partial(_interval_sstar_from, table=_interval_intrepid_table(lo, hi)),
-        )
+        return _interval_maps(*self._weights[3:5])
 
     def _triples_and_s(self, x):
         t0, t1, t01 = self._weights[:3]

@@ -203,7 +203,6 @@ def make_batch(
     speeds=DEFAULT_SPEEDS,
     xi_max=DEFAULT_XI_MAX,
     k_table: dict | None = None,
-    **spec_overrides,
 ):
     """Generate `count` problems cycling through the parameter grid.
 
@@ -213,6 +212,8 @@ def make_batch(
     if count < 1:
         raise InvalidSpecError("count must be at least 1")
     grid = list(itertools.product(lengths, speeds, xi_max))
+    if not grid:
+        raise InvalidSpecError("the (length, speed, xi_max) grid is empty")
     problems = []
     for i in range(count):
         length, speed, xi = grid[i % len(grid)]
@@ -223,7 +224,6 @@ def make_batch(
             seed=child_seed(master_seed, i),
             nonconvex=nonconvex,
             problem_id=f"p{i:04d}",
-            **spec_overrides,
         )
         problems.append(generate(spec, k_table))
     return problems

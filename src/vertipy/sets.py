@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Constraint, InvalidSpecError, _interval_sstar_intrepid
+from .geometry import Constraint, InvalidSpecError, _interval_intrepid_table, _interval_sstar_from
 
 __all__ = ["HalfspaceSet", "SlabSet", "BallSet", "SpanSet"]
 
@@ -57,20 +57,21 @@ class SlabSet(Constraint):
         self.lo = float(lo)
         self.hi = float(hi)
         self._nn = float(np.dot(a, a))
+        self._intrepid_table = _interval_intrepid_table(self.lo, self.hi)
 
-    def _move(self, x, sstar_fn):
+    def _move(self, x, sstar_fn, *args):
         x = self._check(x)
         s = np.dot(self.a, x)
-        sstar = float(sstar_fn(s, self.lo, self.hi))
+        sstar = float(sstar_fn(s, *args))
         if sstar == s:
             return x.copy()
         return x + ((sstar - s) / self._nn) * self.a
 
     def project(self, x):
-        return self._move(x, np.clip)
+        return self._move(x, np.clip, self.lo, self.hi)
 
     def intrepid(self, x):
-        return self._move(x, _interval_sstar_intrepid)
+        return self._move(x, _interval_sstar_from, self._intrepid_table)
 
     def residual(self, x):
         x = self._check(x)

@@ -249,6 +249,45 @@ def test_bad_boolean_env_rejected(tmp_path, monkeypatch, capsys):
     assert "invalid boolean" in capsys.readouterr().err
 
 
+def test_empty_list_option_exits_1(tmp_path, monkeypatch, capsys):
+    # an empty list is a usage error that names its option; nothing is written
+    assert cli.main(["verify", "--checks", ","]) == 1
+    assert "checks must list at least one value" in capsys.readouterr().err
+
+    out = _generate(tmp_path / "batch", count=1)
+    assert cli.main(["run", "--out", str(out), "--algorithms", ","]) == 1
+    assert "algorithms must list at least one value" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
+
+    monkeypatch.setenv("VERTIPY_LENGTHS", ",")
+    assert cli.main(["generate", "--out", str(tmp_path / "env"), "--count", "1"]) == 1
+    assert "lengths must list at least one value" in capsys.readouterr().err
+    monkeypatch.delenv("VERTIPY_LENGTHS")
+
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"speeds": []}))
+    args = ["generate", "--out", str(tmp_path / "conf"), "--config", str(config), "--count", "1"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "speeds must list at least one value" in err and "Traceback" not in err
+    assert not (tmp_path / "env").exists() and not (tmp_path / "conf").exists()
+
+
+def test_bad_list_values_exit_1(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"speeds": 30}))
+    assert cli.main(["generate", "--out", str(tmp_path), "--config", str(config)]) == 1
+    assert "invalid list for speeds: 30" in capsys.readouterr().err
+
+    monkeypatch.setenv("VERTIPY_LENGTHS", "500,abc")
+    assert cli.main(["generate", "--out", str(tmp_path), "--count", "1"]) == 1
+    assert "invalid value for lengths" in capsys.readouterr().err
+
+    config.write_text(json.dumps({"checks": [1]}))
+    assert cli.main(["verify", "--config", str(config)]) == 1
+    assert "unknown check(s): 1" in capsys.readouterr().err
+
+
 def test_verify_all_checks_pass(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -236,6 +236,34 @@ def test_curvature_validation():
         Breakpoints([0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("gamma, delta", [(np.inf, -np.inf), (np.inf, -0.5), (0.5, -np.inf)])
+def test_infinite_curvature_bounds_warn_nothing(gamma, delta):
+    # CurvatureBounds allows infinite bounds; the intrepid midpoint of
+    # [-inf, inf] is NaN, which must neither warn nor be selected
+    bp = Breakpoints([0.0, 1.0, 2.0, 3.0, 4.0])
+    x = np.array([0.0, 1.0, 3.0, 2.0, -1.0])  # s = 1, -3, -2 on triples 0, 1, 2
+    twin = CurvatureBounds(gamma=[min(gamma, 1e300)] * 3, delta=[max(delta, -1e300)] * 3)
+    cb = CurvatureBounds(gamma=[gamma] * 3, delta=[delta] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in (1, 2, 3):
+            c, finite = CurvatureConstraint(cb, bp, block), CurvatureConstraint(twin, bp, block)
+            for op in ("project", "intrepid"):
+                got = getattr(c, op)(x)
+                assert got.tobytes() == getattr(finite, op)(x).tobytes(), (block, op)
+                assert c.residual(got) <= 1e-12
+            assert c.residual(x) == finite.residual(x)
+        for i in range(3):
+            for fn in (G.project_curvature_single, G.intrepid_curvature_single):
+                assert fn(x, i, cb, bp).tobytes() == fn(x, i, twin, bp).tobytes(), (i, fn)
+        interp = InterpolationSpec([0, 4], [0.0, -1.0])
+        kernel = G.ProfileKernel(5, interp, SlopeBounds(np.full(4, 2.5)), cb, bp)
+        sets = kernel.constraint_sets()
+        assert kernel.proximity2(x) == float(sum(c.residual(x) ** 2 for c in sets))
+    if np.isinf(delta) and np.isinf(gamma):
+        assert np.array_equal(G.intrepid_curvature_single(x, 1, cb, bp), x)
+
+
 # ------------------------------------------------------ data validation
 
 def test_interpolation_spec_validation():

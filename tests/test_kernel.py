@@ -186,11 +186,7 @@ def test_fused_monitor_equals_per_set_sum(n, seed, nonconvex):
         assert fused == float(sum(_reference(c, point, "residual") ** 2 for c in sets))
 
 
-@settings(max_examples=60, deadline=None)
-@_examples
-@given(**PROBLEMS)
-def test_operators_equal_fancy_index_reference(n, seed, nonconvex):
-    sets, x = _problem(n, seed, nonconvex)
+def _assert_equal_reference(sets, x):
     for c in sets:
         for op in ("project", "intrepid", "residual"):
             got = getattr(c, op)(x)
@@ -199,6 +195,38 @@ def test_operators_equal_fancy_index_reference(n, seed, nonconvex):
                 assert got == want, (c.tag, op)
             else:
                 assert got.tobytes() == want.tobytes(), (c.tag, op)
+
+
+@settings(max_examples=60, deadline=None)
+@_examples
+@given(**PROBLEMS)
+def test_operators_equal_fancy_index_reference(n, seed, nonconvex):
+    sets, x = _problem(n, seed, nonconvex)
+    _assert_equal_reference(sets, x)
+
+
+@pytest.mark.parametrize("nonconvex", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_operators_equal_reference_at_exact_edges(seed, nonconvex):
+    # the case boundaries and tie rules sit at differences of exactly +-0.0,
+    # +-beta, +-alpha and +-2 alpha, which the random starts never hit
+    n = 41
+    sets, _ = _problem(n, seed, nonconvex)
+    alpha, beta = sets[1].bounds.alpha, sets[1].bounds.beta
+    edges = [np.zeros(n - 1), np.full(n - 1, -0.0), alpha, -alpha, 2.0 * alpha, -2.0 * alpha]
+    if nonconvex:
+        edges += [beta, -beta]
+    edges = np.stack(edges)
+    for off in (0, 1):  # the odd, then the even parity's pairs (x_i, x_{i+1})
+        i = np.arange(off, n - 1, 2)
+        want = edges[(np.arange(i.size) + seed) % len(edges), i]
+        x = np.zeros(n)
+        x[i + 1] = want
+        assert (x[i + 1] - x[i]).tobytes() == want.tobytes()  # -0.0 - 0.0 is -0.0
+        _assert_equal_reference(sets, x)
+        assert proximity_squared_sum(x, sets) == float(
+            sum(_reference(c, x, "residual") ** 2 for c in sets)
+        )
 
 
 @settings(max_examples=40, deadline=None)

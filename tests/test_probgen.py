@@ -134,6 +134,12 @@ def test_make_batch_cycles_grid():
         probgen.make_batch(20260815, count=0)
 
 
+@pytest.mark.parametrize("axis", ["lengths", "speeds", "xi_max"])
+def test_make_batch_rejects_empty_grid(axis):
+    with pytest.raises(InvalidSpecError, match="grid is empty"):
+        probgen.make_batch(0, count=1, **{axis: []})
+
+
 def test_make_batch_full_grid_is_unique():
     problems = probgen.make_batch(1, count=100)
     grid = {(p.meta["length"], p.meta["speed"], p.meta["xi_max"]) for p in problems}

@@ -1,5 +1,7 @@
 """Generic convex sets used by the verification fixtures."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -31,6 +33,23 @@ def test_slab_projection_and_intrepid():
     assert_allclose(s.residual([1.4, 2.0]), 0.4, atol=1e-14)
     with pytest.raises(InvalidSpecError):
         SlabSet([1.0, 0.0], 2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, x, want_p, want_q",
+    [
+        (-np.inf, np.inf, [3.5, 2.0], [3.5, 2.0], [3.5, 2.0]),
+        (-1.0, np.inf, [-3.5, 2.0], [-1.0, 2.0], [1.5, 2.0]),  # reflects however far out
+        (-np.inf, 1.0, [3.5, 2.0], [1.0, 2.0], [-1.5, 2.0]),
+    ],
+)
+def test_slab_with_infinite_bounds_warns_nothing(lo, hi, x, want_p, want_q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = SlabSet([1.0, 0.0], lo, hi)
+        assert_allclose(s.project(x), want_p, atol=0)
+        assert_allclose(s.intrepid(x), want_q, atol=0)
+        assert s.residual(x) == abs(x[0] - want_p[0])
 
 
 def test_ball_projection():
