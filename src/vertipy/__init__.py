@@ -11,7 +11,6 @@ script drives the generate/run/report/verify pipeline.
 from .bestapprox import (
     InfeasibleIntersectionError,
     badr_two_set_step,
-    dykstra_two_set_step,
     q_operator,
 )
 from .feasibility import (
@@ -31,7 +30,6 @@ from .feasibility import (
     admm_two_set_step,
     cycp_plus_step,
     cycp_step,
-    dr_step,
     dr_two_set_step,
     exaltp_step,
     exparp_step,

@@ -1,14 +1,14 @@
-"""Best-approximation building blocks: the three-point operator Q and the two-set recursions.
+"""Best-approximation building blocks: the three-point operator Q and anchored D-R.
 
 Feasibility seeking returns *some* point of the intersection; best
 approximation converges to P_C(v), the intersection point closest to the
 anchor v.  The m-set best-approximation algorithms (H-W, Dykstra, the
 Haugazeau methods and anchored D-R) live in :mod:`vertipy.feasibility`, next
 to the feasibility steps they are built from.  This module holds what they
-and the fixtures share: Haugazeau's three-point operator Q, its
-infeasibility signal, and the two-set recursions used by the analytic
-fixtures (Dykstra with two sets and the anchored D-R recursion in the
-original space) as plain step functions.
+share: Haugazeau's three-point operator Q, its infeasibility signal, and
+the two-set anchored D-R recursion, which baD-R runs on the product set and
+the diagonal (:mod:`vertipy.product`) and the analytic fixtures run on two
+sets of the plane.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "InfeasibleIntersectionError",
     "q_operator",
-    "dykstra_two_set_step",
     "badr_two_set_step",
 ]
 
@@ -72,33 +71,20 @@ def q_operator(x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# two-set recursions (used by the analytic fixtures)
-
-
-def dykstra_two_set_step(b, p, q, set_a, set_b):
-    """One round of two-set Dykstra.  Returns (a_next, b_next, p_next, q_next).
-
-    Start from b_0 = v, p_0 = q_0 = 0.  The b-iterates converge to the point
-    of A ∩ B nearest v (for convex A, B).
-    """
-    a_next = set_a.project(b + p)
-    p_next = b + p - a_next
-    b_next = set_b.project(a_next + q)
-    q_next = a_next + q - b_next
-    return a_next, b_next, p_next, q_next
+# anchored D-R
 
 
 def badr_two_set_step(x, v, set_a, set_b):
-    """One step of the anchored D-R recursion in the original space.
+    """One step of the anchored D-R recursion.  Returns (x_next, y).
 
-    Returns (x_next, y) with the shadow y = P_B(x):
+    With the shadow y = P_B(x):
 
-        x_next = x - P_B x + P_A( P_B x + (v - x)/2 ).
+        x_next = x - y + P_A( (v + 2y - x) / 2 ).
 
     Start at x_0 = v and monitor the y-sequence.  When A and B are linear
     subspaces and v lies in B, the shadows collapse to the plain alternating
     projections y_k = (P_B P_A)^k v.
     """
     y = set_b.project(x)
-    x_next = x - y + set_a.project(y + 0.5 * (v - x))
+    x_next = x - y + set_a.project(0.5 * (v + 2.0 * y - x))
     return x_next, y

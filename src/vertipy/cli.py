@@ -181,10 +181,6 @@ def cmd_generate(opts) -> int:
     xi_max = opts.get_list("xi_max", float, list(DEFAULT_XI_MAX))
     k_table = opts.config.get("k_table")
 
-    out = _out_dir(opts)
-    problem_dir = out / "problems"
-    problem_dir.mkdir(parents=True, exist_ok=True)
-
     problems = make_batch(
         seed,
         count=count,
@@ -194,6 +190,9 @@ def cmd_generate(opts) -> int:
         xi_max=xi_max,
         k_table=k_table,
     )
+    out = _out_dir(opts)
+    problem_dir = out / "problems"
+    problem_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, problem in enumerate(problems):
         path = problem_dir / f"{problem.problem_id}.json"

@@ -5,9 +5,10 @@ The feasibility methods drive an iterate toward the intersection; the
 best-approximation methods seek the intersection point nearest the anchor
 v, and are built from the same steps: H-W sweeps with `cycp_step`, hParP
 wraps `parp_step` in Haugazeau's Q (:func:`vertipy.bestapprox.q_operator`),
-and ParDyk, hD-R and baD-R share D-R's product-space start, `parts0` check
-and diagonal monitor.  One iteration means one sweep (or one product-space
-update), except that CycDyk and hCycP take one projection per iteration.
+and D-R, hD-R (Q around D-R) and baD-R run the two-set recursions on the
+product set and the diagonal of :mod:`vertipy.product`.  One iteration is
+one sweep (or one product-space update); CycDyk and hCycP take one
+projection per iteration.
 
 `run` executes any registered algorithm on a `FeasibilityProblem` under a
 `StopRule`, recording the normalized proximity trace of the monitored
@@ -25,7 +26,6 @@ import numpy as np
 from . import bestapprox, product
 from .geometry import Breakpoints, InvalidSpecError
 from .metrics import RunRecord, StopRule, proximity_squared_sum
-from .product import dr_step
 from .superior import Superiorized
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "sap_step",
     "exparp_step",
     "exaltp_step",
-    "dr_step",
     "dr_two_set_step",
     "admm_two_set_step",
     "ALGORITHMS",
@@ -176,9 +175,9 @@ def exaltp_step(x, sets):
 
 
 def dr_two_set_step(x, set_a, set_b):
-    """Plain two-set Douglas-Rachford.  Returns (x_next, shadow P_B x)."""
+    """Two-set D-R: returns (x - y + P_A(2y - x), y) with the shadow y = P_B x."""
     y = set_b.project(x)
-    return set_a.project(2.0 * y - x) + x - y, y
+    return x - y + set_a.project(2.0 * y - x), y
 
 
 def admm_two_set_step(b, u, set_a, set_b):
@@ -237,7 +236,7 @@ def _set_list(sets):
 
 
 class _ProductDR:
-    """D-R in the product space: rows start at v (or at parts0), monitored on the diagonal."""
+    """D-R on the product set and the diagonal, from rows v (or parts0); monitors their mean."""
 
     kind = "feas"
 
@@ -252,9 +251,11 @@ class _ProductDR:
             if parts0.shape != shape:
                 raise AlgorithmConfigError(f"parts0 must have shape {shape}")
             self.parts = parts0.copy()
+        self.product_set = product.ProductSet(self.sets)
+        self.diagonal = product.Diagonal()
 
     def step(self):
-        self.parts = dr_step(self.parts, self.sets)
+        self.parts = dr_two_set_step(self.parts, self.product_set, self.diagonal)[0]
 
     def monitor(self):
         return product.diagonal_part(self.parts)
@@ -337,11 +338,9 @@ class ParallelDykstra(_ProductDR):
         self.z = np.zeros_like(self.parts)
 
     def step(self):
-        xbar = product.diagonal_part(self.parts)
-        for i, c in enumerate(self.sets):
-            shifted = self.z[i] + xbar
-            self.parts[i] = c.project(shifted)
-            self.z[i] = shifted - self.parts[i]
+        shifted = self.z + product.diagonal_part(self.parts)
+        self.parts = self.product_set.project(shifted)
+        self.z = shifted - self.parts
 
 
 class HaugazeauDouglasRachford(_ProductDR):
@@ -354,17 +353,16 @@ class HaugazeauDouglasRachford(_ProductDR):
         self._anchor = self.parts.copy()
 
     def step(self):
-        target = dr_step(self.parts, self.sets)
+        target = dr_two_set_step(self.parts, self.product_set, self.diagonal)[0]
         flat = bestapprox.q_operator(self._anchor.ravel(), self.parts.ravel(), target.ravel())
         self.parts = flat.reshape(self.parts.shape)
 
 
 class AnchoredDouglasRachford(_ProductDR):
-    """Best-approximation D-R in the product space.
+    """Best-approximation D-R: the anchored recursion on C and D.
 
     x_{k+1,i} = x_{k,i} - xbar_k + P_i( (v + 2 xbar_k - x_{k,i}) / 2 ),
-    monitored on the diagonal part xbar_k.  The halved point rounds
-    differently from `dr_step`'s 2 xbar - x_i, so the step is its own.
+    monitored on the diagonal part xbar_k.
     """
 
     kind = "ba"
@@ -373,13 +371,9 @@ class AnchoredDouglasRachford(_ProductDR):
         super().__init__(sets, v)
 
     def step(self):
-        xbar = product.diagonal_part(self.parts)
-        out = np.empty_like(self.parts)
-        for i, c in enumerate(self.sets):
-            out[i] = self.parts[i] - xbar + c.project(
-                0.5 * (self.v + 2.0 * xbar - self.parts[i])
-            )
-        self.parts = out
+        self.parts = bestapprox.badr_two_set_step(
+            self.parts, self.v, self.product_set, self.diagonal
+        )[0]
 
 
 def _sweep(step_fn, order=list):
@@ -453,15 +447,17 @@ def run(
 
     The trace starts at d(x_0) = 1 and gains one entry per iteration.  A
     start that is already feasible (zero normalizer) short-circuits to a
-    converged record with trace [0.0].  An infeasibility signal from the
-    Q-based methods ends the run with converged=False and a flag.  A run
-    whose ``stalled()`` says its next step changes nothing ends early,
-    recorded exactly as if it had run to the cap plus ``flags["stalled_at"]``.
+    converged record with trace [0.0], once the algorithm is built (so a bad
+    name still raises).  An infeasibility signal from the Q-based methods
+    ends the run with converged=False and a flag.  A run whose ``stalled()``
+    says its next step changes nothing ends early, recorded exactly as if it
+    had run to the cap plus ``flags["stalled_at"]``.
     """
     stop = stop or StopRule()
     sets = problem.sets
     v = problem.v
     start = time.perf_counter()
+    algo = make_algorithm(algorithm, sets, v, **options)
     denom = proximity_squared_sum(v, sets)
     if denom == 0.0:
         return RunRecord(
@@ -474,7 +470,6 @@ def run(
             wall_time=time.perf_counter() - start,
         )
 
-    algo = make_algorithm(algorithm, sets, v, **options)
     needs_small_step = algo.kind == "ba"
     stalled = getattr(algo, "stalled", None)
     trace = [1.0]

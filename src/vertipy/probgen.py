@@ -11,9 +11,11 @@ a design speed V (km/h) and an elevation range [0, xi_max]:
   elevation can satisfy it, the offending gap is stretched to 0.625 V so
   spacing holds for any elevation (the total span may then exceed L),
 * the number of stations n is drawn uniformly from
-  [L / (3 u), 1 + L / (1.5 u)] with u = min(0.625 V, 30),
-* slope caps alpha_i = sigma_max * tau_i (default 4% maximum grade), plus a
-  minimum-grade floor beta_i = min_grade * tau_i in nonconvex mode,
+  [L / (3 u), 1 + L / (1.5 u)] with u = min(0.625 V, 30); an upper end
+  above MAX_STATIONS is rejected before any draw,
+* slope caps alpha_i = sigma_max * tau_i (sigma_max = 4% maximum grade),
+  plus a minimum-grade floor beta_i = min_grade * tau_i (min_grade = 0.5%)
+  in nonconvex mode,
 * curvature caps gamma_i = min(tau_i, tau_{i+1}) / (100 K_V) from a
   design-speed K table (meters per percent of grade change) shipped as
   data/curvature_k.json and overridable per call, delta_i = -gamma_i.
@@ -67,6 +69,9 @@ DEFAULT_XI_MAX = (30.0, 60.0, 100.0, 120.0, 150.0)
 
 _REJECTION_TRIES = 100
 _CHORD_MARGIN = 0.9
+_SIGMA_MAX = 0.04  # maximum absolute grade
+_MIN_GRADE = 0.005  # minimum absolute grade (nonconvex mode)
+MAX_STATIONS = 100_000  # the default grid needs at most 712
 
 
 @dataclass(frozen=True)
@@ -78,17 +83,13 @@ class ProblemSpec:
     xi_max: float  # elevation range [m]
     seed: int
     nonconvex: bool = False
-    sigma_max: float = 0.04  # maximum absolute grade
-    min_grade: float = 0.005  # minimum absolute grade (nonconvex mode)
     problem_id: str = "p0"
 
     def __post_init__(self):
-        if self.length <= 0 or self.speed <= 0 or self.xi_max <= 0:
-            raise InvalidSpecError("length, speed and xi_max must be positive")
-        if not 0 < self.sigma_max:
-            raise InvalidSpecError("sigma_max must be positive")
-        if not 0 <= self.min_grade < self.sigma_max:
-            raise InvalidSpecError("need 0 <= min_grade < sigma_max")
+        for name in ("length", "speed", "xi_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidSpecError(f"{name} must be positive and finite, got {value}")
 
 
 def default_curvature_table() -> dict:
@@ -100,8 +101,11 @@ def default_curvature_table() -> dict:
 def point_count_range(length: float, speed: float) -> tuple[int, int]:
     """Inclusive range for the number of stations at a given length/speed."""
     unit = min(0.625 * speed, 30.0)
+    top = 1.0 + length / (1.5 * unit)
+    if not top <= MAX_STATIONS:
+        raise InvalidSpecError(f"length {length} at speed {speed} exceeds {MAX_STATIONS} stations")
     lo = max(2, math.ceil(length / (3.0 * unit)))
-    hi = math.floor(1.0 + length / (1.5 * unit))
+    hi = math.floor(top)
     if lo > hi:
         raise InvalidSpecError(
             f"empty station-count range for length {length}, speed {speed}"
@@ -148,7 +152,7 @@ def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProbl
     for i in range(1, n):
         if i == n - 1:
             # keep the chord between the pinned endpoints within the grade cap
-            margin = _CHORD_MARGIN * spec.sigma_max * gaps.sum()
+            margin = _CHORD_MARGIN * _SIGMA_MAX * gaps.sum()
             win_lo = max(0.0, v[0] - margin)
             win_hi = min(spec.xi_max, v[0] + margin)
         else:
@@ -171,8 +175,8 @@ def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProbl
     if not (np.all(spacing >= bound - 1e-9) and np.all((v >= 0) & (v <= spec.xi_max))):
         raise AssertionError("generator postcondition violated")  # pragma: no cover
 
-    alpha = spec.sigma_max * bp.tau
-    beta = spec.min_grade * bp.tau if spec.nonconvex else None
+    alpha = _SIGMA_MAX * bp.tau
+    beta = _MIN_GRADE * bp.tau if spec.nonconvex else None
     gamma = np.minimum(bp.tau[:-1], bp.tau[1:]) / (100.0 * k_value)
     sets = build_constraint_sets(
         bp,
@@ -186,8 +190,8 @@ def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProbl
         "xi_max": spec.xi_max,
         "seed": spec.seed,
         "nonconvex": spec.nonconvex,
-        "sigma_max": spec.sigma_max,
-        "min_grade": spec.min_grade,
+        "sigma_max": _SIGMA_MAX,
+        "min_grade": _MIN_GRADE,
         "curvature_k": k_value,
     }
     return FeasibilityProblem(

@@ -2,10 +2,11 @@
 
 A point of the product space X^m is stored as an (m, n) array: row i is the
 component associated with set C_i.  The two product sets of interest are
-C = C_1 x ... x C_m (project row-wise) and the diagonal D = {(x, ..., x)}
-(project by averaging rows).  x lies in the intersection of all C_i exactly
-when (x, ..., x) lies in C and D, which is what lets two-set splitting
-methods run on any number of sets.
+C = C_1 x ... x C_m (:class:`ProductSet`, project row-wise) and the diagonal
+D = {(x, ..., x)} (:class:`Diagonal`, project by averaging rows).  x lies in
+the intersection of all C_i exactly when (x, ..., x) lies in C and D, so
+the m-set D-R, anchored D-R and their Haugazeau variant are the two-set
+recursions run on A = C and B = D.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .geometry import InvalidSpecError
 
-__all__ = ["make_product_point", "diagonal_part", "dr_step"]
+__all__ = ["make_product_point", "diagonal_part", "ProductSet", "Diagonal"]
 
 
 def make_product_point(x, m: int) -> np.ndarray:
@@ -31,15 +32,21 @@ def diagonal_part(parts: np.ndarray) -> np.ndarray:
     return parts.mean(axis=0)
 
 
-def dr_step(parts, sets):
-    """Douglas-Rachford in the product space.
+class ProductSet:
+    """C = C_1 x ... x C_m: row i of a product point projects onto C_i."""
 
-    Row i updates to x_i - xbar + P_i(2 xbar - x_i); the monitored iterate
-    is the row average xbar.
-    """
-    parts = np.asarray(parts, dtype=float)
-    xbar = diagonal_part(parts)
-    out = np.empty_like(parts)
-    for i, c in enumerate(sets):
-        out[i] = parts[i] - xbar + c.project(2.0 * xbar - parts[i])
-    return out
+    def __init__(self, sets):
+        self.sets = list(sets)
+
+    def project(self, parts):
+        out = np.empty(np.shape(parts))
+        for i, c in enumerate(self.sets):
+            out[i] = c.project(parts[i])
+        return out
+
+
+class Diagonal:
+    """D = {(x, ..., x)}: the projection is the row average, one row that broadcasts."""
+
+    def project(self, parts):
+        return diagonal_part(parts)

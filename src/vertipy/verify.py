@@ -1,33 +1,37 @@
 """Built-in consistency checks with analytically known outcomes.
 
 Each check runs a small instance whose exact behavior is derivable by hand
-and reports the largest deviation it observed.  They guard the parts of the
-code most likely to rot silently: the product-space splitting step, the
-two-set Dykstra/anchored recursions, and the ADMM bookkeeping.  The CLI
-`verify` subcommand runs them all and fails with a nonzero status if any
-deviation exceeds its tolerance.
+and reports the largest deviation it observed.  The checks step the code
+that `vertipy run` executes: the two-set D-R step
+(`feasibility.dr_two_set_step`, which D-R and hD-R run on the product set
+and the diagonal), the anchored recursion (`bestapprox.badr_two_set_step`,
+which baD-R runs there) and the `CyclicDykstra` class.  Only ADMM is a
+fixture of its own.  The CLI `verify` subcommand runs them all and fails with a nonzero
+status if any deviation exceeds its tolerance.  Sizes, seeds and
+tolerances are fixed in each check.
 
 Checks
 ------
 dr-cycling
     Splitting two nonconvex stripe complements can cycle: from a specific
-    product start the iterates form an exact period-2 orbit instead of
-    converging.  Verifies the orbit (and the alternating monitor) stays
-    exact for 100 steps.
+    product start, `dr_two_set_step` on the product set and the diagonal
+    forms an exact period-2 orbit instead of converging.  Verifies the
+    orbit (and the alternating monitor) stays exact for 100 steps.
 disk-line-gap
-    Two-set Dykstra and the anchored splitting recursion agree for one
-    step but differ afterwards on a disk/line instance; both second
+    `CyclicDykstra` on two sets and the anchored recursion agree for one
+    round but differ afterwards on a disk/line instance; both second
     iterates have closed forms, and their gap exceeds 0.01.
 dykstra-halving
-    On a line pair, Dykstra's monitored iterate halves exactly every
-    round, while ADMM lands exactly on the intersection at round 2.
+    On a line pair, `CyclicDykstra`'s iterate halves exactly every round
+    of two projections, while ADMM lands exactly on the intersection at
+    round 2.
 dr-admm-equivalence
     On random convex two-set instances started inside B with a zero dual,
-    plain two-set splitting and ADMM generate identical sequences via
+    `dr_two_set_step` and ADMM generate identical sequences via
     x_k = a_k + u_{k-1} and P_B x_k = b_k.
 alternating-collapse
-    For a pair of linear subspaces with the anchor inside B, the anchored
-    recursion's shadow sequence collapses to plain alternating
+    For a pair of linear subspaces with the anchor inside B, the shadow
+    sequence of `badr_two_set_step` collapses to plain alternating
     projections, y_k = (P_B P_A)^k v.
 """
 
@@ -38,15 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestapprox import badr_two_set_step, dykstra_two_set_step
-from .feasibility import admm_two_set_step, dr_step, dr_two_set_step
+from .bestapprox import badr_two_set_step
+from .feasibility import CyclicDykstra, admm_two_set_step, dr_two_set_step
 from .geometry import InvalidSpecError, SlopeBounds, SlopeConstraint
-from .product import diagonal_part
+from .product import Diagonal, ProductSet
 from .sets import BallSet, HalfspaceSet, SlabSet, SpanSet
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks", "cycling_sets", "cycling_start"]
 
-DEFAULT_SEED = 20260815
+SEED = 20260815  # of the random instances
 
 
 @dataclass
@@ -58,26 +62,25 @@ class CheckResult:
     detail: str
 
 
-def cycling_sets(alpha: float = 5.0, beta: float = 5.0):
+def cycling_sets():
     """The two stripe-complement sets of the period-2 splitting orbit.
 
-    C_1 = {|x_2 - x_1| <= alpha} and C_2 = {|x_2 - x_1| >= beta} in the
-    plane, both with exact projectors.
+    C_1 = {|x_2 - x_1| <= 5} and C_2 = {|x_2 - x_1| >= 5} in the plane,
+    both with exact projectors.
     """
-    if not 0 < beta <= alpha:
-        raise InvalidSpecError("need 0 < beta <= alpha")
-    stripe = SlopeConstraint(SlopeBounds([alpha]), "odd", 2)
-    complement = SlopeConstraint(SlopeBounds([math.inf], [beta]), "odd", 2)
+    stripe = SlopeConstraint(SlopeBounds([5.0]), "odd", 2)
+    complement = SlopeConstraint(SlopeBounds([math.inf], [5.0]), "odd", 2)
     return [stripe, complement]
 
 
-def cycling_start(xi: float = 0.0, eps: float = 1.0) -> np.ndarray:
-    """The product start (xi, xi-eps, xi-2eps, xi+eps) of the orbit, as (2, 2)."""
-    return np.array([[xi, xi - eps], [xi - 2.0 * eps, xi + eps]])
+def cycling_start() -> np.ndarray:
+    """The product start (0, -1, -2, 1) of the orbit, as (2, 2)."""
+    return np.array([[0.0, -1.0], [-2.0, 1.0]])
 
 
-def check_dr_cycling(steps: int = 100, tolerance: float = 1e-12) -> CheckResult:
-    sets = cycling_sets()
+def check_dr_cycling() -> CheckResult:
+    steps, tolerance = 100, 1e-12
+    product_set, diagonal = ProductSet(cycling_sets()), Diagonal()
     even = cycling_start()
     odd = np.array([[-1.0, 0.0], [1.0, -2.0]])
     monitors = (np.array([-1.0, 0.0]), np.array([0.0, -1.0]))
@@ -85,12 +88,12 @@ def check_dr_cycling(steps: int = 100, tolerance: float = 1e-12) -> CheckResult:
     parts = even.copy()
     worst = 0.0
     for k in range(1, steps + 1):
-        parts = dr_step(parts, sets)
+        parts = dr_two_set_step(parts, product_set, diagonal)[0]
         expected = odd if k % 2 else even
         worst = max(
             worst,
             float(np.max(np.abs(parts - expected))),
-            float(np.max(np.abs(diagonal_part(parts) - monitors[k % 2]))),
+            float(np.max(np.abs(diagonal.project(parts) - monitors[k % 2]))),
         )
     return CheckResult(
         name="dr-cycling",
@@ -101,18 +104,24 @@ def check_dr_cycling(steps: int = 100, tolerance: float = 1e-12) -> CheckResult:
     )
 
 
-def check_disk_line_gap(tolerance: float = 1e-6) -> CheckResult:
+def _dykstra_rounds(set_a, set_b, v, rounds: int):
+    """Iterates of `CyclicDykstra` on two sets after each round of two projections."""
+    algo = CyclicDykstra([set_a, set_b], v)
+    iterates = []
+    for _ in range(rounds):
+        algo.step()
+        algo.step()
+        iterates.append(algo.monitor())
+    return iterates
+
+
+def check_disk_line_gap() -> CheckResult:
+    tolerance = 1e-6
     disk = BallSet([0.0, 1.0], 1.0)
     line = SpanSet([[1.0, 0.0]])
     v = np.array([1.0, 0.0])
 
-    b = v.copy()
-    p = np.zeros(2)
-    q = np.zeros(2)
-    b_iterates = []
-    for _ in range(2):
-        _, b, p, q = dykstra_two_set_step(b, p, q, disk, line)
-        b_iterates.append(b)
+    b_iterates = _dykstra_rounds(disk, line, v, 2)
 
     x = v.copy()
     y_iterates = []
@@ -142,19 +151,14 @@ def check_disk_line_gap(tolerance: float = 1e-6) -> CheckResult:
     )
 
 
-def check_dykstra_halving(
-    rounds: int = 30, tolerance: float = 1e-10, admm_tolerance: float = 1e-12
-) -> CheckResult:
+def check_dykstra_halving() -> CheckResult:
+    rounds, tolerance, admm_tolerance = 30, 1e-10, 1e-12
     diag = SpanSet([[1.0, 1.0]])
     axis = SpanSet([[1.0, 0.0]])
     v = np.array([1.0, 0.0])
 
-    b = v.copy()
-    p = np.zeros(2)
-    q = np.zeros(2)
     worst = 0.0
-    for k in range(1, rounds + 1):
-        _, b, p, q = dykstra_two_set_step(b, p, q, diag, axis)
+    for k, b in enumerate(_dykstra_rounds(diag, axis, v, rounds), start=1):
         worst = max(worst, float(np.max(np.abs(b - [0.5**k, 0.0]))))
 
     bb, u = v.copy(), np.zeros(2)
@@ -190,13 +194,9 @@ def _random_convex_set(rng, n: int):
     return SpanSet(rng.standard_normal((dim, n)))
 
 
-def check_dr_admm_equivalence(
-    instances: int = 20,
-    steps: int = 50,
-    tolerance: float = 1e-9,
-    seed: int = DEFAULT_SEED,
-) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_dr_admm_equivalence() -> CheckResult:
+    instances, steps, tolerance = 20, 50, 1e-9
+    rng = np.random.default_rng(SEED)
     n = 4
     worst = 0.0
     for _ in range(instances):
@@ -227,13 +227,9 @@ def check_dr_admm_equivalence(
     )
 
 
-def check_alternating_collapse(
-    instances: int = 20,
-    steps: int = 30,
-    tolerance: float = 1e-9,
-    seed: int = DEFAULT_SEED,
-) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_alternating_collapse() -> CheckResult:
+    instances, steps, tolerance = 20, 30, 1e-9
+    rng = np.random.default_rng(SEED)
     n = 5
     worst = 0.0
     for _ in range(instances):

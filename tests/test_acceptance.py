@@ -68,7 +68,7 @@ def announce(capsys):
 
 def test_splitting_orbit_cycles_with_period_two(announce):
     started = time.perf_counter()
-    res = verify.check_dr_cycling(steps=100, tolerance=1e-12)
+    res = verify.check_dr_cycling()
     elapsed = time.perf_counter() - started
     ok = res.passed and elapsed < 1.0
     announce(
@@ -76,34 +76,39 @@ def test_splitting_orbit_cycles_with_period_two(announce):
         ok,
         f"{res.detail}; {elapsed * 1e3:.0f} ms",
     )
+    assert res.tolerance == 1e-12
     assert res.passed, res
     assert elapsed < 1.0
 
 
 def test_disk_line_instance_separates_anchored_methods(announce):
-    res = verify.check_disk_line_gap(tolerance=1e-6)
+    res = verify.check_disk_line_gap()
     announce("anchored splitting and Dykstra disagree on the disk/line instance",
              res.passed, res.detail)
+    assert res.tolerance == 1e-6
     assert res.passed, res
 
 
 def test_dykstra_halving_and_admm_finite_landing(announce):
-    res = verify.check_dykstra_halving(rounds=30, tolerance=1e-10, admm_tolerance=1e-12)
+    res = verify.check_dykstra_halving()
     announce("Dykstra halves toward the meeting point, ADMM lands in two rounds",
              res.passed, res.detail)
+    assert res.tolerance == 1e-10
     assert res.passed, res
 
 
 def test_splitting_admm_iterate_pairing(announce):
-    res = verify.check_dr_admm_equivalence(instances=20, steps=50, tolerance=1e-9)
+    res = verify.check_dr_admm_equivalence()
     announce("two-set splitting and ADMM iterates stay paired", res.passed, res.detail)
+    assert res.tolerance == 1e-9
     assert res.passed, res
 
 
 def test_anchored_splitting_collapses_on_subspaces(announce):
-    res = verify.check_alternating_collapse(instances=20, steps=30, tolerance=1e-9)
+    res = verify.check_alternating_collapse()
     announce("anchored splitting collapses to alternating projections on subspaces",
              res.passed, res.detail)
+    assert res.tolerance == 1e-9
     assert res.passed, res
 
 

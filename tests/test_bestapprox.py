@@ -82,16 +82,20 @@ def test_q_operator_is_projection_onto_halfspace_pair(rng):
 
 # -------------------------------------------------- two-set recursions
 
+def _dykstra_round(algo):
+    """Two CyclicDykstra steps on two sets: one projection onto each."""
+    algo.step()
+    algo.step()
+    return algo.monitor()
+
+
 def test_dykstra_two_set_halving():
     # diagonal and axis lines: the Dykstra b-iterates are (2^-k, 0) exactly
     diag = SpanSet([[1.0, 1.0]])
     axis = SpanSet([[1.0, 0.0]])
-    b = np.array([1.0, 0.0])
-    p = np.zeros(2)
-    q = np.zeros(2)
+    algo = F.CyclicDykstra([diag, axis], [1.0, 0.0])
     for k in range(1, 31):
-        _, b, p, q = BA.dykstra_two_set_step(b, p, q, diag, axis)
-        assert_allclose(b, [0.5 ** k, 0.0], atol=1e-10)
+        assert_allclose(_dykstra_round(algo), [0.5 ** k, 0.0], atol=1e-10)
 
 
 def test_disk_line_second_iterates_differ():
@@ -101,11 +105,8 @@ def test_disk_line_second_iterates_differ():
     line = SpanSet([[1.0, 0.0]])
     v = np.array([1.0, 0.0])
 
-    b, p, q = v.copy(), np.zeros(2), np.zeros(2)
-    bs = []
-    for _ in range(2):
-        _, b, p, q = BA.dykstra_two_set_step(b, p, q, disk, line)
-        bs.append(b.copy())
+    algo = F.CyclicDykstra([disk, line], v)
+    bs = [_dykstra_round(algo).copy() for _ in range(2)]
 
     x = v.copy()
     ys = []
@@ -125,13 +126,17 @@ def test_disk_line_second_iterates_differ():
 
 def test_cyclic_dykstra_class_matches_two_set_recursion():
     # the per-projection class bookkeeping must reproduce the two-set rounds
+    # a = P_A(b + p), p' = b + p - a, b' = P_B(a + q), q' = a + q - b'
     disk = BallSet([0.0, 1.0], 1.0)
     line = SpanSet([[1.0, 0.0]])
     v = np.array([1.0, 0.0])
     algo = F.CyclicDykstra([disk, line], v)
     b, p, q = v.copy(), np.zeros(2), np.zeros(2)
     for _ in range(8):
-        _, b, p, q = BA.dykstra_two_set_step(b, p, q, disk, line)
+        a = disk.project(b + p)
+        p = b + p - a
+        b = line.project(a + q)
+        q = a + q - b
         algo.step()  # projection onto the disk
         algo.step()  # projection onto the line
         assert_allclose(algo.monitor(), b, atol=1e-12)

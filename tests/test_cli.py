@@ -288,6 +288,33 @@ def test_bad_list_values_exit_1(tmp_path, monkeypatch, capsys):
     assert "unknown check(s): 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("LENGTHS", "inf"), ("LENGTHS", "nan"), ("LENGTHS", "1e300"), ("LENGTHS", "1e9"),
+     ("XI_MAX", "nan")],
+)
+def test_bad_generator_input_exits_1(tmp_path, name, value):
+    # each value is rejected before any draw; 1e9 would otherwise run a
+    # per-station loop over tens of millions of stations, so a fresh
+    # interpreter with a timeout bounds the wait
+    proc = subprocess.run(
+        [sys.executable, "-m", "vertipy.cli", "generate", "--out", str(tmp_path / "o"),
+         "--count", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(
+            os.environ,
+            PYTHONPATH=str(Path(vertipy.__file__).parents[1]),
+            **{f"VERTIPY_{name}": value},
+        ),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_all_checks_pass(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out

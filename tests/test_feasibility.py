@@ -9,6 +9,7 @@ from vertipy import verify
 from vertipy.feasibility import AlgorithmConfigError, FeasibilityProblem
 from vertipy.geometry import InvalidSpecError
 from vertipy.metrics import StopRule
+from vertipy.product import Diagonal, ProductSet
 from vertipy.sets import HalfspaceSet, SlabSet, SpanSet
 
 
@@ -79,7 +80,7 @@ def test_exaltp_requires_affine_first():
 def test_dr_step_one_round():
     sets = _half_and_axis()
     parts = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = F.dr_step(parts, sets)
+    out, _ = F.dr_two_set_step(parts, ProductSet(sets), Diagonal())
     # xbar = (1,1); row i becomes x_i - xbar + P_i(2 xbar - x_i) = P_i(1,1)
     assert_allclose(out, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
@@ -178,6 +179,10 @@ def test_run_unknown_algorithm():
     prob = FeasibilityProblem(v=[1.0, 1.0], sets=_half_and_axis())
     with pytest.raises(AlgorithmConfigError):
         F.run("Newton", prob)
+    # a feasible start does not hide the unknown name behind a converged record
+    feasible = FeasibilityProblem(v=[-1.0, 0.0], sets=_half_and_axis())
+    with pytest.raises(AlgorithmConfigError):
+        F.run("Newton", feasible)
 
 
 # ------------------------------------------- the period-2 splitting orbit
@@ -196,12 +201,12 @@ def test_dr_cycles_from_product_start():
 
 
 def test_dr_orbit_is_exactly_period_two():
-    sets = verify.cycling_sets()
+    product_set, diagonal = ProductSet(verify.cycling_sets()), Diagonal()
     even = verify.cycling_start()
     odd = np.array([[-1.0, 0.0], [1.0, -2.0]])
     parts = even.copy()
     for k in range(1, 9):
-        parts = F.dr_step(parts, sets)
+        parts, _ = F.dr_two_set_step(parts, product_set, diagonal)
         assert_allclose(parts, odd if k % 2 else even, atol=1e-12)
 
 

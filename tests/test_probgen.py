@@ -21,6 +21,24 @@ def test_point_count_range_frozen():
         probgen.point_count_range(10.0, 100.0)
 
 
+def test_bad_spec_fails_before_any_draw():
+    # a length that would need more than MAX_STATIONS stations, or one that
+    # is not finite, is rejected before the per-station loop could start
+    for length in (1e9, 1e300, float("inf"), float("nan")):
+        with pytest.raises(InvalidSpecError):
+            probgen.point_count_range(length, 30.0)
+    for bad in ({"length": float("inf")}, {"length": float("nan")}, {"speed": float("nan")},
+                {"xi_max": float("nan")}, {"xi_max": float("inf")}, {"length": -1.0}):
+        with pytest.raises(InvalidSpecError):
+            ProblemSpec(**{"length": 500.0, "speed": 30.0, "xi_max": 30.0, "seed": 0, **bad})
+    # the largest station count on the default grid stays well inside the cap
+    assert max(
+        probgen.point_count_range(length, speed)[1]
+        for length in probgen.DEFAULT_LENGTHS
+        for speed in probgen.DEFAULT_SPEEDS
+    ) == 712
+
+
 def test_curvature_table_covers_default_speeds():
     table = probgen.default_curvature_table()
     for speed in probgen.DEFAULT_SPEEDS:
@@ -65,7 +83,7 @@ def test_generate_postconditions(length, xi_max, speed, seed, nonconvex):
     assert np.all((v >= 0.0) & (v <= xi_max))
     # the pinned chord stays within the grade window, and on convex specs the
     # straight chord is feasible for all six sets
-    assert abs(v[-1] - v[0]) <= 0.9 * spec.sigma_max * bp.t[-1] + 1e-9
+    assert abs(v[-1] - v[0]) <= 0.9 * prob.meta["sigma_max"] * bp.t[-1] + 1e-9
     if not nonconvex:
         chord = np.interp(bp.t, bp.t[[0, -1]], v[[0, -1]])
         for c in prob.sets:
@@ -83,7 +101,7 @@ def test_generate_constraint_sets_structure():
     assert_allclose(interp.spec.values, [prob.v[0], prob.v[-1]], atol=0)
     # slope caps are per-interval grade times interval length
     slope = prob.sets[1]
-    assert_allclose(slope.bounds.alpha, spec.sigma_max * prob.breakpoints.tau, atol=0)
+    assert_allclose(slope.bounds.alpha, prob.meta["sigma_max"] * prob.breakpoints.tau, atol=0)
     assert slope.bounds.beta is None
 
 
