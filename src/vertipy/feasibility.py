@@ -18,13 +18,14 @@ require the monitored step length to drop below eps.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bestapprox, product
-from .geometry import Breakpoints, InvalidSpecError
+from .geometry import Breakpoints, InvalidSpecError, ProfileKernel
 from .metrics import RunRecord, StopRule, proximity_squared_sum
 from .superior import Superiorized
 
@@ -33,6 +34,7 @@ __all__ = [
     "FeasibilityProblem",
     "cycp_step",
     "cycp_plus_step",
+    "project_each",
     "parp_step",
     "sap_step",
     "exparp_step",
@@ -102,18 +104,26 @@ def cycp_plus_step(x, sets):
     return x
 
 
-def parp_step(x, sets):
-    """Average of the projections onto every set.
+def project_each(x, sets):
+    """The projections of x onto each set, as the rows of an (m, n) array.
 
-    The projections are added in set order onto zeros and divided once:
-    bit for bit what np.mean(axis=0) gives, whose reduction also starts at
-    +0.0, without stacking them into an array first.
+    The six sets of one profile kernel, in canonical order, take its fused
+    `project_each`, whose rows equal the sets' own projections bitwise; any
+    other list stacks `c.project(x)`.
     """
-    acc = np.zeros(np.shape(x))
-    for c in sets:
-        acc += c.project(x)
-    acc /= len(sets)
-    return acc
+    kernel = ProfileKernel.owner(sets)
+    if kernel is not None:
+        return kernel.project_each(x)
+    return np.array([c.project(x) for c in sets])
+
+
+def parp_step(x, sets):
+    """Average of the projections onto every set: P_D P_C (x, ..., x).
+
+    The diagonal part of the stacked projections, i.e. their np.mean(axis=0)
+    (whose reduction starts at +0.0).
+    """
+    return product.diagonal_part(project_each(x, sets))
 
 
 def sap_step(x, sets):
@@ -136,10 +146,9 @@ def exparp_step(x, sets):
     x = np.asarray(x, dtype=float)
     disp = np.zeros_like(x)
     num = 0.0
-    for c in sets:
-        p = c.project(x)
-        disp += p - x
-        num += float(np.dot(p - x, p - x))
+    for r in project_each(x, sets) - x:
+        disp += r
+        num += float(np.dot(r, r))
     if num == 0.0:
         return x.copy()
     den = float(np.dot(disp, disp))
@@ -164,8 +173,7 @@ def exaltp_step(x, sets):
         return z
     num = 0.0
     acc = np.zeros_like(z)
-    for c in others:
-        p = c.project(z)
+    for p in project_each(z, sets)[1:]:
         acc += p
         num += float(np.dot(p - z, p - z))
     p = sets[0].project(acc / len(others))
@@ -204,15 +212,19 @@ class _SweepAlgo:
         self._step_fn = step_fn
         self.sets = list(sets)
         self.x = np.asarray(v, dtype=float).copy()
-        self._prev = None
+        self._prev = self._prev2 = None  # the inputs of the last two sweeps
 
     def step(self):
-        self._prev = self.x
+        self._prev2, self._prev = self._prev, self.x
         self.x = self._step_fn(self.x, self.sets)
 
     def stalled(self) -> bool:
         """True if the last sweep returned its input: x is a fixed point."""
         return self._prev is not None and self._prev.tobytes() == self.x.tobytes()
+
+    def cycled(self) -> bool:
+        """True if the last sweep returned the input of the sweep before: x alternates with period 2."""
+        return self._prev2 is not None and self._prev2.tobytes() == self.x.tobytes()
 
     def monitor(self):
         return self.x
@@ -450,15 +462,22 @@ def run(
     converged record with trace [0.0], once the algorithm is built (so a bad
     name still raises).  An infeasibility signal from the Q-based methods
     ends the run with converged=False and a flag.  A run whose ``stalled()``
-    says its next step changes nothing ends early, recorded exactly as if it
-    had run to the cap plus ``flags["stalled_at"]``.
+    says its next step changes nothing, or whose ``cycled()`` says its state
+    alternates between two values, ends early, recorded exactly as if it had
+    run to the cap plus ``flags["stalled_at"]`` (and ``flags["period"] = 2``
+    for a 2-cycle).
     """
     stop = stop or StopRule()
     sets = problem.sets
     v = problem.v
     start = time.perf_counter()
     algo = make_algorithm(algorithm, sets, v, **options)
-    denom = proximity_squared_sum(v, sets)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        denom = proximity_squared_sum(v, sets)
+    if not math.isfinite(denom):  # every d would be NaN, which records.jsonl cannot hold
+        raise InvalidSpecError(
+            f"{problem.problem_id}: the start's squared proximity is {denom}, not a finite number"
+        )
     if denom == 0.0:
         return RunRecord(
             problem_id=problem.problem_id,
@@ -472,10 +491,12 @@ def run(
 
     needs_small_step = algo.kind == "ba"
     stalled = getattr(algo, "stalled", None)
+    cycled = getattr(algo, "cycled", None)
     trace = [1.0]
     converged = trace[-1] < stop.eps
     iterations = 0
     prev = v
+    final = None
     flags = {}
     if not converged:
         for k in range(1, stop.k_max + 1):
@@ -495,13 +516,26 @@ def run(
                 converged = True
                 break
             if stalled is not None and d == trace[-2] and stalled():
-                trace.extend([d] * (stop.k_max - k))
-                iterations = stop.k_max
-                flags["stalled_at"] = k
-                break
-            prev = x
+                period = 1
+            elif cycled is not None and k > 1 and d == trace[-3] and cycled():
+                period = 2
+            else:
+                prev = x
+                continue
+            # every later pass repeats the last `period` ones: record what the cap would give
+            remaining = stop.k_max - k
+            tail = trace[-period:]
+            trace.extend(tail[j % period] for j in range(remaining))
+            if remaining % period:
+                final = prev
+            iterations = stop.k_max
+            flags["stalled_at"] = k
+            if period > 1:
+                flags["period"] = period
+            break
 
-    final = algo.monitor()  # every algorithm starts its monitor at v
+    if final is None:
+        final = algo.monitor()  # every algorithm starts its monitor at v
     return RunRecord(
         problem_id=problem.problem_id,
         algorithm=algorithm,

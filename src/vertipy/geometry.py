@@ -40,14 +40,19 @@ triples of curvature block b tile x[b-1 : b-1 + 3k], so the set reads and
 updates its pairs or triples as the rows of a (k, 2) or (k, 3) view.  Each
 set computes the bounds and weights of its rows from its own spec on first
 use.  The six sets of one problem share a :class:`ProfileKernel` that
-holds their fused monitor: `proximity2` takes all n-1 differences and n-2
-triples in one pass and returns exactly (bitwise) the sum of the six sets'
-squared residuals in canonical order: each residual is rounded to a float
-as the set's own `residual` rounds it, the slope gaps are permuted
-so each parity's dot product runs on a contiguous slice (np.dot on a
-strided view rounds differently), and each curvature block sums its
-every-third-triple slice, which np.add.reduce adds as it adds a contiguous
-copy.
+holds their fused monitor and their fused projections, each of which takes
+all n-1 differences and n-2 triples in one pass.  `proximity2` returns
+exactly (bitwise) the sum of the six sets' squared residuals in canonical
+order: each residual is rounded to a float as the set's own `residual`
+rounds it, the slope gaps are permuted so each parity's dot product runs
+on a contiguous slice (np.dot on a strided view rounds differently), and
+each curvature block sums its every-third-triple slice, which
+np.add.reduce adds as it adds a contiguous copy.  `project_each` returns
+the six projections of one point as the rows of a (6, n) array: it
+computes every pair's shift h and every triple's move coef * u once, with
+the helpers the sets' own operators use, and scatters each into its set's
+row.  All of that arithmetic is elementwise, so each row is bitwise the
+set's `project`.
 """
 
 from __future__ import annotations
@@ -245,6 +250,32 @@ def _slope_interval(bounds):
     return (-alpha if bounds.convex else bounds.beta), alpha
 
 
+def _slope_maps(lo, hi, convex):
+    # the exact and the intrepid target map d -> d* of differences on [lo, hi]
+    maps = _interval_maps(lo, hi)
+    if convex:
+        return maps
+    # the tie d = 0: the projection goes up to +beta, the intrepid map down
+    return partial(_mirrored, maps[0], up=True), partial(_mirrored, maps[1], up=False)
+
+
+def _pair_shift(d, dstar):
+    # h of pairs with differences d: the pair (x_i, x_{i+1}) moves to (x_i - h, x_{i+1} + h)
+    return 0.5 * (dstar(d) - d)
+
+
+def _inner(w, a, b, c):
+    # s = <u, (a, b, c)> of each triple, u = (tau_{i+1}, -(tau_i + tau_{i+1}), tau_i)
+    t0, t1, t01 = w[:3]
+    return t1 * a - t01 * b + t0 * c
+
+
+def _triple_moves(s, sstar, w):
+    # the (k, 3) moves coef * u of triples with inner products s, coef = (s* - s)/||u||^2;
+    # a + coef * (-(t0 + t1)) is a - coef * (t0 + t1) bitwise, signed zeros included
+    return ((sstar(s) - s) / w[5])[:, None] * w[6]
+
+
 def _slope_residual(gap):
     # each violated pair moves by gap/2 in two coordinates; `gap` must be
     # contiguous, since np.dot on a strided view rounds differently
@@ -358,9 +389,11 @@ def _check_curvature_args(x, i, bounds, bp):
 
 
 def _triple_weights(bounds, bp):
+    # t0, t1, t0 + t1, lo, hi, ||u||^2 and the rows u over all n-2 triples
     t0, t1 = bp.tau[:-1], bp.tau[1:]
     t01 = t0 + t1
-    return t0, t1, t01, bounds.delta * t0 * t1, bounds.gamma * t0 * t1, t0 * t0 + t1 * t1 + t01**2
+    lo, hi = bounds.delta * t0 * t1, bounds.gamma * t0 * t1
+    return t0, t1, t01, lo, hi, t0 * t0 + t1 * t1 + t01**2, np.stack([t1, -t01, t0], axis=1)
 
 
 def _on_triple(op, x, i, bounds, bp):
@@ -407,20 +440,22 @@ def project_curvature_block(x, block: int, bounds: CurvatureBounds, bp: Breakpoi
 
 
 # ---------------------------------------------------------------------------
-# profile kernel: the fused monitor of one problem's six sets
+# profile kernel: the fused monitor and projections of one problem's six sets
 
 
 _CANONICAL_TAGS = ("Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3")
 
 
 class ProfileKernel:
-    """The fused proximity monitor of one problem's six profile sets.
+    """The fused monitor and projections of one problem's six profile sets.
 
     `probgen.build_constraint_sets` builds one from all four specs and makes
     the six constraints on it with `constraint_sets`, the only place that
     sets a constraint's `kernel`.  `perm` lists the even-parity differences,
-    then the odd; `slope_interval` holds the interval of every difference and
-    `weights` the curvature weights over all triples.
+    then the odd; `slope_interval` holds the interval of every difference,
+    `slope_maps` its target maps, and `weights` the curvature weights over
+    all triples.  `proximity2` is the fused monitor and `project_each` the
+    six projections of one point.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and a problem sent to a pool worker
@@ -446,9 +481,19 @@ class ProfileKernel:
         return _slope_interval(self.slope)
 
     @cached_property
+    def slope_maps(self):
+        """The exact and the intrepid target map of all n-1 differences."""
+        return _slope_maps(*self.slope_interval, self.slope.convex)
+
+    @cached_property
     def weights(self):
-        """t0 = tau_i, t1 = tau_{i+1}, t0 + t1, lo, hi and ||u||^2 over all n-2 triples."""
+        """t0 = tau_i, t1 = tau_{i+1}, t0 + t1, lo, hi, ||u||^2 and u over all n-2 triples."""
         return _triple_weights(self.curvature, self.bp)
+
+    @cached_property
+    def curvature_maps(self):
+        """The exact and the intrepid target map of all n-2 triples."""
+        return _interval_maps(*self.weights[3:5])
 
     def constraint_sets(self) -> list:
         """The six sets on this kernel, in canonical order."""
@@ -470,6 +515,18 @@ class ProfileKernel:
             for c, tag in zip(sets, _CANONICAL_TAGS)
         )
 
+    @staticmethod
+    def owner(sets):
+        """The kernel that owns `sets` (see `owns`), or None."""
+        kernel = getattr(sets[0], "kernel", None) if len(sets) else None
+        return kernel if kernel is not None and kernel.owns(sets) else None
+
+    def _check(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):  # as the first set, Interp, would report it
+            raise InvalidSpecError(f"Interp: expected shape ({self.n},), got {x.shape}")
+        return x
+
     def proximity2(self, x) -> float:
         """Sum of squared distances from x to the six sets, in one pass.
 
@@ -478,13 +535,11 @@ class ProfileKernel:
         constraint's `residual` rounds it, slope dots run on contiguous
         slices, and a curvature block sums its every-third-triple slice.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):  # as the first set, Interp, would report it
-            raise InvalidSpecError(f"Interp: expected shape ({self.n},), got {x.shape}")
+        x = self._check(x)
         d = x[1:] - x[:-1]
         gap = _gap(d if self.slope.convex else np.abs(d), *self.slope_interval)[self.perm]
-        t0, t1, t01, lo, hi, unorm2 = self.weights
-        terms = _curvature_terms(t1 * x[:-2] - t01 * x[1:-1] + t0 * x[2:], lo, hi, unorm2)
+        lo, hi, unorm2 = self.weights[3:6]
+        terms = _curvature_terms(_inner(self.weights, x[:-2], x[1:-1], x[2:]), lo, hi, unorm2)
         k = (self.n - 1) // 2  # even-parity differences
         r = (
             _interp_residual(x, self.interp),
@@ -495,6 +550,46 @@ class ProfileKernel:
             _curvature_residual(terms[2::3]),
         )
         return float(sum(ri ** 2 for ri in r))
+
+    @cached_property
+    def scatter(self):
+        """Flat positions in project_each's (6, n) output that the moves update.
+
+        Difference i moves x_i (first array) and x_{i+1} (second) in the
+        SlopeOdd row if i is even, in the SlopeEven row if odd.  Triple i
+        moves (x_i, x_{i+1}, x_{i+2}) in the row of block i % 3 + 1; the third
+        array lists these in the row-major order of the (n-2, 3) moves.  No
+        position occurs twice in one array.
+        """
+        n = self.n
+        i = np.arange(n - 1)
+        left = (2 - i % 2) * n + i
+        i = np.arange(n - 2)
+        triples = ((3 + i % 3) * n + i)[:, None] + np.arange(3)
+        return left, left + 1, triples.ravel()
+
+    def project_each(self, x) -> np.ndarray:
+        """The projections of x onto the six sets, as the rows of a (6, n) array.
+
+        Every pair move and every triple move is computed once, over all n-1
+        differences and all n-2 triples, and scattered into its set's row
+        through `scatter`.  The moves are the sets' own (the same helpers on
+        the same numbers), so each row equals that set's `project(x)`
+        bitwise.
+        """
+        x = self._check(x)
+        out = np.empty((len(_CANONICAL_TAGS), self.n))
+        out[:] = x
+        out[0, self.interp.indices] = self.interp.values
+        flat = out.reshape(-1)
+        left, right, triples = self.scatter
+        h = _pair_shift(x[1:] - x[:-1], self.slope_maps[0])
+        flat[left] -= h
+        flat[right] += h
+        w = self.weights
+        s = _inner(w, x[:-2], x[1:-1], x[2:])
+        flat[triples] += _triple_moves(s, self.curvature_maps[0], w).ravel()
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +678,7 @@ class SlopeConstraint(Constraint):
     @cached_property
     def _dstar(self):
         """The exact and the intrepid target map d -> d* of this parity's pairs."""
-        maps = _interval_maps(*self._interval)
-        if self.convex:
-            return maps
-        # the tie d = 0: the projection goes up to +beta, the intrepid map down
-        return partial(_mirrored, maps[0], up=True), partial(_mirrored, maps[1], up=False)
+        return _slope_maps(*self._interval, self.convex)
 
     def _pairs(self, x):
         k = self._interval[1].size
@@ -596,8 +687,7 @@ class SlopeConstraint(Constraint):
     def _move(self, x, dstar):
         out = self._check(x).copy()
         pairs = self._pairs(out)
-        d = pairs[:, 1] - pairs[:, 0]
-        h = 0.5 * (dstar(d) - d)
+        h = _pair_shift(pairs[:, 1] - pairs[:, 0], dstar)
         pairs[:, 0] -= h
         pairs[:, 1] += h
         return out
@@ -630,7 +720,7 @@ class CurvatureConstraint(Constraint):
 
     @cached_property
     def _weights(self):
-        """t0, t1, t0 + t1, lo, hi and ||u||^2 of this block's triples, contiguous."""
+        """t0, t1, t0 + t1, lo, hi, ||u||^2 and u of this block's triples, contiguous."""
         return tuple(w[self.block - 1 :: 3].copy() for w in _triple_weights(self.bounds, self.bp))
 
     @cached_property
@@ -638,20 +728,14 @@ class CurvatureConstraint(Constraint):
         """The exact and the intrepid target map s -> s* of this block's triples."""
         return _interval_maps(*self._weights[3:5])
 
-    def _triples_and_s(self, x):
-        t0, t1, t01 = self._weights[:3]
-        k = t0.size
-        triples = x[self.block - 1 : self.block - 1 + 3 * k].reshape(k, 3)
-        return triples, t1 * triples[:, 0] - t01 * triples[:, 1] + t0 * triples[:, 2]
+    def _triples(self, x):
+        k = self._weights[0].size
+        return x[self.block - 1 : self.block - 1 + 3 * k].reshape(k, 3)
 
     def _move(self, x, sstar):
         out = self._check(x).copy()
-        triples, s = self._triples_and_s(out)
-        t0, t1, t01, _, _, unorm2 = self._weights
-        coef = (sstar(s) - s) / unorm2
-        triples[:, 0] += coef * t1
-        triples[:, 1] -= coef * t01
-        triples[:, 2] += coef * t0
+        triples = self._triples(out)
+        triples += _triple_moves(_inner(self._weights, *triples.T), sstar, self._weights)
         return out
 
     def project(self, x):
@@ -661,6 +745,5 @@ class CurvatureConstraint(Constraint):
         return self._move(x, self._sstar[1])
 
     def residual(self, x):
-        _, s = self._triples_and_s(self._check(x))
-        lo, hi, unorm2 = self._weights[3:]
-        return _curvature_residual(_curvature_terms(s, lo, hi, unorm2))
+        s = _inner(self._weights, *self._triples(self._check(x)).T)
+        return _curvature_residual(_curvature_terms(s, *self._weights[3:6]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InvalidSpecError
+from .geometry import InvalidSpecError, ProfileKernel
 
 __all__ = [
     "UndefinedNormalizerError",
@@ -80,8 +80,8 @@ def proximity_squared_sum(x, sets) -> float:
     `proximity2`, which returns this same sum bitwise; any other list sums
     the residuals of its sets in order.
     """
-    kernel = getattr(sets[0], "kernel", None) if len(sets) else None
-    if kernel is not None and kernel.owns(sets):
+    kernel = ProfileKernel.owner(sets)
+    if kernel is not None:
         return kernel.proximity2(x)
     return float(sum(c.residual(x) ** 2 for c in sets))
 

@@ -115,6 +115,8 @@ def point_count_range(length: float, speed: float) -> tuple[int, int]:
 
 def child_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit per-problem seed derived from the batch master seed."""
+    if int(master_seed) < 0:  # SeedSequence would raise a bare ValueError
+        raise InvalidSpecError(f"seed must be a non-negative integer, got {master_seed}")
     state = np.random.SeedSequence([int(master_seed), int(index)]).generate_state(2)
     return (int(state[0]) << 32) | int(state[1])
 

@@ -315,6 +315,32 @@ def test_bad_generator_input_exits_1(tmp_path, name, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys):
+    # SeedSequence rejects it with a bare ValueError; the check comes before any draw
+    out = tmp_path / "flag"
+    assert cli.main(["generate", "--out", str(out), "--count", "1", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer") and "Traceback" not in err
+    monkeypatch.setenv("VERTIPY_SEED", "-1")
+    assert cli.main(["generate", "--out", str(tmp_path / "env"), "--count", "1"]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "env").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_overflowing_normalizer_exits_1(tmp_path, monkeypatch, capsys, jobs):
+    # a 1e300 m elevation range overflows the squared proximity of the start
+    # to inf, and every d would be NaN, which is not JSON
+    monkeypatch.setenv("VERTIPY_XI_MAX", "1e300")
+    out = _generate(tmp_path / "big", count=1)
+    monkeypatch.delenv("VERTIPY_XI_MAX")
+    args = ["run", "--out", str(out), "--algorithms", "CycP,D-R", "--jobs", jobs]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "p0000: the start's squared proximity is inf, not a finite number" in err
+    assert not (out / "records.jsonl").exists() or storage.read_records(out / "records.jsonl") == []
+
+
 def test_verify_all_checks_pass(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -3,15 +3,17 @@
 The references below are the fancy-index formulas the constraint classes
 used before they ran on row views: gather the pairs or triples of one set
 with an index array, map them with np.clip / np.select, and scatter the
-update back.  The sets must reproduce them exactly (==), and the fused
+update back.  The sets must reproduce them exactly (==), the fused
 monitor of `geometry.ProfileKernel` must reproduce the per-set residual sum
-exactly.
+exactly, and its fused projections each set's `project`, as must the ParP,
+ExParP and ExAltP steps built on them.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vertipy import feasibility as F
 from vertipy.geometry import (
     Breakpoints,
     CurvatureBounds,
@@ -19,13 +21,14 @@ from vertipy.geometry import (
     InterpolationConstraint,
     InterpolationSpec,
     InvalidSpecError,
+    ProfileKernel,
     SlopeBounds,
     SlopeConstraint,
     intrepid_curvature_single,
     project_curvature_single,
 )
 from vertipy.metrics import proximity_squared_sum
-from vertipy.probgen import build_constraint_sets
+from vertipy.probgen import ProblemSpec, build_constraint_sets, generate
 
 
 # ------------------------------------------------------------ references
@@ -247,6 +250,8 @@ def test_other_set_lists_take_the_generic_sum():
     assert all(c.kernel is kernel for c in sets) and kernel.owns(sets)
     for others in (sets[::-1], sets[:5], sets[1:], [*sets[:3], *sets[3:]]):
         assert proximity_squared_sum(x, others) == float(sum(c.residual(x) ** 2 for c in others))
+        stacked = np.array([c.project(x) for c in others])
+        assert F.project_each(x, others).tobytes() == stacked.tobytes()
     # a second problem's sets are not this kernel's; a fresh list from it is
     twin, _ = _problem(40, 3, False)
     assert not kernel.owns(twin) and not kernel.owns([*sets[:5], twin[5]])
@@ -257,17 +262,25 @@ def test_fused_monitor_checks_shape():
     sets, x = _problem(12, 0, False)
     with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
         proximity_squared_sum(x[:-1], sets)
+    with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
+        F.project_each(x[:-1], sets)
+
+
+def _standalone(kernel):
+    """The kernel's six sets built again without it: they take the per-set paths."""
+    n = kernel.n
+    return [
+        InterpolationConstraint(kernel.interp, n),
+        SlopeConstraint(kernel.slope, "even", n),
+        SlopeConstraint(kernel.slope, "odd", n),
+        *(CurvatureConstraint(kernel.curvature, kernel.bp, b) for b in (1, 2, 3)),
+    ]
 
 
 def test_standalone_constraints_have_no_kernel():
     sets, x = _problem(12, 0, False)
     kernel = sets[0].kernel
-    alone = [
-        InterpolationConstraint(kernel.interp, 12),
-        SlopeConstraint(kernel.slope, "even", 12),
-        SlopeConstraint(kernel.slope, "odd", 12),
-        *(CurvatureConstraint(kernel.curvature, kernel.bp, b) for b in (1, 2, 3)),
-    ]
+    alone = _standalone(kernel)
     assert all(c.kernel is None for c in alone) and not kernel.owns(alone)
     # they take the generic sum, which the kernel's own sets match bitwise
     generic = float(sum(c.residual(x) ** 2 for c in alone))
@@ -302,3 +315,114 @@ def test_single_curvature_operators_equal_reference(n, seed, nonconvex):
         for op, fn in single.items():
             want = _ref_curvature(x, bounds, bp, np.array([i]), op)
             assert fn(x, i, bounds, bp).tobytes() == want.tobytes(), (i, op)
+
+
+# ------------------------------------------------------------ fused projections
+
+
+def _with_edges(sets, x, seed, inf_alpha, inf_curvature):
+    """The problem with some bounds made infinite, and x with some entries set to +-0.0."""
+    kernel = sets[0].kernel
+    rng = np.random.default_rng(seed)
+    n = kernel.n
+    alpha, beta = kernel.slope.alpha.copy(), kernel.slope.beta
+    gamma, delta = kernel.curvature.gamma.copy(), kernel.curvature.delta.copy()
+    if inf_alpha:
+        alpha[rng.random(n - 1) < 0.3] = np.inf
+    if inf_curvature:
+        gamma[rng.random(n - 2) < 0.3] = np.inf
+        delta[rng.random(n - 2) < 0.3] = -np.inf
+    sets = build_constraint_sets(
+        kernel.bp, kernel.interp, SlopeBounds(alpha, beta), CurvatureBounds(gamma, delta)
+    )
+    # neighbouring signed zeros give differences of +0.0 and -0.0: the band's tie
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    return sets, np.where(rng.random(n) < 0.4, zeros, x)
+
+
+EDGES = dict(inf_alpha=st.booleans(), inf_curvature=st.booleans())
+
+
+def _edge_examples(test):
+    # n = 2 to 5 as in `_examples`, with infinite bounds
+    for n in (2, 3, 4, 5):
+        for nonconvex in (False, True):
+            test = example(n=n, seed=n, nonconvex=nonconvex, inf_alpha=True, inf_curvature=True)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@_edge_examples
+@given(**PROBLEMS, **EDGES)
+def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_alpha, inf_curvature):
+    sets, x = _with_edges(*_problem(n, seed, nonconvex), seed, inf_alpha, inf_curvature)
+    kernel = sets[0].kernel
+    for point in (x, sets[0].project(x), np.zeros(n)):
+        rows = kernel.project_each(point)
+        assert rows.shape == (6, n)
+        for row, c in zip(rows, sets):
+            assert row.tobytes() == c.project(point).tobytes(), c.tag
+        assert F.project_each(point, sets).tobytes() == rows.tobytes()
+
+
+def _ref_parp(x, sets):
+    return np.mean([c.project(x) for c in sets], axis=0)
+
+
+def _ref_exparp(x, sets):
+    # the per-set loop the fused step replaced
+    disp, num = np.zeros_like(x), 0.0
+    for c in sets:
+        p = c.project(x)
+        disp += p - x
+        num += float(np.dot(p - x, p - x))
+    den = float(np.dot(disp, disp))
+    return x.copy() if num == 0.0 or den < 1e-30 else x + (num / den) * disp
+
+
+def _ref_exaltp(x, sets):
+    z = sets[0].project(x)
+    acc, num = np.zeros_like(z), 0.0
+    for c in sets[1:]:
+        p = c.project(z)
+        acc += p
+        num += float(np.dot(p - z, p - z))
+    p = sets[0].project(acc / (len(sets) - 1))
+    den = (len(sets) - 1) * float(np.dot(p - z, p - z))
+    return z + (1.0 if (num == 0.0 or den < 1e-30) else num / den) * (p - z)
+
+
+@settings(max_examples=40, deadline=None)
+@_edge_examples
+@given(**PROBLEMS, **EDGES)
+def test_fused_steps_equal_the_per_set_steps(n, seed, nonconvex, inf_alpha, inf_curvature):
+    sets, x = _with_edges(*_problem(n, seed, nonconvex), seed, inf_alpha, inf_curvature)
+    alone = _standalone(sets[0].kernel)
+    assert sets[0].kernel.owns(sets) and ProfileKernel.owner(alone) is None
+    steps = {F.parp_step: _ref_parp, F.exparp_step: _ref_exparp, F.exaltp_step: _ref_exaltp}
+    for step, ref in steps.items():
+        for point in (x, ref(x, sets)):
+            want = ref(point, sets).tobytes()
+            assert step(point, sets).tobytes() == want, step.__name__
+            assert step(point, alone).tobytes() == want, step.__name__
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    length=st.sampled_from([500.0, 5000.0, 20000.0]),
+    speed=st.sampled_from([30.0, 80.0]),
+    seed=st.integers(0, 2**32 - 1),
+    nonconvex=st.booleans(),
+)
+def test_fused_steps_equal_the_per_set_steps_on_generated_problems(length, speed, seed, nonconvex):
+    problem = generate(
+        ProblemSpec(length=length, speed=speed, xi_max=100.0, seed=seed, nonconvex=nonconvex)
+    )
+    sets, alone = problem.sets, _standalone(problem.sets[0].kernel)
+    for name in ("ParP", "ExParP", "ExAltP"):
+        fused = F.make_algorithm(name, sets, problem.v)
+        generic = F.make_algorithm(name, alone, problem.v)
+        for _ in range(20):
+            fused.step()
+            generic.step()
+            assert fused.x.tobytes() == generic.x.tobytes(), name

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from vertipy import feasibility as F
 from vertipy.metrics import StopRule
@@ -83,11 +83,20 @@ def test_converged_runs_are_not_marked_stalled():
         assert "stalled_at" not in rec.flags, name
 
 
-def test_two_cycle_runs_to_the_cap():
-    # ExParP on this problem settles into a bitwise 2-cycle, not a fixed point
-    rec = F.run("ExParP", _nonconvex_p0010())
-    assert rec.iterations == 5000 and not rec.converged
-    assert "stalled_at" not in rec.flags
+@pytest.mark.parametrize("k_max", [1200, 1201, 5000])
+def test_two_cycle_record_matches_run_to_cap(k_max):
+    # ExParP on this problem alternates between two states bitwise from pass
+    # 937, so the state at pass 939 is the one at 937; the cap's parity picks
+    # which of the two is final
+    problem = _nonconvex_p0010()
+    stop = StopRule(k_max=k_max)
+    rec = F.run("ExParP", problem, stop)
+    iterations, converged, trace, final = _hand_run("ExParP", problem, stop)
+    assert rec.flags == {"stalled_at": 939, "period": 2}
+    assert rec.iterations == iterations == k_max
+    assert rec.converged is converged is False
+    assert rec.d_trace == trace and trace[-1] != trace[-2]
+    assert rec.final.tobytes() == final.tobytes()
 
 
 def test_product_space_and_best_approximation_never_stall():
@@ -95,6 +104,33 @@ def test_product_space_and_best_approximation_never_stall():
     problem = _convex_p0000()
     for name in ["D-R", *F.BEST_APPROXIMATION_ALGORITHMS]:
         assert not hasattr(F.make_algorithm(name, problem.sets, problem.v), "stalled"), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(F.FEASIBILITY_ALGORITHMS.keys() - {"D-R"})),
+    seed=st.integers(0, 2**32 - 1),
+    xi_max=st.sampled_from([30.0, 150.0]),
+)
+@example(name="ExParP", seed=-1, xi_max=100.0)  # seed -1: the seed-0 nonconvex p0010
+def test_cycled_means_the_sweeps_alternate(name, seed, xi_max):
+    if seed < 0:
+        problem = _nonconvex_p0010()
+    else:
+        problem = generate(
+            ProblemSpec(length=500.0, speed=30.0, xi_max=xi_max, seed=seed, nonconvex=True)
+        )
+    algo = F.make_algorithm(name, problem.sets, problem.v)
+    assert not algo.cycled()
+    for _ in range(1000):
+        algo.step()
+        if algo.cycled():
+            event(f"{name} cycled")
+            states = [algo._prev.tobytes(), algo.x.tobytes()]
+            for j in range(4):
+                algo.step()
+                assert algo.x.tobytes() == states[j % 2] and algo.cycled()
+            return
 
 
 def _state(algo):

@@ -1,0 +1,37 @@
+"""Smoke test of the layer-by-layer timing script in tools/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import vertipy
+from vertipy.feasibility import FEASIBILITY_ALGORITHMS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_op_timings_runs_with_one_repeat():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "op_timings.py"), "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(vertipy.__file__).parents[1])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["problem", "operation", "median_us", "iqr_us"]
+    tags = ("Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3")
+    ops = [f"{t}.{m}" for t in tags for m in ("project", "intrepid", "residual")]
+    ops += ["kernel.project_each", "kernel.proximity2"]
+    ops += [f"step.{name}" for name in FEASIBILITY_ALGORITHMS]
+    problems = {}
+    for row in rows:
+        pid, size, kind, op, median, iqr = row.split()
+        problems.setdefault((pid, size, kind), []).append(op)
+        assert float(median) > 0.0 and float(iqr) == 0.0, row
+    sizes = [int(size[2:]) for _, size, _ in problems]
+    assert [kind for *_, kind in problems] == ["convex"] * 3 + ["nonconvex"] * 3
+    assert all(abs(n - target) <= 0.2 * target for n, target in zip(sizes, [10, 90, 650] * 2))
+    assert all(found == ops for found in problems.values())
