@@ -40,6 +40,7 @@ from .feasibility import (
     FEASIBILITY_ALGORITHMS,
     SUPERIORIZED_ALGORITHMS,
     run as run_algorithm,
+    start_proximity2,
 )
 from .geometry import InvalidSpecError
 from .metrics import (
@@ -226,6 +227,18 @@ def _run_pair(algorithm, problem, stop, options):
     return run_algorithm(algorithm, problem, stop=stop, **options)
 
 
+def _check_starts(problems) -> None:
+    """Raise, naming every problem whose start cannot normalize a run, before any pair runs."""
+    bad = []
+    for p in problems:
+        try:
+            start_proximity2(p)
+        except InvalidSpecError as exc:
+            bad.append(str(exc))
+    if bad:
+        raise InvalidSpecError("; ".join(bad))
+
+
 def cmd_run(opts) -> int:
     out = _out_dir(opts, must_exist=True)
     problem_dir = out / "problems"
@@ -239,6 +252,8 @@ def cmd_run(opts) -> int:
     if direction not in ("away", "toward"):
         raise UsageError("superior-direction must be 'away' or 'toward'")
     jobs = opts.get("jobs", os.cpu_count() or 1, int)
+    if jobs < 1:
+        raise UsageError("jobs must be at least 1")
     options = {"direction": direction}
 
     record_path = out / "records.jsonl"
@@ -249,6 +264,8 @@ def cmd_run(opts) -> int:
     ]
     if done:
         print(f"resuming: {len(done)} finished pair(s) found, {len(pairs)} to go")
+    pending = {p.problem_id for _, p in pairs}
+    _check_starts([p for p in problems if p.problem_id in pending])
 
     started = time.perf_counter()
     if jobs > 1 and len(pairs) > 1:
@@ -279,6 +296,9 @@ def cmd_run(opts) -> int:
 
 def cmd_report(opts) -> int:
     out = _out_dir(opts, must_exist=True)
+    k_max = opts.get("k_max", 5000, int)
+    if k_max < 1:
+        raise UsageError("k-max must be at least 1")
     records = storage.read_records(out / "records.jsonl")
     if not records:
         raise UsageError(f"no records in {out / 'records.jsonl'}; run `run` first")
@@ -288,7 +308,6 @@ def cmd_report(opts) -> int:
     if missing:
         raise UsageError(f"records reference missing problem file(s): {sorted(missing)}")
 
-    k_max = opts.get("k_max", 5000, int)
     kappa, rho = performance_profile(records, k_max=k_max)
     for algorithm, curve in rho.items():
         if np.any(np.diff(curve) < 0):

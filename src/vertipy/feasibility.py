@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bestapprox, product
-from .geometry import Breakpoints, InvalidSpecError, ProfileKernel
+from .geometry import Breakpoints, InvalidSpecError, ProfileKernel, _norm
 from .metrics import RunRecord, StopRule, proximity_squared_sum
 from .superior import Superiorized
 
@@ -35,6 +35,7 @@ __all__ = [
     "cycp_step",
     "cycp_plus_step",
     "project_each",
+    "survey",
     "parp_step",
     "sap_step",
     "exparp_step",
@@ -46,6 +47,7 @@ __all__ = [
     "SUPERIORIZED_ALGORITHMS",
     "BEST_APPROXIMATION_ALGORITHMS",
     "make_algorithm",
+    "start_proximity2",
     "run",
     "HalpernWittmann",
     "CyclicDykstra",
@@ -117,13 +119,34 @@ def project_each(x, sets):
     return np.array([c.project(x) for c in sets])
 
 
+def survey(x, sets):
+    """(proximity_squared_sum(x, sets), project_each(x, sets)), bitwise.
+
+    The six sets of one profile kernel, in canonical order, take its fused
+    `survey`, which computes both in one pass; any other list computes the
+    two separately.
+    """
+    kernel = ProfileKernel.owner(sets)
+    if kernel is not None:
+        return kernel.survey(x)
+    return proximity_squared_sum(x, sets), project_each(x, sets)
+
+
+# Each parallel step below is a combine of the rows of project_each, so that
+# a sweep that already holds those rows (see `_Surveyed`) can step from them.
+
+
+def _parp_from(x, rows, sets):
+    return product.diagonal_part(rows)
+
+
 def parp_step(x, sets):
     """Average of the projections onto every set: P_D P_C (x, ..., x).
 
     The diagonal part of the stacked projections, i.e. their np.mean(axis=0)
     (whose reduction starts at +0.0).
     """
-    return product.diagonal_part(project_each(x, sets))
+    return _parp_from(x, project_each(x, sets), sets)
 
 
 def sap_step(x, sets):
@@ -136,17 +159,11 @@ def sap_step(x, sets):
     return acc / len(sets)
 
 
-def exparp_step(x, sets):
-    """Extrapolated parallel projections.
-
-    Steps past the averaged projection by the ratio of the summed squared
-    residuals to the squared norm of the summed displacement; identity on
-    the intersection.
-    """
+def _exparp_from(x, rows, sets):
     x = np.asarray(x, dtype=float)
     disp = np.zeros_like(x)
     num = 0.0
-    for r in project_each(x, sets) - x:
+    for r in rows - x:
         disp += r
         num += float(np.dot(r, r))
     if num == 0.0:
@@ -155,6 +172,42 @@ def exparp_step(x, sets):
     if den < 1e-30:  # residual displacements cancelled; nothing sensible to extrapolate
         return x.copy()
     return x + (num / den) * disp
+
+
+def exparp_step(x, sets):
+    """Extrapolated parallel projections.
+
+    Steps past the averaged projection by the ratio of the summed squared
+    residuals to the squared norm of the summed displacement; identity on
+    the intersection.
+    """
+    return _exparp_from(x, project_each(x, sets), sets)
+
+
+def _exaltp_at(z, rows, sets):
+    # the ExAltP step from z = P_1 x and the rows of project_each(z, sets)
+    if len(sets) == 1:
+        return z
+    num = 0.0
+    acc = np.zeros_like(z)
+    for p in rows[1:]:
+        acc += p
+        num += float(np.dot(p - z, p - z))
+    others = len(sets) - 1
+    p = sets[0].project(acc / others)
+    den = others * float(np.dot(p - z, p - z))
+    mu = 1.0 if (num == 0.0 or den < 1e-30) else num / den
+    return z + mu * (p - z)
+
+
+def _exaltp_from(x, rows, sets):
+    # rows[0] is z = P_1 x.  The rows of x serve as z's only if z is x
+    # bitwise: not at the start, which Interp moves, nor where x holds a
+    # pinned -0.0 as +0.0 (z + mu (p - z) turns -0.0 into +0.0)
+    z = rows[0]
+    if z.tobytes() != x.tobytes():
+        rows = project_each(z, sets)
+    return _exaltp_at(z, rows, sets)
 
 
 def exaltp_step(x, sets):
@@ -168,18 +221,7 @@ def exaltp_step(x, sets):
     if not getattr(sets[0], "is_affine", False):
         raise AlgorithmConfigError("exaltp_step needs an affine set first")
     z = sets[0].project(x)
-    others = sets[1:]
-    if not others:
-        return z
-    num = 0.0
-    acc = np.zeros_like(z)
-    for p in project_each(z, sets)[1:]:
-        acc += p
-        num += float(np.dot(p - z, p - z))
-    p = sets[0].project(acc / len(others))
-    den = len(others) * float(np.dot(p - z, p - z))
-    mu = 1.0 if (num == 0.0 or den < 1e-30) else num / den
-    return z + mu * (p - z)
+    return _exaltp_at(z, project_each(z, sets), sets)
 
 
 def dr_two_set_step(x, set_a, set_b):
@@ -203,9 +245,40 @@ def admm_two_set_step(b, u, set_a, set_b):
 
 # ---------------------------------------------------------------------------
 # driver-facing algorithm wrappers
+#
+# Every algorithm has kind, step(), monitor() and proximity2(x), which `run`
+# calls with x = monitor() and which equals proximity_squared_sum(x, sets)
+# bitwise.
 
 
-class _SweepAlgo:
+class _Algorithm:
+    def proximity2(self, x) -> float:
+        """The squared proximity of the monitored point x."""
+        return proximity_squared_sum(x, self.sets)
+
+
+class _Surveyed(_Algorithm):
+    """An iterate x whose squared proximity and projections come from one survey.
+
+    The start is surveyed when the algorithm is built.  A step starts from
+    the rows `_rows` of x and passes its new x through `_surveyed`, which
+    keeps its squared proximity `_d2` for `proximity2` and its rows for the
+    next step.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._surveyed(self.x)
+
+    def _surveyed(self, x):
+        self._d2, self._rows = survey(x, self.sets)
+        return x
+
+    def proximity2(self, x) -> float:
+        return self._d2
+
+
+class _SweepAlgo(_Algorithm):
     kind = "feas"
 
     def __init__(self, step_fn, sets, v):
@@ -216,7 +289,10 @@ class _SweepAlgo:
 
     def step(self):
         self._prev2, self._prev = self._prev, self.x
-        self.x = self._step_fn(self.x, self.sets)
+        self.x = self._next()
+
+    def _next(self):
+        return self._step_fn(self.x, self.sets)
 
     def stalled(self) -> bool:
         """True if the last sweep returned its input: x is a fixed point."""
@@ -228,6 +304,13 @@ class _SweepAlgo:
 
     def monitor(self):
         return self.x
+
+
+class _SurveyedSweep(_Surveyed, _SweepAlgo):
+    """ParP, ExParP or ExAltP: the step combines the rows of x and surveys the result."""
+
+    def _next(self):
+        return self._surveyed(self._step_fn(self.x, self._rows, self.sets))
 
 
 def _affine_first(sets):
@@ -247,7 +330,7 @@ def _set_list(sets):
     return sets
 
 
-class _ProductDR:
+class _ProductDR(_Algorithm):
     """D-R on the product set and the diagonal, from rows v (or parts0); monitors their mean."""
 
     kind = "feas"
@@ -280,7 +363,7 @@ class _ProductDR:
 # monitor(); kind "ba" makes `run` also require a small monitored step.
 
 
-class _Anchored:
+class _Anchored(_Algorithm):
     """Anchor v, iterate x (starting at v) and pass counter k of the single-iterate methods."""
 
     kind = "ba"
@@ -333,11 +416,12 @@ class HaugazeauCyclic(_Anchored):
         self.k += 1
 
 
-class HaugazeauParallel(_Anchored):
+class HaugazeauParallel(_Surveyed, _Anchored):
     """Averaged projections wrapped in Q: x <- Q(v, x, ParP(x))."""
 
     def step(self):
-        self.x = bestapprox.q_operator(self.v, self.x, parp_step(self.x, self.sets))
+        parp = _parp_from(self.x, self._rows, self.sets)
+        self.x = self._surveyed(bestapprox.q_operator(self.v, self.x, parp))
 
 
 class ParallelDykstra(_ProductDR):
@@ -388,8 +472,8 @@ class AnchoredDouglasRachford(_ProductDR):
         )[0]
 
 
-def _sweep(step_fn, order=list):
-    return lambda sets, v: _SweepAlgo(step_fn, order(sets), v)
+def _sweep(step_fn, order=list, cls=_SweepAlgo):
+    return lambda sets, v: cls(step_fn, order(sets), v)
 
 
 def _superiorized(step_fn, order=list):
@@ -403,10 +487,10 @@ def _superiorized(step_fn, order=list):
 FEASIBILITY_ALGORITHMS = {
     "CycP": _sweep(cycp_step),
     "CycP+": _sweep(cycp_plus_step),
-    "ParP": _sweep(parp_step),
+    "ParP": _sweep(_parp_from, cls=_SurveyedSweep),
     "SaP": _sweep(sap_step),
-    "ExParP": _sweep(exparp_step),
-    "ExAltP": _sweep(exaltp_step, _affine_first),
+    "ExParP": _sweep(_exparp_from, cls=_SurveyedSweep),
+    "ExAltP": _sweep(_exaltp_from, _affine_first, _SurveyedSweep),
     "D-R": _ProductDR,
 }
 
@@ -449,6 +533,21 @@ def make_algorithm(name: str, sets, v, **options):
     return factory(sets, v)
 
 
+def start_proximity2(problem: FeasibilityProblem) -> float:
+    """The squared proximity of the start, which normalizes every d of a run.
+
+    Raises InvalidSpecError if it is not a finite number: every d would then
+    be NaN, which records.jsonl cannot hold.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        denom = proximity_squared_sum(problem.v, problem.sets)
+    if not math.isfinite(denom):
+        raise InvalidSpecError(
+            f"{problem.problem_id}: the start's squared proximity is {denom}, not a finite number"
+        )
+    return denom
+
+
 def run(
     algorithm: str,
     problem: FeasibilityProblem,
@@ -460,24 +559,27 @@ def run(
     The trace starts at d(x_0) = 1 and gains one entry per iteration.  A
     start that is already feasible (zero normalizer) short-circuits to a
     converged record with trace [0.0], once the algorithm is built (so a bad
-    name still raises).  An infeasibility signal from the Q-based methods
+    name still raises); a start whose squared proximity is not finite raises
+    before that (see `start_proximity2`).  An infeasibility signal from the Q-based methods
     ends the run with converged=False and a flag.  A run whose ``stalled()``
     says its next step changes nothing, or whose ``cycled()`` says its state
     alternates between two values, ends early, recorded exactly as if it had
     run to the cap plus ``flags["stalled_at"]`` (and ``flags["period"] = 2``
     for a 2-cycle).
+
+    Each iteration steps the algorithm, takes the monitored point
+    x = ``algo.monitor()`` and its squared proximity ``algo.proximity2(x)``.
+    An algorithm that has already computed that sum in its step returns it
+    from there: the superiorized family keeps it from its acceptance test,
+    and ParP, ExParP, ExAltP and hParP from the survey that also gives
+    their next step's projections.
     """
     stop = stop or StopRule()
     sets = problem.sets
     v = problem.v
     start = time.perf_counter()
+    denom = start_proximity2(problem)  # first: building an algorithm may survey the start
     algo = make_algorithm(algorithm, sets, v, **options)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        denom = proximity_squared_sum(v, sets)
-    if not math.isfinite(denom):  # every d would be NaN, which records.jsonl cannot hold
-        raise InvalidSpecError(
-            f"{problem.problem_id}: the start's squared proximity is {denom}, not a finite number"
-        )
     if denom == 0.0:
         return RunRecord(
             problem_id=problem.problem_id,
@@ -507,12 +609,10 @@ def run(
                 flags["infeasible_signal"] = str(exc)
                 break
             x = algo.monitor()
-            d = float(np.sqrt(proximity_squared_sum(x, sets) / denom))
+            d = math.sqrt(algo.proximity2(x) / denom)
             trace.append(d)
             iterations = k
-            if d < stop.eps and (
-                not needs_small_step or float(np.linalg.norm(x - prev)) < stop.eps
-            ):
+            if d < stop.eps and (not needs_small_step or _norm(x - prev) < stop.eps):
                 converged = True
                 break
             if stalled is not None and d == trace[-2] and stalled():

@@ -52,7 +52,9 @@ the six projections of one point as the rows of a (6, n) array: it
 computes every pair's shift h and every triple's move coef * u once, with
 the helpers the sets' own operators use, and scatters each into its set's
 row.  All of that arithmetic is elementwise, so each row is bitwise the
-set's `project`.
+set's `project`.  `survey` returns both from one pass: the differences d
+(and |d| for the band), the inner products s and their clips are shared,
+the gaps come from value minus clip and the moves from clip minus value.
 """
 
 from __future__ import annotations
@@ -237,11 +239,15 @@ def _interval_maps(lo, hi):
     return partial(_clip, lo=lo, hi=hi), partial(_interval_sstar_from, table=table)
 
 
-def _mirrored(interval_map, d, up):
-    # apply an interval map to |d| and put the result back on d's side; the
-    # tie d = 0 (either sign) takes the upward side if `up`, the downward if not
-    a = interval_map(np.abs(d))
+def _on_side(a, d, up):
+    # put the image a of |d| back on d's side; the tie d = 0 (either sign)
+    # takes the upward side if `up`, the downward if not
     return np.where(d >= 0.0 if up else d > 0.0, a, -a)
+
+
+def _mirrored(interval_map, d, up):
+    # apply an interval map to |d| and put the result back on d's side
+    return _on_side(interval_map(np.abs(d)), d, up)
 
 
 def _slope_interval(bounds):
@@ -260,8 +266,9 @@ def _slope_maps(lo, hi, convex):
 
 
 def _pair_shift(d, dstar):
-    # h of pairs with differences d: the pair (x_i, x_{i+1}) moves to (x_i - h, x_{i+1} + h)
-    return 0.5 * (dstar(d) - d)
+    # h of pairs with differences d and targets dstar: the pair (x_i, x_{i+1})
+    # moves to (x_i - h, x_{i+1} + h)
+    return 0.5 * (dstar - d)
 
 
 def _inner(w, a, b, c):
@@ -270,10 +277,11 @@ def _inner(w, a, b, c):
     return t1 * a - t01 * b + t0 * c
 
 
-def _triple_moves(s, sstar, w):
-    # the (k, 3) moves coef * u of triples with inner products s, coef = (s* - s)/||u||^2;
-    # a + coef * (-(t0 + t1)) is a - coef * (t0 + t1) bitwise, signed zeros included
-    return ((sstar(s) - s) / w[5])[:, None] * w[6]
+def _triple_moves(shift, w):
+    # the (k, 3) moves coef * u of triples whose inner products move by shift = s* - s,
+    # coef = shift/||u||^2; a + coef * (-(t0 + t1)) is a - coef * (t0 + t1) bitwise,
+    # signed zeros included
+    return (shift / w[5])[:, None] * w[6]
 
 
 def _slope_residual(gap):
@@ -282,8 +290,7 @@ def _slope_residual(gap):
     return math.sqrt(0.5 * np.dot(gap, gap))
 
 
-def _curvature_terms(s, lo, hi, unorm2):
-    gap = _gap(s, lo, hi)
+def _curvature_terms(gap, unorm2):
     return gap * gap / unorm2
 
 
@@ -292,9 +299,14 @@ def _curvature_residual(terms):
     return math.sqrt(np.add.reduce(terms))
 
 
+def _norm(a) -> float:
+    # np.linalg.norm of a 1-D array, without its wrapper: numpy computes it as
+    # sqrt(a.dot(a)), so the value is the same bitwise
+    return math.sqrt(np.dot(a, a))
+
+
 def _interp_residual(x, spec):
-    diff = x[spec.indices] - spec.values
-    return math.sqrt(np.dot(diff, diff))  # np.linalg.norm(diff), without its wrapper
+    return _norm(x[spec.indices] - spec.values)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +465,12 @@ class ProfileKernel:
     the six constraints on it with `constraint_sets`, the only place that
     sets a constraint's `kernel`.  `perm` lists the even-parity differences,
     then the odd; `slope_interval` holds the interval of every difference,
-    `slope_maps` its target maps, and `weights` the curvature weights over
-    all triples.  `proximity2` is the fused monitor and `project_each` the
-    six projections of one point.
+    and `weights` the curvature weights and intervals of all triples.
+    `survey` computes the differences, the inner products and their clips
+    once and returns both the fused monitor `proximity2` and the six
+    projections `project_each` of one point; each of those two is one half
+    of that pass.  The parallel steps survey each new iterate, so the
+    monitor and the next step share one pass.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and a problem sent to a pool worker
@@ -481,19 +496,9 @@ class ProfileKernel:
         return _slope_interval(self.slope)
 
     @cached_property
-    def slope_maps(self):
-        """The exact and the intrepid target map of all n-1 differences."""
-        return _slope_maps(*self.slope_interval, self.slope.convex)
-
-    @cached_property
     def weights(self):
         """t0 = tau_i, t1 = tau_{i+1}, t0 + t1, lo, hi, ||u||^2 and u over all n-2 triples."""
         return _triple_weights(self.curvature, self.bp)
-
-    @cached_property
-    def curvature_maps(self):
-        """The exact and the intrepid target map of all n-2 triples."""
-        return _interval_maps(*self.weights[3:5])
 
     def constraint_sets(self) -> list:
         """The six sets on this kernel, in canonical order."""
@@ -527,19 +532,23 @@ class ProfileKernel:
             raise InvalidSpecError(f"Interp: expected shape ({self.n},), got {x.shape}")
         return x
 
-    def proximity2(self, x) -> float:
-        """Sum of squared distances from x to the six sets, in one pass.
+    def _pass(self, x):
+        """The arithmetic both halves of `survey` share, done once.
 
-        Bitwise equal to summing `c.residual(x) ** 2` over the six sets in
-        canonical order: each distance is rounded to a float as the
-        constraint's `residual` rounds it, slope dots run on contiguous
-        slices, and a curvature block sums its every-third-triple slice.
+        x, its n-1 differences d, dd = d (|d| for the band), the clip a of dd
+        onto its interval, the n-2 inner products s and their clip c.
         """
         x = self._check(x)
         d = x[1:] - x[:-1]
-        gap = _gap(d if self.slope.convex else np.abs(d), *self.slope_interval)[self.perm]
-        lo, hi, unorm2 = self.weights[3:6]
-        terms = _curvature_terms(_inner(self.weights, x[:-2], x[1:-1], x[2:]), lo, hi, unorm2)
+        dd = d if self.slope.convex else np.abs(d)
+        w = self.weights
+        s = _inner(w, x[:-2], x[1:-1], x[2:])
+        return x, d, dd, _clip(dd, *self.slope_interval), s, _clip(s, *w[3:5])
+
+    def _proximity2_from(self, x, dd, a, s, c) -> float:
+        # each distance is rounded to a float as the set's `residual` rounds it
+        gap = (dd - a)[self.perm]
+        terms = _curvature_terms(s - c, self.weights[5])
         k = (self.n - 1) // 2  # even-parity differences
         r = (
             _interp_residual(x, self.interp),
@@ -550,6 +559,40 @@ class ProfileKernel:
             _curvature_residual(terms[2::3]),
         )
         return float(sum(ri ** 2 for ri in r))
+
+    def _project_each_from(self, x, d, a, s, c) -> np.ndarray:
+        out = np.empty((len(_CANONICAL_TAGS), self.n))
+        out[:] = x
+        out[0, self.interp.indices] = self.interp.values
+        flat = out.reshape(-1)
+        left, right, triples = self.scatter
+        h = _pair_shift(d, a if self.slope.convex else _on_side(a, d, up=True))
+        flat[left] -= h
+        flat[right] += h
+        flat[triples] += _triple_moves(c - s, self.weights).ravel()
+        return out
+
+    def survey(self, x):
+        """(proximity2(x), project_each(x)) from one pass over x.
+
+        The differences, the inner products and their clips are computed
+        once; the gaps dd - a and s - c give the distances, and the targets
+        (a, put back on d's side for the band) and c - s give the moves.
+        """
+        x, d, dd, a, s, c = self._pass(x)
+        return self._proximity2_from(x, dd, a, s, c), self._project_each_from(x, d, a, s, c)
+
+    def proximity2(self, x) -> float:
+        """Sum of squared distances from x to the six sets.
+
+        The first half of `survey`.  Bitwise equal to summing
+        `c.residual(x) ** 2` over the six sets in canonical order: each
+        distance is rounded to a float as the constraint's `residual` rounds
+        it, slope dots run on contiguous slices, and a curvature block sums
+        its every-third-triple slice.
+        """
+        x, _, dd, a, s, c = self._pass(x)
+        return self._proximity2_from(x, dd, a, s, c)
 
     @cached_property
     def scatter(self):
@@ -571,25 +614,14 @@ class ProfileKernel:
     def project_each(self, x) -> np.ndarray:
         """The projections of x onto the six sets, as the rows of a (6, n) array.
 
-        Every pair move and every triple move is computed once, over all n-1
-        differences and all n-2 triples, and scattered into its set's row
-        through `scatter`.  The moves are the sets' own (the same helpers on
-        the same numbers), so each row equals that set's `project(x)`
-        bitwise.
+        The second half of `survey`.  Every pair move and every triple move
+        is computed once, over all n-1 differences and all n-2 triples, and
+        scattered into its set's row through `scatter`.  The moves are the
+        sets' own (the same helpers on the same numbers), so each row equals
+        that set's `project(x)` bitwise.
         """
-        x = self._check(x)
-        out = np.empty((len(_CANONICAL_TAGS), self.n))
-        out[:] = x
-        out[0, self.interp.indices] = self.interp.values
-        flat = out.reshape(-1)
-        left, right, triples = self.scatter
-        h = _pair_shift(x[1:] - x[:-1], self.slope_maps[0])
-        flat[left] -= h
-        flat[right] += h
-        w = self.weights
-        s = _inner(w, x[:-2], x[1:-1], x[2:])
-        flat[triples] += _triple_moves(s, self.curvature_maps[0], w).ravel()
-        return out
+        x, d, _, a, s, c = self._pass(x)
+        return self._project_each_from(x, d, a, s, c)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +719,8 @@ class SlopeConstraint(Constraint):
     def _move(self, x, dstar):
         out = self._check(x).copy()
         pairs = self._pairs(out)
-        h = _pair_shift(pairs[:, 1] - pairs[:, 0], dstar)
+        d = pairs[:, 1] - pairs[:, 0]
+        h = _pair_shift(d, dstar(d))
         pairs[:, 0] -= h
         pairs[:, 1] += h
         return out
@@ -735,7 +768,8 @@ class CurvatureConstraint(Constraint):
     def _move(self, x, sstar):
         out = self._check(x).copy()
         triples = self._triples(out)
-        triples += _triple_moves(_inner(self._weights, *triples.T), sstar, self._weights)
+        s = _inner(self._weights, *triples.T)
+        triples += _triple_moves(sstar(s) - s, self._weights)
         return out
 
     def project(self, x):
@@ -746,4 +780,5 @@ class CurvatureConstraint(Constraint):
 
     def residual(self, x):
         s = _inner(self._weights, *self._triples(self._check(x)).T)
-        return _curvature_residual(_curvature_terms(s, *self._weights[3:6]))
+        lo, hi, unorm2 = self._weights[3:6]
+        return _curvature_residual(_curvature_terms(_gap(s, lo, hi), unorm2))

@@ -24,14 +24,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import InvalidSpecError
+from .geometry import InvalidSpecError, _norm
 from .metrics import proximity_squared_sum
 
 __all__ = ["Superiorized"]
 
 
 class Superiorized:
-    """Driver-compatible superiorized wrapper around a step operator."""
+    """Driver-compatible superiorized wrapper around a step operator.
+
+    `_d2` is always the squared proximity of the kept iterate x: it starts
+    at that of v and is replaced with the candidate's when the acceptance
+    test keeps the candidate.  `proximity2` returns it, so `run` scores
+    each iterate without computing the sum again.
+    """
 
     kind = "super"
 
@@ -50,14 +56,14 @@ class Superiorized:
     def step(self):
         x = self.x
         offset = x - self.v
-        norm = float(np.linalg.norm(offset))
+        norm = _norm(offset)
         if norm > 0.0:
             xt = x + (self.sign * self.theta / norm) * offset
         else:
             xt = x
         self.theta *= 0.5
         self._xt = None
-        if float(np.linalg.norm(xt - self.v)) <= norm:
+        if _norm(xt - self.v) <= norm:
             candidate = self.base_step(xt)
             d2 = proximity_squared_sum(candidate, self.sets)
             if d2 < self._d2:
@@ -65,6 +71,10 @@ class Superiorized:
                 self._d2 = d2
             else:
                 self._xt = xt
+
+    def proximity2(self, x) -> float:
+        """The squared proximity of x = monitor(), kept from the acceptance test."""
+        return self._d2
 
     def stalled(self) -> bool:
         """True if the last pass perturbed x to itself and rejected T(x)."""

@@ -331,14 +331,50 @@ def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys):
 def test_overflowing_normalizer_exits_1(tmp_path, monkeypatch, capsys, jobs):
     # a 1e300 m elevation range overflows the squared proximity of the start
     # to inf, and every d would be NaN, which is not JSON
+    overflow = "the start's squared proximity is inf, not a finite number"
     monkeypatch.setenv("VERTIPY_XI_MAX", "1e300")
     out = _generate(tmp_path / "big", count=1)
     monkeypatch.delenv("VERTIPY_XI_MAX")
     args = ["run", "--out", str(out), "--algorithms", "CycP,D-R", "--jobs", jobs]
     assert cli.main(args) == 1
     err = capsys.readouterr().err
-    assert "p0000: the start's squared proximity is inf, not a finite number" in err
+    assert f"p0000: {overflow}" in err
     assert not (out / "records.jsonl").exists() or storage.read_records(out / "records.jsonl") == []
+
+    # in a mixed batch (xi_max alternates 30 and 1e300: p0001 and p0003
+    # overflow) every pending problem's start is checked before any pair
+    # runs, whatever --jobs is: all bad problems are named and the records
+    # already written stay as they were
+    monkeypatch.setenv("VERTIPY_XI_MAX", "30,1e300")
+    out = _generate(tmp_path / "mixed", count=4)
+    monkeypatch.delenv("VERTIPY_XI_MAX")
+    problems = out / "problems"
+    aside = tmp_path / "aside"
+    aside.mkdir()
+    for pid in ("p0001", "p0003"):
+        shutil.move(problems / f"{pid}.json", aside / f"{pid}.json")
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", jobs]) == 0
+    for pid in ("p0001", "p0003"):
+        shutil.move(aside / f"{pid}.json", problems / f"{pid}.json")
+    records = (out / "records.jsonl").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["run", "--out", str(out), "--mode", "feas", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: p0001: {overflow}; p0003: {overflow}\n"
+    assert (out / "records.jsonl").read_bytes() == records
+    assert len(storage.read_records(out / "records.jsonl")) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_jobs_and_k_max_below_1_exit_1(tmp_path, capsys, value):
+    out = _generate(tmp_path / "o", count=1)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", value]) == 1
+    assert capsys.readouterr().err == "error: jobs must be at least 1\n"
+    assert not (out / "records.jsonl").exists()
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
+    assert cli.main(["report", "--out", str(out), "--k-max", value]) == 1
+    assert capsys.readouterr().err == "error: k-max must be at least 1\n"
+    assert not (out / "profiles.csv").exists()
 
 
 def test_verify_all_checks_pass(capsys):

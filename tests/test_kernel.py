@@ -6,14 +6,19 @@ with an index array, map them with np.clip / np.select, and scatter the
 update back.  The sets must reproduce them exactly (==), the fused
 monitor of `geometry.ProfileKernel` must reproduce the per-set residual sum
 exactly, and its fused projections each set's `project`, as must the ParP,
-ExParP and ExAltP steps built on them.
+ExParP and ExAltP steps built on them.  Its `survey` must return both from
+one pass, and every algorithm's `proximity2` of its monitored point must be
+the per-set sum `run` would otherwise compute.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vertipy import feasibility as F
+from vertipy.bestapprox import InfeasibleIntersectionError
 from vertipy.geometry import (
     Breakpoints,
     CurvatureBounds,
@@ -28,7 +33,7 @@ from vertipy.geometry import (
     project_curvature_single,
 )
 from vertipy.metrics import proximity_squared_sum
-from vertipy.probgen import ProblemSpec, build_constraint_sets, generate
+from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
 
 
 # ------------------------------------------------------------ references
@@ -252,6 +257,8 @@ def test_other_set_lists_take_the_generic_sum():
         assert proximity_squared_sum(x, others) == float(sum(c.residual(x) ** 2 for c in others))
         stacked = np.array([c.project(x) for c in others])
         assert F.project_each(x, others).tobytes() == stacked.tobytes()
+        d2, rows = F.survey(x, others)
+        assert d2 == proximity_squared_sum(x, others) and rows.tobytes() == stacked.tobytes()
     # a second problem's sets are not this kernel's; a fresh list from it is
     twin, _ = _problem(40, 3, False)
     assert not kernel.owns(twin) and not kernel.owns([*sets[:5], twin[5]])
@@ -264,6 +271,8 @@ def test_fused_monitor_checks_shape():
         proximity_squared_sum(x[:-1], sets)
     with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
         F.project_each(x[:-1], sets)
+    with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
+        F.survey(x[:-1], sets)
 
 
 def _standalone(kernel):
@@ -363,6 +372,13 @@ def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_al
         for row, c in zip(rows, sets):
             assert row.tobytes() == c.project(point).tobytes(), c.tag
         assert F.project_each(point, sets).tobytes() == rows.tobytes()
+        # the survey's two halves: the per-set residual sum and the same rows
+        d2, surveyed = kernel.survey(point)
+        assert d2.hex() == float(sum(c.residual(point) ** 2 for c in sets)).hex()
+        assert d2.hex() == kernel.proximity2(point).hex()
+        assert surveyed.tobytes() == rows.tobytes()
+        fused = F.survey(point, sets)
+        assert fused[0].hex() == d2.hex() and fused[1].tobytes() == rows.tobytes()
 
 
 def _ref_parp(x, sets):
@@ -426,3 +442,59 @@ def test_fused_steps_equal_the_per_set_steps_on_generated_problems(length, speed
             fused.step()
             generic.step()
             assert fused.x.tobytes() == generic.x.tobytes(), name
+
+
+# ------------------------------------------------------------ the driver's contract
+
+
+@pytest.mark.parametrize("nonconvex", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_algorithm_scores_its_monitor_as_the_per_set_sum(seed, nonconvex):
+    # `run` takes d from algo.proximity2(algo.monitor()); that must be the
+    # sum run would compute itself, bitwise, after every step: on the
+    # kernel's sets (fused survey) and on standalone sets (generic sums)
+    problem = generate(
+        ProblemSpec(length=2000.0, speed=80.0, xi_max=30.0, seed=seed, nonconvex=nonconvex)
+    )
+    for sets in (problem.sets, _standalone(problem.sets[0].kernel)):
+        for name in F.ALGORITHMS:
+            algo = F.make_algorithm(name, sets, problem.v)
+            for k in range(25):
+                x = algo.monitor()
+                want = proximity_squared_sum(x, sets)
+                assert algo.proximity2(x).hex() == want.hex(), (name, k)
+                try:
+                    algo.step()
+                except InfeasibleIntersectionError:
+                    break
+
+
+def _pinned_negative_zero(problem):
+    """The problem with its first pinned elevation (Interp value 0) set to -0.0."""
+    kernel = problem.sets[0].kernel
+    values = kernel.interp.values.copy()
+    values[0] = -0.0
+    interp = InterpolationSpec(kernel.interp.indices, values)
+    sets = build_constraint_sets(kernel.bp, interp, kernel.slope, kernel.curvature)
+    return F.FeasibilityProblem(problem.v, sets, problem_id=problem.problem_id)
+
+
+def test_exaltp_run_equals_its_steps_with_a_pinned_negative_zero():
+    # ExAltP takes z = P_1 x from the rows of x's survey, and reuses those
+    # rows for z only if z is x bitwise.  With a pinned -0.0, x_{k+1}[0] is
+    # z + mu (p - z) = -0.0 + 0.0 = +0.0, so z is never x: every step must
+    # project z afresh, as `exaltp_step` does
+    problem = _pinned_negative_zero(make_batch(0, count=2)[1])
+    sets = F._affine_first(problem.sets)
+    x = F.exaltp_step(problem.v, sets)
+    assert np.signbit(sets[0].project(x)[0]) and not np.signbit(x[0])
+
+    rec = F.run("ExAltP", problem)
+    denom = proximity_squared_sum(problem.v, sets)
+    x, trace = problem.v, [1.0]
+    for _ in range(rec.iterations):
+        x = F.exaltp_step(x, sets)
+        trace.append(math.sqrt(proximity_squared_sum(x, sets) / denom))
+    assert rec.converged and 0 < rec.iterations < 5000
+    assert [d.hex() for d in rec.d_trace] == [d.hex() for d in trace]
+    assert rec.final.tobytes() == x.tobytes()

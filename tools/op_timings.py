@@ -4,9 +4,13 @@ For the seed-0 problems nearest n = 10, 90 and 650 stations, convex and
 nonconvex, it times:
 
 * each of the six sets' ``project``, ``intrepid`` and ``residual``;
-* the profile kernel's fused ``project_each`` and ``proximity2``;
+* the profile kernel's fused ``project_each`` and ``proximity2``, and its
+  ``survey``, which returns both from one pass;
 * one step of each feasibility algorithm, averaged over the first steps of
-  a run from the problem's start profile.
+  a run from the problem's start profile (for ParP, ExParP and ExAltP the
+  step includes the survey of the new iterate);
+* one iteration of each feasibility algorithm as ``run`` drives it: the
+  step plus the squared proximity of the monitored point.
 
 Each timing is calibrated once (the call count is doubled until one repeat
 takes at least 5 ms) and then repeated; the table gives the median and the
@@ -82,10 +86,19 @@ def operations(problem):
     ops += [
         ("kernel.project_each", lambda: kernel.project_each(x)),
         ("kernel.proximity2", lambda: kernel.proximity2(x)),
+        ("kernel.survey", lambda: kernel.survey(x)),
     ]
     for name in feasibility.FEASIBILITY_ALGORITHMS:
         algo = feasibility.make_algorithm(name, sets, x)
         ops.append((f"step.{name}", algo.step))
+    for name in feasibility.FEASIBILITY_ALGORITHMS:
+        algo = feasibility.make_algorithm(name, sets, x)
+
+        def iteration(algo=algo):
+            algo.step()
+            return algo.proximity2(algo.monitor())
+
+        ops.append((f"iter.{name}", iteration))
     return ops
 
 
