@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import bestapprox, product
 from .geometry import Breakpoints, InvalidSpecError, ProfileKernel, _norm
-from .metrics import RunRecord, StopRule, proximity_squared_sum
+from .metrics import RunRecord, StopRule, proximity2_of, proximity_squared_sum
 from .superior import Superiorized
 
 __all__ = [
@@ -106,6 +107,14 @@ def cycp_plus_step(x, sets):
     return x
 
 
+def _project_each(x, sets):
+    return np.array([c.project(x) for c in sets])
+
+
+def _survey_each(x, sets):
+    return proximity_squared_sum(x, sets), _project_each(x, sets)
+
+
 def project_each(x, sets):
     """The projections of x onto each set, as the rows of an (m, n) array.
 
@@ -113,10 +122,7 @@ def project_each(x, sets):
     `project_each`, whose rows equal the sets' own projections bitwise; any
     other list stacks `c.project(x)`.
     """
-    kernel = ProfileKernel.owner(sets)
-    if kernel is not None:
-        return kernel.project_each(x)
-    return np.array([c.project(x) for c in sets])
+    return ProfileKernel.fused(sets, "project_each", _project_each)(x)
 
 
 def survey(x, sets):
@@ -126,10 +132,7 @@ def survey(x, sets):
     `survey`, which computes both in one pass; any other list computes the
     two separately.
     """
-    kernel = ProfileKernel.owner(sets)
-    if kernel is not None:
-        return kernel.survey(x)
-    return proximity_squared_sum(x, sets), project_each(x, sets)
+    return ProfileKernel.fused(sets, "survey", _survey_each)(x)
 
 
 # Each parallel step below is a combine of the rows of project_each, so that
@@ -248,30 +251,43 @@ def admm_two_set_step(b, u, set_a, set_b):
 #
 # Every algorithm has kind, step(), monitor() and proximity2(x), which `run`
 # calls with x = monitor() and which equals proximity_squared_sum(x, sets)
-# bitwise.
+# bitwise.  The set list is resolved to its kernel once per algorithm.
 
 
 class _Algorithm:
+    @cached_property
+    def _proximity2(self):
+        return proximity2_of(self.sets)
+
     def proximity2(self, x) -> float:
         """The squared proximity of the monitored point x."""
-        return proximity_squared_sum(x, self.sets)
+        return self._proximity2(x)
 
 
 class _Surveyed(_Algorithm):
     """An iterate x whose squared proximity and projections come from one survey.
 
-    The start is surveyed when the algorithm is built.  A step starts from
-    the rows `_rows` of x and passes its new x through `_surveyed`, which
-    keeps its squared proximity `_d2` for `proximity2` and its rows for the
-    next step.
+    A step starts from the rows `_rows` of x and passes its new x through
+    `_surveyed`, which keeps its squared proximity `_d2` for `proximity2`
+    and its rows for the next step.  The start is not surveyed: the first
+    step projects it, and its squared proximity, which `run` already holds
+    as its normalizer, is computed only if asked for.
     """
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._surveyed(self.x)
+    @cached_property
+    def _survey(self):
+        return ProfileKernel.fused(self.sets, "survey", _survey_each)
+
+    @cached_property
+    def _rows(self):
+        return project_each(self.x, self.sets)
+
+    @cached_property
+    def _d2(self):
+        return self._proximity2(self.x)
 
     def _surveyed(self, x):
-        self._d2, self._rows = survey(x, self.sets)
+        self._d2, self._rows = self._survey(x)
         return x
 
     def proximity2(self, x) -> float:
@@ -477,9 +493,11 @@ def _sweep(step_fn, order=list, cls=_SweepAlgo):
 
 
 def _superiorized(step_fn, order=list):
-    def factory(sets, v, direction="away"):
+    def factory(sets, v, direction="away", start_d2=None):
         ordered = order(sets)
-        return Superiorized(lambda x: step_fn(x, ordered), sets, v, direction=direction)
+        return Superiorized(
+            lambda x: step_fn(x, ordered), sets, v, direction=direction, start_d2=start_d2
+        )
 
     return factory
 
@@ -521,13 +539,20 @@ ALGORITHMS = {
 
 
 def make_algorithm(name: str, sets, v, **options):
+    """Build a registered algorithm on `sets` from v.
+
+    ``start_d2``, v's squared proximity if the caller holds it, spares the
+    superiorized family computing it.
+    """
     if name not in ALGORITHMS:
         raise AlgorithmConfigError(
             f"unknown algorithm {name!r}; known: {', '.join(sorted(ALGORITHMS))}"
         )
     factory = ALGORITHMS[name]
     if name in SUPERIORIZED_ALGORITHMS:
-        return factory(sets, v, direction=options.get("direction", "away"))
+        return factory(
+            sets, v, direction=options.get("direction", "away"), start_d2=options.get("start_d2")
+        )
     if name in ("D-R", "hD-R") and options.get("parts0") is not None:
         return factory(sets, v, parts0=options["parts0"])
     return factory(sets, v)
@@ -552,15 +577,19 @@ def run(
     algorithm: str,
     problem: FeasibilityProblem,
     stop: StopRule | None = None,
+    start_d2: float | None = None,
     **options,
 ) -> RunRecord:
     """Run one algorithm on one problem and record the proximity trace.
 
-    The trace starts at d(x_0) = 1 and gains one entry per iteration.  A
-    start that is already feasible (zero normalizer) short-circuits to a
-    converged record with trace [0.0], once the algorithm is built (so a bad
-    name still raises); a start whose squared proximity is not finite raises
-    before that (see `start_proximity2`).  An infeasibility signal from the Q-based methods
+    The trace starts at d(x_0) = 1 and gains one entry per iteration.  Every
+    d is normalized by the start's squared proximity: `start_d2` if the
+    caller has it from `start_proximity2(problem)`, computed here if not,
+    and handed on to the algorithm.  A start that is already feasible (zero
+    normalizer) short-circuits to a converged record with trace [0.0], once
+    the algorithm is built (so a bad name still raises); a start whose
+    squared proximity is not finite raises before that (see
+    `start_proximity2`).  An infeasibility signal from the Q-based methods
     ends the run with converged=False and a flag.  A run whose ``stalled()``
     says its next step changes nothing, or whose ``cycled()`` says its state
     alternates between two values, ends early, recorded exactly as if it had
@@ -578,8 +607,8 @@ def run(
     sets = problem.sets
     v = problem.v
     start = time.perf_counter()
-    denom = start_proximity2(problem)  # first: building an algorithm may survey the start
-    algo = make_algorithm(algorithm, sets, v, **options)
+    denom = start_proximity2(problem) if start_d2 is None else start_d2
+    algo = make_algorithm(algorithm, sets, v, start_d2=denom, **options)
     if denom == 0.0:
         return RunRecord(
             problem_id=problem.problem_id,

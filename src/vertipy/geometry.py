@@ -55,6 +55,9 @@ row.  All of that arithmetic is elementwise, so each row is bitwise the
 set's `project`.  `survey` returns both from one pass: the differences d
 (and |d| for the band), the inner products s and their clips are shared,
 the gaps come from value minus clip and the moves from clip minus value.
+`project_rows` projects a (6, n) product point row i onto set i with the
+same pass, run on the differences and triples gathered from the rows
+through the same scatter positions the moves go back through.
 """
 
 from __future__ import annotations
@@ -309,6 +312,14 @@ def _interp_residual(x, spec):
     return _norm(x[spec.indices] - spec.values)
 
 
+def _product_point(parts, m):
+    # parts as an (m, n) float array: a point of the product of m sets
+    parts = np.asarray(parts, dtype=float)
+    if parts.ndim != 2 or len(parts) != m:
+        raise InvalidSpecError(f"expected a product point of {m} rows, got shape {parts.shape}")
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # projector operations
 
@@ -470,7 +481,10 @@ class ProfileKernel:
     once and returns both the fused monitor `proximity2` and the six
     projections `project_each` of one point; each of those two is one half
     of that pass.  The parallel steps survey each new iterate, so the
-    monitor and the next step share one pass.
+    monitor and the next step share one pass.  `project_rows` runs the
+    projection half on a product point, row i onto set i, for
+    `product.ProductSet`.  `fused` resolves a set list to one of these
+    methods, or to a per-set fallback, once for whoever holds the list.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and a problem sent to a pool worker
@@ -526,6 +540,16 @@ class ProfileKernel:
         kernel = getattr(sets[0], "kernel", None) if len(sets) else None
         return kernel if kernel is not None and kernel.owns(sets) else None
 
+    @staticmethod
+    def fused(sets, method, fallback):
+        """The owner's `method` if a kernel owns `sets`, else `fallback(x, sets)` with sets bound.
+
+        Whoever holds a fixed set list resolves it once with this and calls
+        the result per point.
+        """
+        kernel = ProfileKernel.owner(sets)
+        return getattr(kernel, method) if kernel is not None else partial(fallback, sets=sets)
+
     def _check(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):  # as the first set, Interp, would report it
@@ -539,11 +563,14 @@ class ProfileKernel:
         onto its interval, the n-2 inner products s and their clip c.
         """
         x = self._check(x)
-        d = x[1:] - x[:-1]
+        return (x, *self._targets(x[1:] - x[:-1], x[:-2], x[1:-1], x[2:]))
+
+    def _targets(self, d, first, middle, last):
+        # `_pass` after x: from the differences d and the triples (first, middle, last)
         dd = d if self.slope.convex else np.abs(d)
         w = self.weights
-        s = _inner(w, x[:-2], x[1:-1], x[2:])
-        return x, d, dd, _clip(dd, *self.slope_interval), s, _clip(s, *w[3:5])
+        s = _inner(w, first, middle, last)
+        return d, dd, _clip(dd, *self.slope_interval), s, _clip(s, *w[3:5])
 
     def _proximity2_from(self, x, dd, a, s, c) -> float:
         # each distance is rounded to a float as the set's `residual` rounds it
@@ -563,6 +590,12 @@ class ProfileKernel:
     def _project_each_from(self, x, d, a, s, c) -> np.ndarray:
         out = np.empty((len(_CANONICAL_TAGS), self.n))
         out[:] = x
+        return self._moved(out, d, a, s, c)
+
+    def _moved(self, out, d, a, s, c) -> np.ndarray:
+        # move row i of the (6, n) array `out`, which holds the point projected
+        # onto set i, to that projection, in place; d, a, s and c are `_targets`
+        # of the pairs and triples at the `scatter` positions of `out`
         out[0, self.interp.indices] = self.interp.values
         flat = out.reshape(-1)
         left, right, triples = self.scatter
@@ -622,6 +655,20 @@ class ProfileKernel:
         """
         x, d, _, a, s, c = self._pass(x)
         return self._project_each_from(x, d, a, s, c)
+
+    def project_rows(self, parts) -> np.ndarray:
+        """Each row i of the (6, n) array `parts` projected onto set i (onto C_1 x ... x C_6).
+
+        `project_each`'s pass on the differences and triples read through
+        `scatter`, each from the row of the set that moves it; the moves go
+        back through the same positions.  Row i is `project(parts[i])` bitwise.
+        """
+        out = _product_point(parts, len(_CANONICAL_TAGS)).copy()
+        self._check(out[0])  # the row length, reported as Interp reports it
+        flat = out.reshape(-1)
+        left, right, triples = self.scatter
+        d, _, a, s, c = self._targets(flat[right] - flat[left], *flat[triples].reshape(-1, 3).T)
+        return self._moved(out, d, a, s, c)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "StopRule",
     "RunRecord",
     "proximity_squared_sum",
+    "proximity2_of",
     "proximity",
     "performance_profile",
     "relative_proximity_curve",
@@ -73,6 +74,15 @@ class RunRecord:
     flags: dict = field(default_factory=dict)
 
 
+def _residual_sum(x, sets) -> float:
+    return float(sum(c.residual(x) ** 2 for c in sets))
+
+
+def proximity2_of(sets):
+    """x -> proximity_squared_sum(x, sets), with the list resolved to its kernel once."""
+    return ProfileKernel.fused(sets, "proximity2", _residual_sum)
+
+
 def proximity_squared_sum(x, sets) -> float:
     """Unnormalized sum of squared distances to the given sets.
 
@@ -80,10 +90,7 @@ def proximity_squared_sum(x, sets) -> float:
     `proximity2`, which returns this same sum bitwise; any other list sums
     the residuals of its sets in order.
     """
-    kernel = ProfileKernel.owner(sets)
-    if kernel is not None:
-        return kernel.proximity2(x)
-    return float(sum(c.residual(x) ** 2 for c in sets))
+    return proximity2_of(sets)(x)
 
 
 def proximity(x, sets, x0) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import InvalidSpecError
+from .geometry import InvalidSpecError, ProfileKernel, _product_point
 
 __all__ = ["make_product_point", "diagonal_part", "ProductSet", "Diagonal"]
 
@@ -35,17 +35,26 @@ def diagonal_part(parts: np.ndarray) -> np.ndarray:
     return mean
 
 
+def _project_rows(parts, sets):
+    # the row-wise stack: c_i.project(row i)
+    parts = _product_point(parts, len(sets))
+    return np.array([c.project(row) for c, row in zip(sets, parts)])
+
+
 class ProductSet:
-    """C = C_1 x ... x C_m: row i of a product point projects onto C_i."""
+    """C = C_1 x ... x C_m: row i of a product point projects onto C_i.
+
+    A profile kernel's six sets, in canonical order, take its fused
+    `project_rows`, whose rows equal the sets' own projections bitwise; any
+    other list stacks `c_i.project(row i)`.  The list is resolved once.
+    """
 
     def __init__(self, sets):
         self.sets = list(sets)
+        self._project = ProfileKernel.fused(self.sets, "project_rows", _project_rows)
 
     def project(self, parts):
-        out = np.empty(np.shape(parts))
-        for i, c in enumerate(self.sets):
-            out[i] = c.project(parts[i])
-        return out
+        return self._project(parts)
 
 
 class Diagonal:

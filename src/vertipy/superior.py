@@ -34,14 +34,15 @@ class Superiorized:
     """Driver-compatible superiorized wrapper around a step operator.
 
     `_d2` is always the squared proximity of the kept iterate x: it starts
-    at that of v and is replaced with the candidate's when the acceptance
-    test keeps the candidate.  `proximity2` returns it, so `run` scores
-    each iterate without computing the sum again.
+    at that of v (`start_d2` if the caller holds it) and is replaced with
+    the candidate's when the acceptance test keeps the candidate.
+    `proximity2` returns it, so `run` scores each iterate without computing
+    the sum again.
     """
 
     kind = "super"
 
-    def __init__(self, base_step, sets, v, direction: str = "away"):
+    def __init__(self, base_step, sets, v, direction: str = "away", start_d2=None):
         if direction not in ("away", "toward"):
             raise InvalidSpecError(f"direction must be 'away' or 'toward', got {direction!r}")
         self.base_step = base_step
@@ -50,7 +51,7 @@ class Superiorized:
         self.sign = 1.0 if direction == "away" else -1.0
         self.x = self.v.copy()
         self.theta = 1.0
-        self._d2 = proximity_squared_sum(self.x, self.sets)
+        self._d2 = proximity_squared_sum(self.x, self.sets) if start_d2 is None else start_d2
         self._xt = None  # perturbed point of the last pass whose candidate was rejected
 
     def step(self):

@@ -13,6 +13,7 @@ import pytest
 import vertipy
 from vertipy import cli, storage, verify
 from vertipy.feasibility import SUPERIORIZED_ALGORITHMS
+from vertipy.geometry import ProfileKernel
 from vertipy.verify import CheckResult
 
 
@@ -130,6 +131,28 @@ def test_parallel_jobs_match_sequential(tmp_path):
     assert len(recs["seq"]) == 4
     assert any("stalled_at" in r["flags"] for r in recs["seq"])
     assert recs["seq"] == recs["par"]
+
+
+def test_run_computes_each_start_proximity_once(tmp_path, monkeypatch):
+    # the batch-wide start check computes each start's squared proximity; every
+    # pair takes it from there, and no algorithm computes it again (the
+    # surveyed ones project the start without surveying it)
+    out = _generate(tmp_path / "once", count=2, seed=3)
+    starts = {p.v.tobytes() for p in storage.load_problem_dir(out / "problems")}
+    at_start = []
+
+    def counted(method):
+        def wrapped(self, x):
+            at_start.append(np.asarray(x).tobytes() in starts)
+            return method(self, x)
+        return wrapped
+
+    for name in ("proximity2", "survey"):
+        monkeypatch.setattr(ProfileKernel, name, counted(getattr(ProfileKernel, name)))
+    algorithms = "CycP,ParP,ExAltP,sParP,sExAltP,hParP,ParDyk,baD-R"
+    args = ["run", "--out", str(out), "--algorithms", algorithms, "--jobs", "1", "--k-max", "50"]
+    assert cli.main(args) == 0
+    assert sum(at_start) == 2 and len(at_start) > 2
 
 
 def test_resume_after_torn_append_matches_clean_run(tmp_path, capsys):

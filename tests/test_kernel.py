@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vertipy import feasibility as F
+from vertipy import product
 from vertipy.bestapprox import InfeasibleIntersectionError
 from vertipy.geometry import (
     Breakpoints,
@@ -32,7 +33,7 @@ from vertipy.geometry import (
     intrepid_curvature_single,
     project_curvature_single,
 )
-from vertipy.metrics import proximity_squared_sum
+from vertipy.metrics import StopRule, proximity_squared_sum
 from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
 
 
@@ -259,6 +260,10 @@ def test_other_set_lists_take_the_generic_sum():
         assert F.project_each(x, others).tobytes() == stacked.tobytes()
         d2, rows = F.survey(x, others)
         assert d2 == proximity_squared_sum(x, others) and rows.tobytes() == stacked.tobytes()
+        # the product set takes the row-wise stack, row i onto others[i]
+        parts = x + np.arange(len(others))[:, None]
+        stacked = np.array([c.project(row) for c, row in zip(others, parts)])
+        assert product.ProductSet(others).project(parts).tobytes() == stacked.tobytes()
     # a second problem's sets are not this kernel's; a fresh list from it is
     twin, _ = _problem(40, 3, False)
     assert not kernel.owns(twin) and not kernel.owns([*sets[:5], twin[5]])
@@ -273,6 +278,19 @@ def test_fused_monitor_checks_shape():
         F.project_each(x[:-1], sets)
     with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
         F.survey(x[:-1], sets)
+
+
+def test_product_projection_checks_shape():
+    # a product point of the six sets has exactly six rows of length n, on
+    # the fused path (the kernel's sets) and on the row-wise one (standalone)
+    sets, x = _problem(12, 0, False)
+    for c in (sets, _standalone(sets[0].kernel)):
+        product_set = product.ProductSet(c)
+        for bad in (np.tile(x, (7, 1)), np.tile(x, (5, 1)), x, np.tile(x, (1, 6, 1))):
+            with pytest.raises(InvalidSpecError, match="expected a product point of 6 rows"):
+                product_set.project(bad)
+        with pytest.raises(InvalidSpecError, match=r"Interp: expected shape \(12,\), got \(11,\)"):
+            product_set.project(np.tile(x[:-1], (6, 1)))
 
 
 def _standalone(kernel):
@@ -381,6 +399,69 @@ def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_al
         assert fused[0].hex() == d2.hex() and fused[1].tobytes() == rows.tobytes()
 
 
+def _stacked_rows(parts, sets):
+    return np.array([c.project(row) for c, row in zip(sets, parts)])
+
+
+def _product_points(x, seed):
+    """Product points of x: six copies, and six different rows with some +-0.0 entries."""
+    rng = np.random.default_rng(seed)
+    spread = np.where(np.isfinite(x), x, 0.0).std() + 1.0
+    rows = x + rng.normal(0.0, spread, (6, x.size))
+    zeros = np.where(rng.random(rows.shape) < 0.5, 0.0, -0.0)
+    return np.tile(x, (6, 1)), np.where(rng.random(rows.shape) < 0.3, zeros, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@_edge_examples
+@given(**PROBLEMS, **EDGES)
+def test_product_projection_equals_the_row_wise_stack(
+    n, seed, nonconvex, inf_alpha, inf_curvature
+):
+    sets, x = _with_edges(*_problem(n, seed, nonconvex), seed, inf_alpha, inf_curvature)
+    kernel = sets[0].kernel
+    product_set = product.ProductSet(sets)
+    assert product_set._project == kernel.project_rows  # the kernel's fused pass
+    alone = product.ProductSet(_standalone(kernel))
+    # the last point's rows lie on their sets
+    for parts in (*_product_points(x, seed), kernel.project_each(x)):
+        want = _stacked_rows(parts, sets).tobytes()
+        assert kernel.project_rows(parts).tobytes() == want
+        assert product_set.project(parts).tobytes() == want
+        assert alone.project(parts).tobytes() == want
+    # on six copies of x it is project_each(x)
+    assert product_set.project(np.tile(x, (6, 1))).tobytes() == kernel.project_each(x).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    length=st.sampled_from([500.0, 5000.0, 20000.0]),
+    speed=st.sampled_from([30.0, 80.0]),
+    seed=st.integers(0, 2**32 - 1),
+    nonconvex=st.booleans(),
+)
+def test_product_projection_on_pardyk_and_badr_iterates(length, speed, seed, nonconvex):
+    # the points ParDyk and baD-R project are z + xbar and (v + 2 xbar - x)/2:
+    # the fused projection of each must be the row-wise stack, so the fused
+    # and the standalone runs stay bitwise equal
+    problem = generate(
+        ProblemSpec(length=length, speed=speed, xi_max=100.0, seed=seed, nonconvex=nonconvex)
+    )
+    sets, alone = problem.sets, _standalone(problem.sets[0].kernel)
+    kernel = sets[0].kernel
+    for name in ("ParDyk", "baD-R"):
+        fused = F.make_algorithm(name, sets, problem.v)
+        generic = F.make_algorithm(name, alone, problem.v)
+        for _ in range(20):
+            fused.step()
+            generic.step()
+            assert fused.parts.tobytes() == generic.parts.tobytes(), name
+            want = _stacked_rows(fused.parts, sets).tobytes()
+            assert kernel.project_rows(fused.parts).tobytes() == want, name
+        if name == "ParDyk":
+            assert fused.z.tobytes() == generic.z.tobytes()
+
+
 def _ref_parp(x, sets):
     return np.mean([c.project(x) for c in sets], axis=0)
 
@@ -467,6 +548,21 @@ def test_every_algorithm_scores_its_monitor_as_the_per_set_sum(seed, nonconvex):
                     algo.step()
                 except InfeasibleIntersectionError:
                     break
+
+
+@pytest.mark.parametrize("nonconvex", [False, True])
+def test_run_with_the_start_proximity_given_equals_run(nonconvex):
+    # `cli` hands each pair the start's squared proximity from its start check
+    problem = make_batch(0, count=1, nonconvex=nonconvex)[0]
+    start_d2 = F.start_proximity2(problem)
+    stop = StopRule(k_max=200)
+    for name in F.ALGORITHMS:
+        given_d2 = F.run(name, problem, stop, start_d2=start_d2)
+        computed = F.run(name, problem, stop)
+        assert given_d2.iterations == computed.iterations, name
+        assert [d.hex() for d in given_d2.d_trace] == [d.hex() for d in computed.d_trace], name
+        assert given_d2.final.tobytes() == computed.final.tobytes(), name
+        assert given_d2.flags == computed.flags, name
 
 
 def _pinned_negative_zero(problem):

@@ -6,11 +6,14 @@ nonconvex, it times:
 * each of the six sets' ``project``, ``intrepid`` and ``residual``;
 * the profile kernel's fused ``project_each`` and ``proximity2``, and its
   ``survey``, which returns both from one pass;
+* ``ProductSet.project`` of the six sets (the kernel's fused
+  ``project_rows``) on six copies of the start profile;
 * one step of each feasibility algorithm, averaged over the first steps of
   a run from the problem's start profile (for ParP, ExParP and ExAltP the
   step includes the survey of the new iterate);
-* one iteration of each feasibility algorithm as ``run`` drives it: the
-  step plus the squared proximity of the monitored point.
+* one iteration of each feasibility and each best-approximation algorithm
+  as ``run`` drives it: the step plus the squared proximity of the
+  monitored point.
 
 Each timing is calibrated once (the call count is doubled until one repeat
 takes at least 5 ms) and then repeated; the table gives the median and the
@@ -33,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so that it can name another vertipy
 
-from vertipy import feasibility  # noqa: E402
+from vertipy import feasibility, product  # noqa: E402
 from vertipy.probgen import make_batch  # noqa: E402
 
 SIZES = (10, 90, 650)
@@ -78,6 +81,8 @@ def operations(problem):
     """(name, zero-argument callable) for every timed operation on one problem."""
     sets, x = problem.sets, problem.v
     kernel = sets[0].kernel
+    product_set = product.ProductSet(sets)
+    parts = product.make_product_point(x, len(sets))
     ops = [
         (f"{c.tag}.{method}", lambda f=getattr(c, method): f(x))
         for c in sets
@@ -87,11 +92,12 @@ def operations(problem):
         ("kernel.project_each", lambda: kernel.project_each(x)),
         ("kernel.proximity2", lambda: kernel.proximity2(x)),
         ("kernel.survey", lambda: kernel.survey(x)),
+        ("ProductSet.project", lambda: product_set.project(parts)),
     ]
     for name in feasibility.FEASIBILITY_ALGORITHMS:
         algo = feasibility.make_algorithm(name, sets, x)
         ops.append((f"step.{name}", algo.step))
-    for name in feasibility.FEASIBILITY_ALGORITHMS:
+    for name in (*feasibility.FEASIBILITY_ALGORITHMS, *feasibility.BEST_APPROXIMATION_ALGORITHMS):
         algo = feasibility.make_algorithm(name, sets, x)
 
         def iteration(algo=algo):
