@@ -48,15 +48,7 @@ from .geometry import (
     InvalidSpecError,
     SlopeBounds,
     SlopeConstraint,
-    intrepid_curvature_single,
-    intrepid_slope_pair,
-    intrepid_slope_pair_nonconvex,
-    project_curvature_block,
-    project_curvature_single,
     project_interpolation,
-    project_slope_pair,
-    project_slope_pair_nonconvex,
-    project_slope_parity,
 )
 from .metrics import (
     RunRecord,

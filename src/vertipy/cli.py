@@ -181,6 +181,10 @@ def cmd_generate(opts) -> int:
     speeds = opts.get_list("speeds", float, list(DEFAULT_SPEEDS))
     xi_max = opts.get_list("xi_max", float, list(DEFAULT_XI_MAX))
     k_table = opts.config.get("k_table")
+    out = _out_dir(opts)
+    problem_dir = out / "problems"
+    if any(problem_dir.glob("*.json")) or (out / "records.jsonl").exists():
+        raise UsageError(f"{out} already holds a batch; generate into a new directory")
 
     problems = make_batch(
         seed,
@@ -191,8 +195,6 @@ def cmd_generate(opts) -> int:
         xi_max=xi_max,
         k_table=k_table,
     )
-    out = _out_dir(opts)
-    problem_dir = out / "problems"
     problem_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, problem in enumerate(problems):
@@ -315,6 +317,13 @@ def cmd_report(opts) -> int:
     missing = {r.problem_id for r in records} - set(v_by_problem)
     if missing:
         raise UsageError(f"records reference missing problem file(s): {sorted(missing)}")
+    misfit = [
+        f"{r.algorithm}/{r.problem_id}"
+        for r in records
+        if r.final.shape != v_by_problem[r.problem_id].shape
+    ]
+    if misfit:
+        raise UsageError(f"record final does not fit its problem's profile: {', '.join(misfit)}")
 
     kappa, rho = performance_profile(records, k_max=k_max)
     for algorithm, curve in rho.items():

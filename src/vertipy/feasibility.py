@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import bestapprox, product
-from .geometry import Breakpoints, InvalidSpecError, ProfileKernel, _norm
-from .metrics import RunRecord, StopRule, proximity2_of, proximity_squared_sum
+from .geometry import Breakpoints, InvalidSpecError, _norm, kernel_of
+from .metrics import RunRecord, StopRule, proximity_squared_sum
 from .superior import Superiorized
 
 __all__ = [
@@ -107,22 +107,14 @@ def cycp_plus_step(x, sets):
     return x
 
 
-def _project_each(x, sets):
-    return np.array([c.project(x) for c in sets])
-
-
-def _survey_each(x, sets):
-    return proximity_squared_sum(x, sets), _project_each(x, sets)
-
-
 def project_each(x, sets):
     """The projections of x onto each set, as the rows of an (m, n) array.
 
     The six sets of one profile kernel, in canonical order, take its fused
     `project_each`, whose rows equal the sets' own projections bitwise; any
-    other list stacks `c.project(x)`.
+    other list stacks `c.project(x)` (`geometry.kernel_of`).
     """
-    return ProfileKernel.fused(sets, "project_each", _project_each)(x)
+    return kernel_of(sets).project_each(x)
 
 
 def survey(x, sets):
@@ -130,9 +122,9 @@ def survey(x, sets):
 
     The six sets of one profile kernel, in canonical order, take its fused
     `survey`, which computes both in one pass; any other list computes the
-    two separately.
+    two separately (`geometry.kernel_of`).
     """
-    return ProfileKernel.fused(sets, "survey", _survey_each)(x)
+    return kernel_of(sets).survey(x)
 
 
 # Each parallel step below is a combine of the rows of project_each, so that
@@ -256,12 +248,12 @@ def admm_two_set_step(b, u, set_a, set_b):
 
 class _Algorithm:
     @cached_property
-    def _proximity2(self):
-        return proximity2_of(self.sets)
+    def _kernel(self):
+        return kernel_of(self.sets)
 
     def proximity2(self, x) -> float:
         """The squared proximity of the monitored point x."""
-        return self._proximity2(x)
+        return self._kernel.proximity2(x)
 
 
 class _Surveyed(_Algorithm):
@@ -275,19 +267,15 @@ class _Surveyed(_Algorithm):
     """
 
     @cached_property
-    def _survey(self):
-        return ProfileKernel.fused(self.sets, "survey", _survey_each)
-
-    @cached_property
     def _rows(self):
-        return project_each(self.x, self.sets)
+        return self._kernel.project_each(self.x)
 
     @cached_property
     def _d2(self):
-        return self._proximity2(self.x)
+        return self._kernel.proximity2(self.x)
 
     def _surveyed(self, x):
-        self._d2, self._rows = self._survey(x)
+        self._d2, self._rows = self._kernel.survey(x)
         return x
 
     def proximity2(self, x) -> float:

@@ -79,15 +79,8 @@ __all__ = [
     "SlopeConstraint",
     "CurvatureConstraint",
     "project_interpolation",
-    "project_slope_pair",
-    "intrepid_slope_pair",
-    "project_slope_pair_nonconvex",
-    "intrepid_slope_pair_nonconvex",
-    "project_slope_parity",
-    "project_curvature_single",
-    "intrepid_curvature_single",
-    "project_curvature_block",
     "ProfileKernel",
+    "kernel_of",
 ]
 
 
@@ -334,132 +327,12 @@ def project_interpolation(x, spec: InterpolationSpec) -> np.ndarray:
     return out
 
 
-def _on_pair(op, xi, xj, alpha, beta=None):
-    # a one-pair slope constraint on (xi, xj); SlopeBounds checks alpha and beta
-    bounds = SlopeBounds([alpha], None if beta is None else [beta])
-    xi, xj = op(SlopeConstraint(bounds, "odd", 2), np.array([xi, xj], dtype=float))
-    return float(xi), float(xj)
-
-
-def project_slope_pair(xi: float, xj: float, alpha: float):
-    """Project (xi, xj) onto {|xj - xi| <= alpha}.
-
-    The pair moves symmetrically: both coordinates shift by (|d| - alpha)/2
-    toward each other when the stripe is violated, preserving xi + xj.
-    """
-    return _on_pair(SlopeConstraint.project, xi, xj, alpha)
-
-
-def intrepid_slope_pair(xi: float, xj: float, alpha: float):
-    """Overshooting counterpart of :func:`project_slope_pair`.
-
-    Inside the stripe: identity.  Up to one stripe half-width outside:
-    reflection into the near half.  Farther out: jump to the midline
-    xi = xj.
-    """
-    return _on_pair(SlopeConstraint.intrepid, xi, xj, alpha)
-
-
-def project_slope_pair_nonconvex(xi: float, xj: float, alpha: float, beta: float):
-    """Project (xi, xj) onto {beta <= |xj - xi| <= alpha}.
-
-    The set is a union of two stripes.  Points in the forbidden middle band
-    go to the nearer stripe; the tie xi = xj resolves to the upward branch
-    xj - xi = +beta.
-    """
-    return _on_pair(SlopeConstraint.project, xi, xj, alpha, beta)
-
-
-def intrepid_slope_pair_nonconvex(xi: float, xj: float, alpha: float, beta: float):
-    """Overshooting counterpart of :func:`project_slope_pair_nonconvex`.
-
-    Within half a stripe width of a violated bound the point reflects across
-    that bound; farther away it jumps to the midline of the nearer branch,
-    |xj - xi| = (alpha + beta)/2.  Case boundaries follow the first-match
-    order of the defining formula; the tie xi = xj lands on the downward
-    branch.
-    """
-    return _on_pair(SlopeConstraint.intrepid, xi, xj, alpha, beta)
-
-
-def project_slope_parity(x, bounds: SlopeBounds, parity: str) -> np.ndarray:
-    """Project onto the intersection of all slope stripes of one parity.
-
-    parity "odd" couples pairs (0,1), (2,3), ...; "even" couples (1,2),
-    (3,4), ...  The pairs are coordinate-disjoint, so the pairwise formula
-    projects onto the intersection exactly.  Convex bounds only; use the
-    constraint class for bounds with a minimum-slope floor.
-    """
-    if not bounds.convex:
-        raise InvalidSpecError(
-            "project_slope_parity handles convex bounds only "
-            "(got beta; use SlopeConstraint.project)"
-        )
-    x = np.asarray(x, dtype=float)
-    return SlopeConstraint(bounds, parity, x.size).project(x)
-
-
-def _check_curvature_args(x, i, bounds, bp):
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if bp.n != n:
-        raise InvalidSpecError("breakpoints and profile lengths differ")
-    if bounds.gamma.size != n - 2:
-        raise InvalidSpecError("curvature bounds must have length n - 2")
-    if not 0 <= i <= n - 3:
-        raise InvalidSpecError(f"curvature index {i} out of range for n = {n}")
-    return x
-
-
 def _triple_weights(bounds, bp):
     # t0, t1, t0 + t1, lo, hi, ||u||^2 and the rows u over all n-2 triples
     t0, t1 = bp.tau[:-1], bp.tau[1:]
     t01 = t0 + t1
     lo, hi = bounds.delta * t0 * t1, bounds.gamma * t0 * t1
     return t0, t1, t01, lo, hi, t0 * t0 + t1 * t1 + t01**2, np.stack([t1, -t01, t0], axis=1)
-
-
-def _on_triple(op, x, i, bounds, bp):
-    # a one-triple constraint on x[i : i + 3]; its tau is bp.tau[i : i + 2] bitwise
-    x = _check_curvature_args(x, i, bounds, bp)
-    triple = CurvatureConstraint(
-        CurvatureBounds(bounds.gamma[i : i + 1], bounds.delta[i : i + 1]),
-        Breakpoints(bp.t[i : i + 3]),
-        1,
-    )
-    out = x.copy()
-    out[i : i + 3] = op(triple, x[i : i + 3])
-    return out
-
-
-def project_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
-    """Project onto one curvature constraint (indices i, i+1, i+2).
-
-    The set is the slab delta_i tau_i tau_{i+1} <= <u, x> <= gamma_i tau_i
-    tau_{i+1} for u = tau_{i+1} e_i - (tau_i + tau_{i+1}) e_{i+1}
-    + tau_i e_{i+2}; the projection moves x along u.
-    """
-    return _on_triple(CurvatureConstraint.project, x, i, bounds, bp)
-
-
-def intrepid_curvature_single(x, i: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
-    """Overshooting counterpart of :func:`project_curvature_single`.
-
-    Reflects across the violated slab face while the reflection stays in the
-    near half of the slab; beyond that it jumps to the midline (the slab of
-    zero width at (delta + gamma)/2 tau_i tau_{i+1}).
-    """
-    return _on_triple(CurvatureConstraint.intrepid, x, i, bounds, bp)
-
-
-def project_curvature_block(x, block: int, bounds: CurvatureBounds, bp: Breakpoints) -> np.ndarray:
-    """Project onto the intersection of curvature constraints i = block-1,
-    block+2, block+5, ... (block in {1, 2, 3}).
-
-    Every third triple is coordinate-disjoint, so the per-triple projections
-    combine into the exact projection onto the block intersection.
-    """
-    return CurvatureConstraint(bounds, bp, block).project(x)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +356,8 @@ class ProfileKernel:
     of that pass.  The parallel steps survey each new iterate, so the
     monitor and the next step share one pass.  `project_rows` runs the
     projection half on a product point, row i onto set i, for
-    `product.ProductSet`.  `fused` resolves a set list to one of these
-    methods, or to a per-set fallback, once for whoever holds the list.
+    `product.ProductSet`.  `kernel_of` resolves a set list to its kernel,
+    or to a per-set stand-in with the same four methods.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and a problem sent to a pool worker
@@ -533,22 +406,6 @@ class ProfileKernel:
             getattr(c, "kernel", None) is self and c.tag == tag
             for c, tag in zip(sets, _CANONICAL_TAGS)
         )
-
-    @staticmethod
-    def owner(sets):
-        """The kernel that owns `sets` (see `owns`), or None."""
-        kernel = getattr(sets[0], "kernel", None) if len(sets) else None
-        return kernel if kernel is not None and kernel.owns(sets) else None
-
-    @staticmethod
-    def fused(sets, method, fallback):
-        """The owner's `method` if a kernel owns `sets`, else `fallback(x, sets)` with sets bound.
-
-        Whoever holds a fixed set list resolves it once with this and calls
-        the result per point.
-        """
-        kernel = ProfileKernel.owner(sets)
-        return getattr(kernel, method) if kernel is not None else partial(fallback, sets=sets)
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -669,6 +526,38 @@ class ProfileKernel:
         left, right, triples = self.scatter
         d, _, a, s, c = self._targets(flat[right] - flat[left], *flat[triples].reshape(-1, 3).T)
         return self._moved(out, d, a, s, c)
+
+
+class _PerSet:
+    """`ProfileKernel`'s four methods on any set list, computed set by set."""
+
+    def __init__(self, sets):
+        self.sets = sets
+
+    def proximity2(self, x) -> float:
+        return float(sum(c.residual(x) ** 2 for c in self.sets))
+
+    def project_each(self, x) -> np.ndarray:
+        return np.array([c.project(x) for c in self.sets])
+
+    def survey(self, x):
+        return self.proximity2(x), self.project_each(x)
+
+    def project_rows(self, parts) -> np.ndarray:
+        parts = _product_point(parts, len(self.sets))
+        return np.array([c.project(row) for c, row in zip(self.sets, parts)])
+
+
+def kernel_of(sets):
+    """The `ProfileKernel` that owns `sets` (see `ProfileKernel.owns`), else a per-set stand-in.
+
+    Either has `proximity2`, `project_each`, `survey` and `project_rows`,
+    and both give the same numbers bitwise: the kernel's fused passes are
+    exactly the per-set sums and stacks.  Whoever holds a fixed set list
+    resolves it once and keeps the result.
+    """
+    kernel = getattr(sets[0], "kernel", None) if len(sets) else None
+    return kernel if kernel is not None and kernel.owns(sets) else _PerSet(sets)
 
 
 # ---------------------------------------------------------------------------

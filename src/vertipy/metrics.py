@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InvalidSpecError, ProfileKernel
+from .geometry import InvalidSpecError, kernel_of
 
 __all__ = [
     "UndefinedNormalizerError",
     "StopRule",
     "RunRecord",
     "proximity_squared_sum",
-    "proximity2_of",
     "proximity",
     "performance_profile",
     "relative_proximity_curve",
@@ -74,23 +73,14 @@ class RunRecord:
     flags: dict = field(default_factory=dict)
 
 
-def _residual_sum(x, sets) -> float:
-    return float(sum(c.residual(x) ** 2 for c in sets))
-
-
-def proximity2_of(sets):
-    """x -> proximity_squared_sum(x, sets), with the list resolved to its kernel once."""
-    return ProfileKernel.fused(sets, "proximity2", _residual_sum)
-
-
 def proximity_squared_sum(x, sets) -> float:
     """Unnormalized sum of squared distances to the given sets.
 
     The six sets of one profile kernel, in canonical order, take its fused
     `proximity2`, which returns this same sum bitwise; any other list sums
-    the residuals of its sets in order.
+    the residuals of its sets in order (`geometry.kernel_of`).
     """
-    return proximity2_of(sets)(x)
+    return kernel_of(sets).proximity2(x)
 
 
 def proximity(x, sets, x0) -> float:

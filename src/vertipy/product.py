@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import InvalidSpecError, ProfileKernel, _product_point
+from .geometry import InvalidSpecError, kernel_of
 
 __all__ = ["make_product_point", "diagonal_part", "ProductSet", "Diagonal"]
 
@@ -35,26 +35,18 @@ def diagonal_part(parts: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _project_rows(parts, sets):
-    # the row-wise stack: c_i.project(row i)
-    parts = _product_point(parts, len(sets))
-    return np.array([c.project(row) for c, row in zip(sets, parts)])
-
-
 class ProductSet:
     """C = C_1 x ... x C_m: row i of a product point projects onto C_i.
 
     A profile kernel's six sets, in canonical order, take its fused
     `project_rows`, whose rows equal the sets' own projections bitwise; any
-    other list stacks `c_i.project(row i)`.  The list is resolved once.
+    other list stacks `c_i.project(row i)`.  The list is resolved once
+    (`geometry.kernel_of`).
     """
 
     def __init__(self, sets):
         self.sets = list(sets)
-        self._project = ProfileKernel.fused(self.sets, "project_rows", _project_rows)
-
-    def project(self, parts):
-        return self._project(parts)
+        self.project = kernel_of(self.sets).project_rows
 
 
 class Diagonal:

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Constraint, InvalidSpecError, _interval_intrepid_table, _interval_sstar_from
+from .geometry import (
+    Constraint,
+    InvalidSpecError,
+    _clip,
+    _gap,
+    _interval_intrepid_table,
+    _interval_sstar_from,
+)
 
 __all__ = ["HalfspaceSet", "SlabSet", "BallSet", "SpanSet"]
 
@@ -68,15 +75,13 @@ class SlabSet(Constraint):
         return x + ((sstar - s) / self._nn) * self.a
 
     def project(self, x):
-        return self._move(x, np.clip, self.lo, self.hi)
+        return self._move(x, _clip, self.lo, self.hi)
 
     def intrepid(self, x):
         return self._move(x, _interval_sstar_from, self._intrepid_table)
 
     def residual(self, x):
-        x = self._check(x)
-        s = np.dot(self.a, x)
-        return abs(s - min(max(s, self.lo), self.hi)) / np.sqrt(self._nn)
+        return abs(_gap(np.dot(self.a, self._check(x)), self.lo, self.hi)) / np.sqrt(self._nn)
 
 
 class BallSet(Constraint):

@@ -152,6 +152,8 @@ def record_to_dict(rec: RunRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> RunRecord:
+    if not data["d_trace"]:
+        raise ValueError("empty d_trace")
     return RunRecord(
         problem_id=data["problem_id"],
         algorithm=data["algorithm"],

@@ -34,6 +34,14 @@ through the nearest point itself.
 import numpy as np
 import pytest
 
+from vertipy.geometry import (
+    Breakpoints,
+    CurvatureBounds,
+    CurvatureConstraint,
+    SlopeBounds,
+    SlopeConstraint,
+)
+
 
 def grid_nearest(predicate, x, half_width=8.0, points=33, rounds=10):
     """Nearest point to x satisfying `predicate`, by zooming grid search.
@@ -81,6 +89,28 @@ def intrepid_oracle(predicate, mid_predicate, x, half_width=8.0):
     if depth <= half + 1e-5:
         return 2.0 * p - x
     return grid_nearest(mid_predicate, x, half_width)
+
+
+# ---- one-pair and one-triple constraint sets ----
+
+def pair_set(alpha, beta=None):
+    """The slope set beta <= |x_2 - x_1| <= alpha of one pair (x_1, x_2); beta None: no floor."""
+    return SlopeConstraint(SlopeBounds([alpha], None if beta is None else [beta]), "odd", 2)
+
+
+def on_triple(op, x, i, bounds, bp):
+    """x with x[i : i + 3] mapped by `op` ("project" or "intrepid") of curvature triple i alone.
+
+    The triple's own breakpoints t[i : i + 3] give its tau as bp.tau[i : i + 2] bitwise.
+    """
+    triple = CurvatureConstraint(
+        CurvatureBounds(bounds.gamma[i : i + 1], bounds.delta[i : i + 1]),
+        Breakpoints(bp.t[i : i + 3]),
+        1,
+    )
+    out = np.array(x, dtype=float)
+    out[i : i + 3] = getattr(triple, op)(out[i : i + 3])
+    return out
 
 
 # ---- membership predicates for the road constraint building blocks ----

@@ -16,6 +16,8 @@ from conftest import (
     band_pred,
     grid_nearest,
     intrepid_oracle,
+    on_triple,
+    pair_set,
     slab_mid_pred,
     slab_pred,
     stripe_mid_pred,
@@ -26,17 +28,11 @@ from vertipy.feasibility import FEASIBILITY_ALGORITHMS, run
 from vertipy.geometry import (
     Breakpoints,
     CurvatureBounds,
+    CurvatureConstraint,
     InterpolationSpec,
     SlopeBounds,
-    intrepid_curvature_single,
-    intrepid_slope_pair,
-    intrepid_slope_pair_nonconvex,
-    project_curvature_block,
-    project_curvature_single,
+    SlopeConstraint,
     project_interpolation,
-    project_slope_pair,
-    project_slope_pair_nonconvex,
-    project_slope_parity,
 )
 from vertipy.metrics import (
     RunRecord,
@@ -183,9 +179,10 @@ def _sweep_slope_pair(rng):
     for _ in range(N_INSTANCES):
         al = float(rng.uniform(0.3, 2.5))
         x = rng.uniform(-4.0, 4.0, 2)
-        p = np.array(project_slope_pair(x[0], x[1], al))
+        con = pair_set(al)
+        p = con.project(x)
         point = max(point, float(np.max(np.abs(p - grid_nearest(stripe_pred(al), x)))))
-        inv = max(inv, float(np.max(np.abs(np.array(project_slope_pair(p[0], p[1], al)) - p))))
+        inv = max(inv, float(np.max(np.abs(con.project(p) - p))))
         samples = [np.array([t, t + rng.uniform(-al, al)]) for t in rng.uniform(-4, 4, 3)]
         inv = max(inv, _vargap(x, p, samples))
     return point, inv
@@ -201,13 +198,14 @@ def _sweep_slope_parity(rng):
         offset = 0 if parity == "odd" else 1
         x = rng.uniform(-4.0, 4.0, n)
 
-        p = project_slope_parity(x, bounds, parity)
+        con = SlopeConstraint(bounds, parity, n)
+        p = con.project(x)
 
         expected = x.copy()
         for i in range(offset, n - 1, 2):
             expected[i : i + 2] = grid_nearest(stripe_pred(alpha[i]), x[i : i + 2])
         point = max(point, float(np.max(np.abs(p - expected))))
-        inv = max(inv, float(np.max(np.abs(project_slope_parity(p, bounds, parity) - p))))
+        inv = max(inv, float(np.max(np.abs(con.project(p) - p))))
         samples = []
         for _ in range(3):
             c = rng.uniform(-4.0, 4.0, n)
@@ -233,10 +231,11 @@ def _sweep_intrepid_slope(rng):
         t = rng.uniform(-3.0, 3.0)
         x = np.array([t, t + d])
 
-        p = np.array(intrepid_slope_pair(x[0], x[1], al))
+        con = pair_set(al)
+        p = con.intrepid(x)
         q = intrepid_oracle(stripe_pred(al), stripe_mid_pred(), x)
         point = max(point, float(np.max(np.abs(p - q))))
-        inv = max(inv, float(np.max(np.abs(np.array(intrepid_slope_pair(p[0], p[1], al)) - p))))
+        inv = max(inv, float(np.max(np.abs(con.intrepid(p) - p))))
     return point, inv
 
 
@@ -256,10 +255,10 @@ def _sweep_band(rng):
         t = rng.uniform(-3.0, 3.0)
         x = np.array([t, t + d])
 
-        p = np.array(project_slope_pair_nonconvex(x[0], x[1], al, be))
+        con = pair_set(al, be)
+        p = con.project(x)
         point = max(point, float(np.max(np.abs(p - grid_nearest(band_pred(al, be), x)))))
-        again = np.array(project_slope_pair_nonconvex(p[0], p[1], al, be))
-        inv = max(inv, float(np.max(np.abs(again - p))))
+        inv = max(inv, float(np.max(np.abs(con.project(p) - p))))
         samples = [
             np.array([t2, t2 + (1.0 if rng.integers(2) else -1.0) * rng.uniform(be, al)])
             for t2 in rng.uniform(-4, 4, 3)
@@ -296,11 +295,11 @@ def _sweep_intrepid_band(rng):
         t = rng.uniform(-3.0, 3.0)
         x = np.array([t, t + d])
 
-        p = np.array(intrepid_slope_pair_nonconvex(x[0], x[1], al, be))
+        con = pair_set(al, be)
+        p = con.intrepid(x)
         q = intrepid_oracle(band_pred(al, be), band_mid_pred(al, be), x)
         point = max(point, float(np.max(np.abs(p - q))))
-        again = np.array(intrepid_slope_pair_nonconvex(p[0], p[1], al, be))
-        inv = max(inv, float(np.max(np.abs(again - p))))
+        inv = max(inv, float(np.max(np.abs(con.intrepid(p) - p))))
     return point, inv
 
 
@@ -314,7 +313,7 @@ def _sweep_curvature_single(rng):
         x = rng.uniform(-3.0, 3.0, n)
         w = slice(i, i + 3)
 
-        p = project_curvature_single(x, i, cb, bp)
+        p = on_triple("project", x, i, cb, bp)
 
         outside = np.delete(np.arange(n), np.arange(i, i + 3))
         assert np.array_equal(p[outside], x[outside])
@@ -325,7 +324,7 @@ def _sweep_curvature_single(rng):
             dist_dev,
             abs(float(np.linalg.norm(x - p)) - float(np.linalg.norm(x[w] - grid))),
         )
-        inv = max(inv, float(np.max(np.abs(project_curvature_single(p, i, cb, bp) - p))))
+        inv = max(inv, float(np.max(np.abs(on_triple("project", p, i, cb, bp) - p))))
         samples = [
             _with_window_s(rng, n, i, u, rng.uniform(lo, hi)) for _ in range(3)
         ]
@@ -342,7 +341,8 @@ def _sweep_curvature_block(rng):
         idx = np.arange(block - 1, n - 2, 3)
         x = rng.uniform(-3.0, 3.0, n)
 
-        p = project_curvature_block(x, block, cb, bp)
+        con = CurvatureConstraint(cb, bp, block)
+        p = con.project(x)
 
         covered = np.concatenate([np.arange(i, i + 3) for i in idx])
         outside = np.delete(np.arange(n), covered)
@@ -357,7 +357,7 @@ def _sweep_curvature_block(rng):
                 dist_dev,
                 abs(float(np.linalg.norm(x[w] - p[w])) - float(np.linalg.norm(x[w] - grid))),
             )
-        inv = max(inv, float(np.max(np.abs(project_curvature_block(p, block, cb, bp) - p))))
+        inv = max(inv, float(np.max(np.abs(con.project(p) - p))))
         samples = []
         for _ in range(3):
             c = rng.uniform(-3.0, 3.0, n)
@@ -393,7 +393,7 @@ def _sweep_intrepid_curvature(rng):
         x = _with_window_s(rng, n, 0, u, target)
         s_x = float(u @ x)
 
-        p = intrepid_curvature_single(x, 0, cb, bp)
+        p = on_triple("intrepid", x, 0, cb, bp)
         s_p = float(u @ p)
         tol_s = 1e-9 * (1.0 + abs(hi) + abs(lo))
 
@@ -414,7 +414,7 @@ def _sweep_intrepid_curvature(rng):
                 dist_dev,
                 abs(float(np.linalg.norm(p - x)) - float(np.linalg.norm(grid - x))),
             )
-        inv = max(inv, float(np.max(np.abs(intrepid_curvature_single(p, 0, cb, bp) - p))))
+        inv = max(inv, float(np.max(np.abs(on_triple("intrepid", p, 0, cb, bp) - p))))
     return dist_dev, inv
 
 

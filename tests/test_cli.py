@@ -187,6 +187,52 @@ def test_malformed_record_line_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda rec: rec.update(final=rec["final"][:-1]),
+            "record final does not fit its problem's profile: CycP/p0001",
+        ),
+        (lambda rec: rec.update(d_trace=[]), "line 2: malformed record (empty d_trace)"),
+    ],
+)
+def test_record_that_does_not_fit_its_problem_exits_1(tmp_path, capsys, edit, message):
+    out = _generate(tmp_path, count=2, seed=3)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
+    path = out / "records.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    path.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_generate_refuses_a_directory_that_holds_a_batch(tmp_path, capsys):
+    # a second batch would write over part of the first, and `run` would take
+    # the first batch's records for the second batch's problems
+    records_only = _generate(tmp_path / "records", count=3, seed=0)
+    args = ["run", "--out", str(records_only), "--algorithms", "CycP", "--jobs", "1"]
+    assert cli.main(args) == 0
+    for path in (records_only / "problems").glob("*.json"):
+        path.unlink()
+    problems_only = _generate(tmp_path / "problems", count=3, seed=0)
+    for out in (records_only, problems_only):
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert cli.main(["generate", "--out", str(out), "--count", "2", "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "already holds a batch" in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    empty = tmp_path / "empty"
+    (empty / "problems").mkdir(parents=True)
+    _generate(empty, count=1)  # an empty directory is fine
+
+
+@pytest.mark.parametrize(
     "text, cause",
     [
         (None, "JSONDecodeError"),  # None: the file cut off half-way

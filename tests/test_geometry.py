@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import on_triple, pair_set
 from vertipy import geometry as G
 from vertipy.geometry import (
     Breakpoints,
@@ -29,88 +30,73 @@ from vertipy.geometry import (
 # ---------------------------------------------------------------- pairs
 
 def test_stripe_projection_frozen():
-    assert_allclose(G.project_slope_pair(1.0, 2.0, 0.4), (1.3, 1.7), atol=1e-12)
-    assert_allclose(G.project_slope_pair(2.0, 1.0, 0.4), (1.7, 1.3), atol=1e-12)
+    assert_allclose(pair_set(0.4).project([1.0, 2.0]), [1.3, 1.7], atol=1e-12)
+    assert_allclose(pair_set(0.4).project([2.0, 1.0]), [1.7, 1.3], atol=1e-12)
     # feasible pair is untouched
-    assert_allclose(G.project_slope_pair(1.0, 1.3, 0.4), (1.0, 1.3), atol=0)
+    assert_allclose(pair_set(0.4).project([1.0, 1.3]), [1.0, 1.3], atol=0)
 
 
 def test_stripe_projection_oracle_frozen():
     # grid_nearest(stripe_pred(0.7), (2.13, -0.44))
-    assert_allclose(G.project_slope_pair(2.13, -0.44, 0.7), (1.195, 0.495), atol=1e-6)
+    assert_allclose(pair_set(0.7).project([2.13, -0.44]), [1.195, 0.495], atol=1e-6)
     # grid_nearest(stripe_pred(1.15), (-1.9, 0.85))
-    assert_allclose(G.project_slope_pair(-1.9, 0.85, 1.15), (-1.1, 0.05), atol=1e-6)
+    assert_allclose(pair_set(1.15).project([-1.9, 0.85]), [-1.1, 0.05], atol=1e-6)
 
 
 def test_stripe_intrepid_frozen():
     # one half-width out: reflection into the near half
-    assert_allclose(G.intrepid_slope_pair(0.5, 1.5, 0.6), (0.9, 1.1), atol=1e-12)
+    assert_allclose(pair_set(0.6).intrepid([0.5, 1.5]), [0.9, 1.1], atol=1e-12)
     # far out: jump to the midline x_i = x_j
-    assert_allclose(G.intrepid_slope_pair(0.0, 2.0, 0.6), (1.0, 1.0), atol=1e-12)
+    assert_allclose(pair_set(0.6).intrepid([0.0, 2.0]), [1.0, 1.0], atol=1e-12)
     # inside: identity
-    assert_allclose(G.intrepid_slope_pair(0.2, 0.5, 0.6), (0.2, 0.5), atol=0)
+    assert_allclose(pair_set(0.6).intrepid([0.2, 0.5]), [0.2, 0.5], atol=0)
     # intrepid_oracle(stripe_pred(0.7), ..., (2.13, -0.44)) -> midline
-    assert_allclose(G.intrepid_slope_pair(2.13, -0.44, 0.7), (0.845, 0.845), atol=1e-6)
+    assert_allclose(pair_set(0.7).intrepid([2.13, -0.44]), [0.845, 0.845], atol=1e-6)
     # intrepid_oracle(stripe_pred(1.15), ..., (-1.9, 0.85)) -> midline
-    assert_allclose(
-        G.intrepid_slope_pair(-1.9, 0.85, 1.15), (-0.525, -0.525), atol=1e-6
-    )
+    assert_allclose(pair_set(1.15).intrepid([-1.9, 0.85]), [-0.525, -0.525], atol=1e-6)
 
 
 def test_band_projection_frozen():
+    band = pair_set(3.0, 1.0)
     # inside the band (either branch): identity
-    assert_allclose(
-        G.project_slope_pair_nonconvex(-0.25, 0.75, 3.0, 1.0), (-0.25, 0.75), atol=0
-    )
-    assert_allclose(G.project_slope_pair_nonconvex(1.0, 4.0, 3.0, 1.0), (1.0, 4.0), atol=0)
+    assert_allclose(band.project([-0.25, 0.75]), [-0.25, 0.75], atol=0)
+    assert_allclose(band.project([1.0, 4.0]), [1.0, 4.0], atol=0)
     # forbidden middle: out to the nearer branch
-    assert_allclose(G.project_slope_pair_nonconvex(0.5, 0.9, 3.0, 1.0), (0.2, 1.2), atol=1e-12)
+    assert_allclose(band.project([0.5, 0.9]), [0.2, 1.2], atol=1e-12)
     # outside: clip to the outer bound
-    assert_allclose(G.project_slope_pair_nonconvex(0.0, 5.0, 3.0, 1.0), (1.0, 4.0), atol=1e-12)
+    assert_allclose(band.project([0.0, 5.0]), [1.0, 4.0], atol=1e-12)
     # the projection tie x_i = x_j resolves upward (d* = +beta)
-    assert_allclose(G.project_slope_pair_nonconvex(0.7, 0.7, 3.0, 1.0), (0.2, 1.2), atol=1e-12)
+    assert_allclose(band.project([0.7, 0.7]), [0.2, 1.2], atol=1e-12)
 
 
 def test_band_projection_oracle_frozen():
     # grid_nearest(band_pred(2.4, 0.9), ...)
-    assert_allclose(
-        G.project_slope_pair_nonconvex(0.31, 0.62, 2.4, 0.9), (0.015, 0.915), atol=1e-6
-    )
-    assert_allclose(
-        G.project_slope_pair_nonconvex(1.2, -2.9, 2.4, 0.9), (0.35, -2.05), atol=1e-6
-    )
+    assert_allclose(pair_set(2.4, 0.9).project([0.31, 0.62]), [0.015, 0.915], atol=1e-6)
+    assert_allclose(pair_set(2.4, 0.9).project([1.2, -2.9]), [0.35, -2.05], atol=1e-6)
 
 
 def test_band_intrepid_frozen():
     # reflection across the inner bound +beta (near half of the band)
-    assert_allclose(
-        G.intrepid_slope_pair_nonconvex(0.0, 0.5, 3.0, 1.0), (-0.5, 1.0), atol=1e-12
-    )
+    assert_allclose(pair_set(3.0, 1.0).intrepid([0.0, 0.5]), [-0.5, 1.0], atol=1e-12)
     # same start, wider beta: beyond the near half, jump to the branch midline
-    assert_allclose(
-        G.intrepid_slope_pair_nonconvex(0.0, 0.5, 3.0, 1.5), (-0.875, 1.375), atol=1e-12
-    )
+    assert_allclose(pair_set(3.0, 1.5).intrepid([0.0, 0.5]), [-0.875, 1.375], atol=1e-12)
     # the intrepid tie x_i = x_j resolves downward (d* = -(alpha+beta)/2),
     # unlike the projection tie
-    assert_allclose(G.intrepid_slope_pair_nonconvex(0.0, 0.0, 3.0, 1.0), (1.0, -1.0), atol=1e-12)
+    assert_allclose(pair_set(3.0, 1.0).intrepid([0.0, 0.0]), [1.0, -1.0], atol=1e-12)
     # intrepid_oracle(band_pred(2.4, 0.9), ...)
-    assert_allclose(
-        G.intrepid_slope_pair_nonconvex(0.31, 0.62, 2.4, 0.9), (-0.28, 1.21), atol=1e-6
-    )
-    assert_allclose(
-        G.intrepid_slope_pair_nonconvex(1.2, -2.9, 2.4, 0.9), (-0.025, -1.675), atol=1e-6
-    )
+    assert_allclose(pair_set(2.4, 0.9).intrepid([0.31, 0.62]), [-0.28, 1.21], atol=1e-6)
+    assert_allclose(pair_set(2.4, 0.9).intrepid([1.2, -2.9]), [-0.025, -1.675], atol=1e-6)
 
 
 def test_pair_argument_validation():
     with pytest.raises(InvalidSpecError):
-        G.project_slope_pair(0.0, 1.0, 0.0)
+        pair_set(0.0)
     with pytest.raises(InvalidSpecError):
-        G.intrepid_slope_pair(0.0, 1.0, -0.5)
+        pair_set(-0.5)
     with pytest.raises(InvalidSpecError):
-        G.project_slope_pair_nonconvex(0.0, 1.0, 1.0, 1.0)  # beta == alpha
+        pair_set(1.0, 1.0)  # beta == alpha
     with pytest.raises(InvalidSpecError):
-        G.intrepid_slope_pair_nonconvex(0.0, 1.0, 1.0, -0.1)
+        pair_set(1.0, -0.1)
 
 
 @pytest.mark.parametrize("beta", [None, 0.5])
@@ -131,12 +117,11 @@ def test_infinite_alpha_warns_nothing(beta, x, d_zero):
                 assert np.array_equal(p, x) and np.array_equal(q, x) and r == 0.0
             else:
                 assert r == pytest.approx(beta / np.sqrt(2.0), abs=1e-15)
-        if d_zero and beta is None:  # the scalar pair functions at the same tie
-            assert G.project_slope_pair(1.0, 1.0, np.inf) == (1.0, 1.0)
-            assert G.intrepid_slope_pair(1.0, 1.0, np.inf) == (1.0, 1.0)
-        elif d_zero:
-            assert G.project_slope_pair_nonconvex(1.0, 1.0, np.inf, beta) == (0.75, 1.25)
-            assert G.intrepid_slope_pair_nonconvex(1.0, 1.0, np.inf, beta) == (1.5, 0.5)
+        if d_zero:  # one pair at the same tie
+            pair = pair_set(np.inf, beta)
+            up, down = ([1.0, 1.0], [1.0, 1.0]) if beta is None else ([0.75, 1.25], [1.5, 0.5])
+            assert pair.project([1.0, 1.0]).tolist() == up
+            assert pair.intrepid([1.0, 1.0]).tolist() == down
 
 
 # ------------------------------------------------------------- parities
@@ -144,12 +129,12 @@ def test_infinite_alpha_warns_nothing(beta, x, d_zero):
 def test_parity_projection_frozen():
     bounds = SlopeBounds(np.ones(3))
     assert_allclose(
-        G.project_slope_parity([0.0, 3.0, 0.0, 3.0], bounds, "even"),
+        SlopeConstraint(bounds, "even", 4).project([0.0, 3.0, 0.0, 3.0]),
         [0.0, 2.0, 1.0, 3.0],
         atol=1e-12,
     )
     assert_allclose(
-        G.project_slope_parity([0.0, 3.0, 0.0, 3.0], bounds, "odd"),
+        SlopeConstraint(bounds, "odd", 4).project([0.0, 3.0, 0.0, 3.0]),
         [1.0, 2.0, 1.0, 2.0],
         atol=1e-12,
     )
@@ -163,22 +148,19 @@ def test_parity_matches_pairwise(rng):
         alpha = rng.uniform(0.2, 2.0, n - 1)
         bounds = SlopeBounds(alpha)
         for parity, offset in (("odd", 0), ("even", 1)):
-            out = G.project_slope_parity(x, bounds, parity)
+            out = SlopeConstraint(bounds, parity, n).project(x)
             expect = x.copy()
             for i in range(offset, n - 1, 2):
-                expect[i], expect[i + 1] = G.project_slope_pair(x[i], x[i + 1], alpha[i])
+                expect[i : i + 2] = pair_set(alpha[i]).project(x[i : i + 2])
             assert_allclose(out, expect, atol=1e-12)
 
 
 def test_parity_validation():
     bounds = SlopeBounds(np.ones(3))
     with pytest.raises(InvalidSpecError):
-        G.project_slope_parity([0.0, 1.0, 2.0, 3.0], bounds, "both")
+        SlopeConstraint(bounds, "both", 4)
     with pytest.raises(InvalidSpecError):
-        G.project_slope_parity([0.0, 1.0, 2.0], bounds, "odd")  # length mismatch
-    nc = SlopeBounds(np.ones(3), beta=0.5 * np.ones(3))
-    with pytest.raises(InvalidSpecError):
-        G.project_slope_parity([0.0, 1.0, 2.0, 3.0], nc, "odd")
+        SlopeConstraint(bounds, "odd", 3)  # length mismatch
 
 
 # ------------------------------------------------------------ curvature
@@ -186,10 +168,10 @@ def test_parity_validation():
 def test_curvature_projection_frozen():
     bp = Breakpoints([0.0, 1.0, 2.0])
     cb = CurvatureBounds(gamma=[0.5], delta=[-0.5])
-    out = G.project_curvature_single([0.0, 1.0, 3.0], 0, cb, bp)
+    out = on_triple("project", [0.0, 1.0, 3.0], 0, cb, bp)
     assert_allclose(out, [-1 / 12, 7 / 6, 35 / 12], atol=1e-12)
     # feasible triple untouched
-    out = G.project_curvature_single([0.0, 1.0, 2.2], 0, cb, bp)
+    out = on_triple("project", [0.0, 1.0, 2.2], 0, cb, bp)
     assert_allclose(out, [0.0, 1.0, 2.2], atol=0)
 
 
@@ -197,10 +179,10 @@ def test_curvature_intrepid_frozen():
     bp = Breakpoints([0.0, 1.0, 2.0])
     cb = CurvatureBounds(gamma=[0.5], delta=[-0.5])
     # within half a slab width: reflection across the violated face
-    out = G.intrepid_curvature_single([0.0, 1.0, 3.0], 0, cb, bp)
+    out = on_triple("intrepid", [0.0, 1.0, 3.0], 0, cb, bp)
     assert_allclose(out, [-1 / 6, 4 / 3, 17 / 6], atol=1e-12)
     # beyond: jump to the slab midline
-    out = G.intrepid_curvature_single([0.0, 1.0, 4.0], 0, cb, bp)
+    out = on_triple("intrepid", [0.0, 1.0, 4.0], 0, cb, bp)
     assert_allclose(out, [-1 / 3, 5 / 3, 11 / 3], atol=1e-12)
 
 
@@ -214,10 +196,10 @@ def test_curvature_block_matches_singles(rng):
         cb = CurvatureBounds(gamma=gam, delta=-rng.uniform(0.1, 1.0, n - 2))
         x = rng.uniform(-5, 5, n)
         for block in (1, 2, 3):
-            out = G.project_curvature_block(x, block, cb, bp)
+            out = CurvatureConstraint(cb, bp, block).project(x)
             expect = x.copy()
             for i in range(block - 1, n - 2, 3):
-                expect = G.project_curvature_single(expect, i, cb, bp)
+                expect = on_triple("project", expect, i, cb, bp)
             assert_allclose(out, expect, atol=1e-12)
 
 
@@ -225,11 +207,11 @@ def test_curvature_validation():
     bp = Breakpoints([0.0, 1.0, 2.0, 3.0])
     cb = CurvatureBounds(gamma=[0.5, 0.5], delta=[-0.5, -0.5])
     with pytest.raises(InvalidSpecError):
-        G.project_curvature_single([0.0, 1.0, 2.0, 3.0], 2, cb, bp)  # i > n-3
+        CurvatureConstraint(cb, bp, 1).project([0.0, 1.0, 2.0])  # length mismatch
     with pytest.raises(InvalidSpecError):
-        G.project_curvature_single([0.0, 1.0, 2.0], 0, cb, bp)  # length mismatch
+        CurvatureConstraint(CurvatureBounds(gamma=[0.5], delta=[-0.5]), bp, 1)  # n - 2 bounds
     with pytest.raises(InvalidSpecError):
-        G.project_curvature_block([0.0, 1.0, 2.0, 3.0], 4, cb, bp)
+        CurvatureConstraint(cb, bp, 4)
     with pytest.raises(InvalidSpecError):
         CurvatureBounds(gamma=[0.5], delta=[0.5])  # delta must be <= 0
     with pytest.raises(InvalidSpecError):
@@ -254,14 +236,15 @@ def test_infinite_curvature_bounds_warn_nothing(gamma, delta):
                 assert c.residual(got) <= 1e-12
             assert c.residual(x) == finite.residual(x)
         for i in range(3):
-            for fn in (G.project_curvature_single, G.intrepid_curvature_single):
-                assert fn(x, i, cb, bp).tobytes() == fn(x, i, twin, bp).tobytes(), (i, fn)
+            for op in ("project", "intrepid"):
+                got = on_triple(op, x, i, cb, bp)
+                assert got.tobytes() == on_triple(op, x, i, twin, bp).tobytes(), (i, op)
         interp = InterpolationSpec([0, 4], [0.0, -1.0])
         kernel = G.ProfileKernel(5, interp, SlopeBounds(np.full(4, 2.5)), cb, bp)
         sets = kernel.constraint_sets()
         assert kernel.proximity2(x) == float(sum(c.residual(x) ** 2 for c in sets))
     if np.isinf(delta) and np.isinf(gamma):
-        assert np.array_equal(G.intrepid_curvature_single(x, 1, cb, bp), x)
+        assert np.array_equal(on_triple("intrepid", x, 1, cb, bp), x)
 
 
 # ------------------------------------------------------ data validation

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import on_triple
 from vertipy import feasibility as F
 from vertipy import product
 from vertipy.bestapprox import InfeasibleIntersectionError
@@ -30,8 +31,7 @@ from vertipy.geometry import (
     ProfileKernel,
     SlopeBounds,
     SlopeConstraint,
-    intrepid_curvature_single,
-    project_curvature_single,
+    kernel_of,
 )
 from vertipy.metrics import StopRule, proximity_squared_sum
 from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
@@ -254,6 +254,9 @@ def test_other_set_lists_take_the_generic_sum():
     sets, x = _problem(40, 3, False)
     kernel = sets[0].kernel
     assert all(c.kernel is kernel for c in sets) and kernel.owns(sets)
+    assert kernel_of(sets) is kernel and kernel_of([*sets]) is kernel
+    for others in (sets[::-1], sets[:5], sets[1:]):
+        assert not isinstance(kernel_of(others), ProfileKernel)
     for others in (sets[::-1], sets[:5], sets[1:], [*sets[:3], *sets[3:]]):
         assert proximity_squared_sum(x, others) == float(sum(c.residual(x) ** 2 for c in others))
         stacked = np.array([c.project(x) for c in others])
@@ -337,11 +340,10 @@ def test_convex_projections_firmly_nonexpansive(n, seed, nonconvex):
 def test_single_curvature_operators_equal_reference(n, seed, nonconvex):
     sets, x = _problem(n, seed, nonconvex)
     bounds, bp = sets[3].bounds, sets[3].bp
-    single = {"project": project_curvature_single, "intrepid": intrepid_curvature_single}
     for i in range(0, n - 2, 1 + n // 16):
-        for op, fn in single.items():
+        for op in ("project", "intrepid"):
             want = _ref_curvature(x, bounds, bp, np.array([i]), op)
-            assert fn(x, i, bounds, bp).tobytes() == want.tobytes(), (i, op)
+            assert on_triple(op, x, i, bounds, bp).tobytes() == want.tobytes(), (i, op)
 
 
 # ------------------------------------------------------------ fused projections
@@ -421,7 +423,7 @@ def test_product_projection_equals_the_row_wise_stack(
     sets, x = _with_edges(*_problem(n, seed, nonconvex), seed, inf_alpha, inf_curvature)
     kernel = sets[0].kernel
     product_set = product.ProductSet(sets)
-    assert product_set._project == kernel.project_rows  # the kernel's fused pass
+    assert product_set.project == kernel.project_rows  # the kernel's fused pass
     alone = product.ProductSet(_standalone(kernel))
     # the last point's rows lie on their sets
     for parts in (*_product_points(x, seed), kernel.project_each(x)):
@@ -495,7 +497,7 @@ def _ref_exaltp(x, sets):
 def test_fused_steps_equal_the_per_set_steps(n, seed, nonconvex, inf_alpha, inf_curvature):
     sets, x = _with_edges(*_problem(n, seed, nonconvex), seed, inf_alpha, inf_curvature)
     alone = _standalone(sets[0].kernel)
-    assert sets[0].kernel.owns(sets) and ProfileKernel.owner(alone) is None
+    assert kernel_of(sets) is sets[0].kernel and not isinstance(kernel_of(alone), ProfileKernel)
     steps = {F.parp_step: _ref_parp, F.exparp_step: _ref_exparp, F.exaltp_step: _ref_exaltp}
     for step, ref in steps.items():
         for point in (x, ref(x, sets)):

@@ -1,6 +1,7 @@
-"""Smoke test of the layer-by-layer timing script in tools/."""
+"""Smoke tests of the scripts in tools/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,18 @@ def test_op_timings_runs_with_one_repeat():
     assert [kind for *_, kind in problems] == ["convex"] * 3 + ["nonconvex"] * 3
     assert all(abs(n - target) <= 0.2 * target for n, target in zip(sizes, [10, 90, 650] * 2))
     assert all(found == ops for found in problems.values())
+
+
+def test_record_digests_prints_one_digest_per_benchmark_record():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "record_digests.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(Path(vertipy.__file__).parents[1])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert len(rows) == 230 and proc.stderr.endswith("230 record(s)\n")
+    assert len({(workload, algorithm, pid) for workload, algorithm, pid, _ in rows}) == 230
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in rows)
