@@ -75,7 +75,7 @@ def q_operator(x, y, z):
 
 
 def badr_two_set_step(x, v, set_a, set_b):
-    """One step of the anchored D-R recursion.  Returns (x_next, y).
+    """One step of the anchored D-R recursion.  Returns x_next.
 
     With the shadow y = P_B(x):
 
@@ -86,5 +86,4 @@ def badr_two_set_step(x, v, set_a, set_b):
     projections y_k = (P_B P_A)^k v.
     """
     y = set_b.project(x)
-    x_next = x - y + set_a.project(0.5 * (v + 2.0 * y - x))
-    return x_next, y
+    return x - y + set_a.project(0.5 * (v + 2.0 * y - x))

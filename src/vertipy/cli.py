@@ -164,6 +164,9 @@ def _select_algorithms(opts):
             f"unknown algorithm(s): {', '.join(unknown)}; "
             f"known: {', '.join(sorted(ALGORITHMS))}"
         )
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise UsageError(f"algorithm(s) named more than once: {', '.join(repeated)}")
     return names
 
 
@@ -225,25 +228,20 @@ def cmd_generate(opts) -> int:
     return 0
 
 
-def _run_pair(algorithm, problem, stop, start_d2, options):
-    return run_algorithm(algorithm, problem, stop=stop, start_d2=start_d2, **options)
+def _run_pair(algorithm, problem, stop, options):
+    return run_algorithm(algorithm, problem, stop=stop, **options)
 
 
-def _check_starts(problems) -> dict:
-    """Each problem id's start squared proximity, which normalizes its runs.
-
-    Raises before any pair runs, naming every problem whose start cannot
-    normalize a run.
-    """
-    start_d2, bad = {}, []
+def _check_starts(problems) -> None:
+    """Raise before any pair runs, naming every problem whose start cannot normalize a run."""
+    bad = []
     for p in problems:
         try:
-            start_d2[p.problem_id] = start_proximity2(p)
+            start_proximity2(p)
         except InvalidSpecError as exc:
             bad.append(str(exc))
     if bad:
         raise InvalidSpecError("; ".join(bad))
-    return start_d2
 
 
 def cmd_run(opts) -> int:
@@ -272,22 +270,19 @@ def cmd_run(opts) -> int:
     if done:
         print(f"resuming: {len(done)} finished pair(s) found, {len(pairs)} to go")
     pending = {p.problem_id for _, p in pairs}
-    start_d2 = _check_starts([p for p in problems if p.problem_id in pending])
+    _check_starts([p for p in problems if p.problem_id in pending])
 
     started = time.perf_counter()
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_pair, a, p, stop, start_d2[p.problem_id], options)
-                for a, p in pairs
-            ]
+            futures = [pool.submit(_run_pair, a, p, stop, options) for a, p in pairs]
             for future in as_completed(futures):  # append each pair as soon as it finishes
                 rec = future.result()
                 storage.append_record(rec, record_path)
                 records.append(rec)
     else:
         for a, p in pairs:
-            rec = _run_pair(a, p, stop, start_d2[p.problem_id], options)
+            rec = _run_pair(a, p, stop, options)
             storage.append_record(rec, record_path)
             records.append(rec)
     storage.write_records(records, record_path)

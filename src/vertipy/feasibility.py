@@ -36,7 +36,6 @@ __all__ = [
     "cycp_step",
     "cycp_plus_step",
     "project_each",
-    "survey",
     "parp_step",
     "sap_step",
     "exparp_step",
@@ -115,16 +114,6 @@ def project_each(x, sets):
     other list stacks `c.project(x)` (`geometry.kernel_of`).
     """
     return kernel_of(sets).project_each(x)
-
-
-def survey(x, sets):
-    """(proximity_squared_sum(x, sets), project_each(x, sets)), bitwise.
-
-    The six sets of one profile kernel, in canonical order, take its fused
-    `survey`, which computes both in one pass; any other list computes the
-    two separately (`geometry.kernel_of`).
-    """
-    return kernel_of(sets).survey(x)
 
 
 # Each parallel step below is a combine of the rows of project_each, so that
@@ -220,9 +209,9 @@ def exaltp_step(x, sets):
 
 
 def dr_two_set_step(x, set_a, set_b):
-    """Two-set D-R: returns (x - y + P_A(2y - x), y) with the shadow y = P_B x."""
+    """Two-set D-R: returns x - y + P_A(2y - x), with the shadow y = P_B x."""
     y = set_b.project(x)
-    return x - y + set_a.project(2.0 * y - x), y
+    return x - y + set_a.project(2.0 * y - x)
 
 
 def admm_two_set_step(b, u, set_a, set_b):
@@ -262,8 +251,8 @@ class _Surveyed(_Algorithm):
     A step starts from the rows `_rows` of x and passes its new x through
     `_surveyed`, which keeps its squared proximity `_d2` for `proximity2`
     and its rows for the next step.  The start is not surveyed: the first
-    step projects it, and its squared proximity, which `run` already holds
-    as its normalizer, is computed only if asked for.
+    step projects it, and its squared proximity is computed when `run` asks
+    for it as its normalizer.
     """
 
     @cached_property
@@ -335,26 +324,19 @@ def _set_list(sets):
 
 
 class _ProductDR(_Algorithm):
-    """D-R on the product set and the diagonal, from rows v (or parts0); monitors their mean."""
+    """D-R on the product set and the diagonal, from rows v; monitors their mean."""
 
     kind = "feas"
 
-    def __init__(self, sets, v, parts0=None):
+    def __init__(self, sets, v):
         self.sets = _set_list(sets)
         self.v = np.asarray(v, dtype=float)
-        shape = (len(self.sets), self.v.size)
-        if parts0 is None:
-            self.parts = product.make_product_point(self.v, len(self.sets))
-        else:
-            parts0 = np.asarray(parts0, dtype=float)
-            if parts0.shape != shape:
-                raise AlgorithmConfigError(f"parts0 must have shape {shape}")
-            self.parts = parts0.copy()
+        self.parts = product.make_product_point(self.v, len(self.sets))
         self.product_set = product.ProductSet(self.sets)
         self.diagonal = product.Diagonal()
 
     def step(self):
-        self.parts = dr_two_set_step(self.parts, self.product_set, self.diagonal)[0]
+        self.parts = dr_two_set_step(self.parts, self.product_set, self.diagonal)
 
     def monitor(self):
         return product.diagonal_part(self.parts)
@@ -448,12 +430,12 @@ class HaugazeauDouglasRachford(_ProductDR):
 
     kind = "ba"
 
-    def __init__(self, sets, v, parts0=None):
-        super().__init__(sets, v, parts0)
+    def __init__(self, sets, v):
+        super().__init__(sets, v)
         self._anchor = self.parts.copy()
 
     def step(self):
-        target = dr_two_set_step(self.parts, self.product_set, self.diagonal)[0]
+        target = dr_two_set_step(self.parts, self.product_set, self.diagonal)
         flat = bestapprox.q_operator(self._anchor.ravel(), self.parts.ravel(), target.ravel())
         self.parts = flat.reshape(self.parts.shape)
 
@@ -467,13 +449,10 @@ class AnchoredDouglasRachford(_ProductDR):
 
     kind = "ba"
 
-    def __init__(self, sets, v):  # no parts0: the anchored recursion starts at v
-        super().__init__(sets, v)
-
     def step(self):
         self.parts = bestapprox.badr_two_set_step(
             self.parts, self.v, self.product_set, self.diagonal
-        )[0]
+        )
 
 
 def _sweep(step_fn, order=list, cls=_SweepAlgo):
@@ -481,11 +460,9 @@ def _sweep(step_fn, order=list, cls=_SweepAlgo):
 
 
 def _superiorized(step_fn, order=list):
-    def factory(sets, v, direction="away", start_d2=None):
+    def factory(sets, v, direction="away"):
         ordered = order(sets)
-        return Superiorized(
-            lambda x: step_fn(x, ordered), sets, v, direction=direction, start_d2=start_d2
-        )
+        return Superiorized(lambda x: step_fn(x, ordered), sets, v, direction=direction)
 
     return factory
 
@@ -529,21 +506,33 @@ ALGORITHMS = {
 def make_algorithm(name: str, sets, v, **options):
     """Build a registered algorithm on `sets` from v.
 
-    ``start_d2``, v's squared proximity if the caller holds it, spares the
-    superiorized family computing it.
+    The one option is ``direction``, which steers the superiorized family;
+    the other algorithms accept it and ignore it.  Any other option raises
+    AlgorithmConfigError.
     """
     if name not in ALGORITHMS:
         raise AlgorithmConfigError(
             f"unknown algorithm {name!r}; known: {', '.join(sorted(ALGORITHMS))}"
         )
+    unknown = sorted(set(options) - {"direction"})
+    if unknown:
+        raise AlgorithmConfigError(
+            f"unknown option(s) {', '.join(unknown)}; the only option is direction"
+        )
     factory = ALGORITHMS[name]
     if name in SUPERIORIZED_ALGORITHMS:
-        return factory(
-            sets, v, direction=options.get("direction", "away"), start_d2=options.get("start_d2")
-        )
-    if name in ("D-R", "hD-R") and options.get("parts0") is not None:
-        return factory(sets, v, parts0=options["parts0"])
+        return factory(sets, v, **options)
     return factory(sets, v)
+
+
+def _normalizer(problem, proximity2) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        denom = proximity2(problem.v)
+    if not math.isfinite(denom):
+        raise InvalidSpecError(
+            f"{problem.problem_id}: the start's squared proximity is {denom}, not a finite number"
+        )
+    return denom
 
 
 def start_proximity2(problem: FeasibilityProblem) -> float:
@@ -552,32 +541,24 @@ def start_proximity2(problem: FeasibilityProblem) -> float:
     Raises InvalidSpecError if it is not a finite number: every d would then
     be NaN, which records.jsonl cannot hold.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        denom = proximity_squared_sum(problem.v, problem.sets)
-    if not math.isfinite(denom):
-        raise InvalidSpecError(
-            f"{problem.problem_id}: the start's squared proximity is {denom}, not a finite number"
-        )
-    return denom
+    return _normalizer(problem, lambda x: proximity_squared_sum(x, problem.sets))
 
 
 def run(
     algorithm: str,
     problem: FeasibilityProblem,
     stop: StopRule | None = None,
-    start_d2: float | None = None,
     **options,
 ) -> RunRecord:
     """Run one algorithm on one problem and record the proximity trace.
 
     The trace starts at d(x_0) = 1 and gains one entry per iteration.  Every
-    d is normalized by the start's squared proximity: `start_d2` if the
-    caller has it from `start_proximity2(problem)`, computed here if not,
-    and handed on to the algorithm.  A start that is already feasible (zero
-    normalizer) short-circuits to a converged record with trace [0.0], once
-    the algorithm is built (so a bad name still raises); a start whose
-    squared proximity is not finite raises before that (see
-    `start_proximity2`).  An infeasibility signal from the Q-based methods
+    d is normalized by the start's squared proximity, which the algorithm
+    computes once it is built (so a bad name or option raises first), as
+    ``algo.proximity2(v)``; it raises InvalidSpecError if that is not a
+    finite number (see `start_proximity2`).  A start that is already
+    feasible (zero normalizer) short-circuits to a converged record with
+    trace [0.0].  An infeasibility signal from the Q-based methods
     ends the run with converged=False and a flag.  A run whose ``stalled()``
     says its next step changes nothing, or whose ``cycled()`` says its state
     alternates between two values, ends early, recorded exactly as if it had
@@ -595,8 +576,8 @@ def run(
     sets = problem.sets
     v = problem.v
     start = time.perf_counter()
-    denom = start_proximity2(problem) if start_d2 is None else start_d2
-    algo = make_algorithm(algorithm, sets, v, start_d2=denom, **options)
+    algo = make_algorithm(algorithm, sets, v, **options)
+    denom = _normalizer(problem, algo.proximity2)
     if denom == 0.0:
         return RunRecord(
             problem_id=problem.problem_id,
@@ -652,7 +633,9 @@ def run(
             break
 
     if final is None:
-        final = algo.monitor()  # every algorithm starts its monitor at v
+        # with no step taken this is v, or for a product-space method the mean
+        # of m copies of v, which can differ from v in the last bit
+        final = algo.monitor()
     return RunRecord(
         problem_id=problem.problem_id,
         algorithm=algorithm,

@@ -54,7 +54,7 @@ _FMT = "{:.12g}".format
 
 
 class RecordFileError(ValueError):
-    """A complete line of a record file does not hold a run record."""
+    """A complete line of a record file does not hold a run record, or repeats a pair."""
 
 
 def _floats(values):
@@ -178,21 +178,30 @@ def read_records(path) -> list:
 
     Bytes after the last newline are an interrupted append: they are dropped
     with a warning and cut from the file, so the next append starts a fresh
-    line.  A malformed complete line raises RecordFileError.
+    line.  A malformed complete line, or one whose (algorithm, problem)
+    pair an earlier line already holds, raises RecordFileError and leaves
+    the file as it was.
     """
     path = Path(path)
     if not path.exists():
         return []
     data = path.read_bytes()
     body, _, tail = data.rpartition(b"\n")
-    records = []
+    records, seen = [], {}
     for lineno, line in enumerate(body.split(b"\n"), 1):
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line)))
+            rec = record_from_dict(json.loads(line))
         except (ValueError, KeyError, TypeError) as exc:
             raise RecordFileError(f"{path}, line {lineno}: malformed record ({exc})") from exc
+        pair = (rec.algorithm, rec.problem_id)
+        if pair in seen:
+            raise RecordFileError(
+                f"{path}, lines {seen[pair]} and {lineno}: two records for {pair[0]} on {pair[1]}"
+            )
+        seen[pair] = lineno
+        records.append(rec)
     if tail.strip():
         print(f"warning: {path}: dropped a torn last line ({len(tail)} bytes)", file=sys.stderr)
         os.truncate(path, len(data) - len(tail))

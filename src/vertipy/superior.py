@@ -22,6 +22,8 @@ repeats that (theta only shrinks, rounding is monotone): `stalled` says so, and
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .geometry import InvalidSpecError, _norm
@@ -33,16 +35,16 @@ __all__ = ["Superiorized"]
 class Superiorized:
     """Driver-compatible superiorized wrapper around a step operator.
 
-    `_d2` is always the squared proximity of the kept iterate x: it starts
-    at that of v (`start_d2` if the caller holds it) and is replaced with
-    the candidate's when the acceptance test keeps the candidate.
+    `_d2` is always the squared proximity of the kept iterate x: that of v,
+    computed when first asked for, until the acceptance test keeps a
+    candidate and replaces it with the candidate's.
     `proximity2` returns it, so `run` scores each iterate without computing
     the sum again.
     """
 
     kind = "super"
 
-    def __init__(self, base_step, sets, v, direction: str = "away", start_d2=None):
+    def __init__(self, base_step, sets, v, direction: str = "away"):
         if direction not in ("away", "toward"):
             raise InvalidSpecError(f"direction must be 'away' or 'toward', got {direction!r}")
         self.base_step = base_step
@@ -51,8 +53,11 @@ class Superiorized:
         self.sign = 1.0 if direction == "away" else -1.0
         self.x = self.v.copy()
         self.theta = 1.0
-        self._d2 = proximity_squared_sum(self.x, self.sets) if start_d2 is None else start_d2
         self._xt = None  # perturbed point of the last pass whose candidate was rejected
+
+    @cached_property
+    def _d2(self):
+        return proximity_squared_sum(self.x, self.sets)
 
     def step(self):
         x = self.x

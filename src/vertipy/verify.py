@@ -88,7 +88,7 @@ def check_dr_cycling() -> CheckResult:
     parts = even.copy()
     worst = 0.0
     for k in range(1, steps + 1):
-        parts = dr_two_set_step(parts, product_set, diagonal)[0]
+        parts = dr_two_set_step(parts, product_set, diagonal)
         expected = odd if k % 2 else even
         worst = max(
             worst,
@@ -126,7 +126,7 @@ def check_disk_line_gap() -> CheckResult:
     x = v.copy()
     y_iterates = []
     for _ in range(2):
-        x, _ = badr_two_set_step(x, v, disk, line)
+        x = badr_two_set_step(x, v, disk, line)
         y_iterates.append(line.project(x))
 
     first = math.sqrt(2.0) / 2.0
@@ -209,7 +209,7 @@ def check_dr_admm_equivalence() -> CheckResult:
         for _ in range(steps):
             u_prev = u
             a, b, u = admm_two_set_step(b, u, set_a, set_b)
-            x, _ = dr_two_set_step(x, set_a, set_b)
+            x = dr_two_set_step(x, set_a, set_b)
             worst = max(
                 worst,
                 float(np.max(np.abs(x - (a + u_prev)))),
@@ -240,7 +240,7 @@ def check_alternating_collapse() -> CheckResult:
         x = v.copy()
         z = v.copy()
         for _ in range(steps):
-            x, _ = badr_two_set_step(x, v, set_a, set_b)
+            x = badr_two_set_step(x, v, set_a, set_b)
             z = set_b.project(set_a.project(z))
             worst = max(worst, float(np.max(np.abs(set_b.project(x) - z))))
     return CheckResult(

@@ -111,7 +111,7 @@ def test_disk_line_second_iterates_differ():
     x = v.copy()
     ys = []
     for _ in range(2):
-        x, _ = BA.badr_two_set_step(x, v, disk, line)
+        x = BA.badr_two_set_step(x, v, disk, line)
         ys.append(line.project(x))
 
     first = math.sqrt(2.0) / 2.0
@@ -188,12 +188,12 @@ def test_infeasible_pair_raises_through_the_q_methods():
     assert "infeasible_signal" in rec.flags
 
 
-def test_hdr_parts0_validation():
+def test_hdr_starts_and_anchors_at_the_tiled_start():
+    # hD-R takes no product start: it starts from, and is anchored at, (v, v)
     sets = [HalfspaceSet([1.0, 0.0], 0.0), SpanSet([[1.0, 0.0]])]
-    with pytest.raises(InvalidSpecError):
-        F.HaugazeauDouglasRachford(sets, [1.0, 1.0], parts0=np.zeros((3, 2)))
-    algo = F.HaugazeauDouglasRachford(sets, [1.0, 1.0], parts0=np.eye(2))
-    assert_allclose(algo.parts, np.eye(2), atol=0)
+    algo = F.HaugazeauDouglasRachford(sets, [1.0, 1.0])
+    assert_allclose(algo.parts, np.ones((2, 2)), atol=0)
+    assert_allclose(algo._anchor, np.ones((2, 2)), atol=0)
     with pytest.raises(InvalidSpecError):
         F.HalpernWittmann([], [1.0])
 

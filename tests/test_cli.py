@@ -134,9 +134,9 @@ def test_parallel_jobs_match_sequential(tmp_path):
 
 
 def test_run_computes_each_start_proximity_once(tmp_path, monkeypatch):
-    # the batch-wide start check computes each start's squared proximity; every
-    # pair takes it from there, and no algorithm computes it again (the
-    # surveyed ones project the start without surveying it)
+    # the batch-wide start check computes each start's squared proximity once,
+    # and each pair's algorithm once more as its normalizer; nothing computes
+    # it again (the surveyed ones project the start without surveying it)
     out = _generate(tmp_path / "once", count=2, seed=3)
     starts = {p.v.tobytes() for p in storage.load_problem_dir(out / "problems")}
     at_start = []
@@ -152,7 +152,7 @@ def test_run_computes_each_start_proximity_once(tmp_path, monkeypatch):
     algorithms = "CycP,ParP,ExAltP,sParP,sExAltP,hParP,ParDyk,baD-R"
     args = ["run", "--out", str(out), "--algorithms", algorithms, "--jobs", "1", "--k-max", "50"]
     assert cli.main(args) == 0
-    assert sum(at_start) == 2 and len(at_start) > 2
+    assert sum(at_start) == 2 + 8 * 2 and len(at_start) > 18
 
 
 def test_resume_after_torn_append_matches_clean_run(tmp_path, capsys):
@@ -184,6 +184,23 @@ def test_malformed_record_line_exits_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 1: malformed record" in err
         assert "Traceback" not in err
+
+
+def test_repeated_record_pair_exits_1_and_leaves_the_file(tmp_path, capsys):
+    # a second record of one (algorithm, problem) pair would be counted twice by report
+    out = _generate(tmp_path, count=2, seed=3)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
+    path = out / "records.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines[:1]) + "\n")
+    body = path.read_bytes()
+    capsys.readouterr()
+    for args in (["run", "--algorithms", "CycP"], ["report"]):
+        assert cli.main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lines 1 and 3: two records for CycP" in err
+        assert path.read_bytes() == body
+    assert not (out / "proximity.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -268,6 +285,15 @@ def test_unknown_algorithm_rejected(tmp_path, capsys):
     out = _generate(tmp_path, count=1)
     assert cli.main(["run", "--out", str(out), "--algorithms", "Nope"]) == 1
     assert "unknown algorithm(s): Nope" in capsys.readouterr().err
+
+
+def test_repeated_algorithm_name_exits_1_before_running(tmp_path, capsys):
+    # each pair would run twice and leave two records
+    out = _generate(tmp_path, count=2)
+    args = ["run", "--out", str(out), "--algorithms", "CycP,SaP,CycP", "--jobs", "1"]
+    assert cli.main(args) == 1
+    assert "algorithm(s) named more than once: CycP" in capsys.readouterr().err
+    assert not (out / "records.jsonl").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys):

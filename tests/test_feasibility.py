@@ -80,7 +80,7 @@ def test_exaltp_requires_affine_first():
 def test_dr_step_one_round():
     sets = _half_and_axis()
     parts = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out, _ = F.dr_two_set_step(parts, ProductSet(sets), Diagonal())
+    out = F.dr_two_set_step(parts, ProductSet(sets), Diagonal())
     # xbar = (1,1); row i becomes x_i - xbar + P_i(2 xbar - x_i) = P_i(1,1)
     assert_allclose(out, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
@@ -95,7 +95,7 @@ def test_two_set_dr_and_admm_agree_one_instance():
     for _ in range(12):
         u_prev = u
         ak, b, u = F.admm_two_set_step(b, u, a, b_set)
-        xk, _ = F.dr_two_set_step(xk, a, b_set)
+        xk = F.dr_two_set_step(xk, a, b_set)
         assert_allclose(xk, ak + u_prev, atol=1e-12)
         assert_allclose(b_set.project(xk), b, atol=1e-12)
 
@@ -128,10 +128,24 @@ def test_make_algorithm_errors_and_options():
     assert toward.sign == -1.0
     away = F.make_algorithm("sCycP", sets, v)
     assert away.sign == 1.0
-    with pytest.raises(AlgorithmConfigError):
-        F.make_algorithm("D-R", sets, v, parts0=np.zeros((3, 2)))
-    algo = F.make_algorithm("D-R", sets, v, parts0=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert_allclose(algo.parts, [[1.0, 0.0], [0.0, 1.0]], atol=0)
+    # every algorithm takes direction; it steers only the superiorized family
+    for name in F.ALGORITHMS:
+        algo = F.make_algorithm(name, sets, v, direction="toward")
+        assert getattr(algo, "sign", -1.0) == -1.0, name
+
+
+@pytest.mark.parametrize("option", ["parts0", "start_d2", "directon"])
+def test_make_algorithm_and_run_reject_an_unknown_option(option):
+    # a removed or misspelled option raises instead of being ignored
+    sets = _half_and_axis()
+    v = np.array([1.0, 1.0])
+    for name in ("D-R", "hD-R", "sCycP", "CycP"):
+        with pytest.raises(AlgorithmConfigError, match=option):
+            F.make_algorithm(name, sets, v, **{option: 1.0})
+    for start in (v, [-1.0, 0.0]):  # the feasible start does not hide it either
+        prob = FeasibilityProblem(v=start, sets=sets)
+        with pytest.raises(AlgorithmConfigError, match=option):
+            F.run("CycP", prob, **{option: 1.0})
 
 
 def test_exaltp_algorithm_reorders_affine_first():
@@ -187,12 +201,27 @@ def test_run_unknown_algorithm():
 
 # ------------------------------------------- the period-2 splitting orbit
 
-def test_dr_cycles_from_product_start():
+def _run_from_cycling_start(monkeypatch, name, stop):
+    """`run` on the cycling sets with the product-space algorithm moved to the
+    orbit's product start; hD-R is also anchored there."""
+    make = F.make_algorithm
+
+    def from_cycling_start(*args, **options):
+        algo = make(*args, **options)
+        algo.parts = verify.cycling_start()
+        if hasattr(algo, "_anchor"):
+            algo._anchor = verify.cycling_start()
+        return algo
+
+    monkeypatch.setattr(F, "make_algorithm", from_cycling_start)
+    prob = FeasibilityProblem(v=[-1.0, 0.0], sets=verify.cycling_sets(), problem_id="cyc")
+    return F.run(name, prob, stop)
+
+
+def test_dr_cycles_from_product_start(monkeypatch):
     """From the special product start, the splitting iterates have period 2
     and the monitor alternates between two points; the run never converges."""
-    sets = verify.cycling_sets()
-    prob = FeasibilityProblem(v=[-1.0, 0.0], sets=sets, problem_id="cyc")
-    rec = F.run("D-R", prob, StopRule(eps=1e-6, k_max=100), parts0=verify.cycling_start())
+    rec = _run_from_cycling_start(monkeypatch, "D-R", StopRule(eps=1e-6, k_max=100))
     assert not rec.converged
     assert rec.iterations == 100
     # both monitor points sit at the same normalized proximity as v
@@ -206,7 +235,7 @@ def test_dr_orbit_is_exactly_period_two():
     odd = np.array([[-1.0, 0.0], [1.0, -2.0]])
     parts = even.copy()
     for k in range(1, 9):
-        parts, _ = F.dr_two_set_step(parts, product_set, diagonal)
+        parts = F.dr_two_set_step(parts, product_set, diagonal)
         assert_allclose(parts, odd if k % 2 else even, atol=1e-12)
 
 
@@ -220,15 +249,11 @@ def test_dr_tiled_start_converges_on_cycling_sets():
     assert_allclose(rec.final, [-3.0, 2.0], atol=1e-9)
 
 
-def test_hdr_infeasibility_signal_from_product_start():
+def test_hdr_infeasibility_signal_from_product_start(monkeypatch):
     """The anchored-and-cut variant halts with a certificate when the
     anchored cut becomes empty (the splitting target returns to the anchor),
     and the run records the flag instead of raising."""
-    sets = verify.cycling_sets()
-    prob = FeasibilityProblem(v=[-1.0, 0.0], sets=sets, problem_id="cyc")
-    rec = F.run(
-        "hD-R", prob, StopRule(eps=1e-9, k_max=100), parts0=verify.cycling_start()
-    )
+    rec = _run_from_cycling_start(monkeypatch, "hD-R", StopRule(eps=1e-9, k_max=100))
     assert not rec.converged
     assert rec.iterations == 1
     assert "infeasible_signal" in rec.flags

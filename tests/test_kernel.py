@@ -33,7 +33,7 @@ from vertipy.geometry import (
     SlopeConstraint,
     kernel_of,
 )
-from vertipy.metrics import StopRule, proximity_squared_sum
+from vertipy.metrics import proximity_squared_sum
 from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
 
 
@@ -261,7 +261,7 @@ def test_other_set_lists_take_the_generic_sum():
         assert proximity_squared_sum(x, others) == float(sum(c.residual(x) ** 2 for c in others))
         stacked = np.array([c.project(x) for c in others])
         assert F.project_each(x, others).tobytes() == stacked.tobytes()
-        d2, rows = F.survey(x, others)
+        d2, rows = kernel_of(others).survey(x)
         assert d2 == proximity_squared_sum(x, others) and rows.tobytes() == stacked.tobytes()
         # the product set takes the row-wise stack, row i onto others[i]
         parts = x + np.arange(len(others))[:, None]
@@ -280,7 +280,7 @@ def test_fused_monitor_checks_shape():
     with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
         F.project_each(x[:-1], sets)
     with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
-        F.survey(x[:-1], sets)
+        kernel_of(sets).survey(x[:-1])
 
 
 def test_product_projection_checks_shape():
@@ -397,7 +397,7 @@ def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_al
         assert d2.hex() == float(sum(c.residual(point) ** 2 for c in sets)).hex()
         assert d2.hex() == kernel.proximity2(point).hex()
         assert surveyed.tobytes() == rows.tobytes()
-        fused = F.survey(point, sets)
+        fused = kernel_of(sets).survey(point)
         assert fused[0].hex() == d2.hex() and fused[1].tobytes() == rows.tobytes()
 
 
@@ -550,21 +550,6 @@ def test_every_algorithm_scores_its_monitor_as_the_per_set_sum(seed, nonconvex):
                     algo.step()
                 except InfeasibleIntersectionError:
                     break
-
-
-@pytest.mark.parametrize("nonconvex", [False, True])
-def test_run_with_the_start_proximity_given_equals_run(nonconvex):
-    # `cli` hands each pair the start's squared proximity from its start check
-    problem = make_batch(0, count=1, nonconvex=nonconvex)[0]
-    start_d2 = F.start_proximity2(problem)
-    stop = StopRule(k_max=200)
-    for name in F.ALGORITHMS:
-        given_d2 = F.run(name, problem, stop, start_d2=start_d2)
-        computed = F.run(name, problem, stop)
-        assert given_d2.iterations == computed.iterations, name
-        assert [d.hex() for d in given_d2.d_trace] == [d.hex() for d in computed.d_trace], name
-        assert given_d2.final.tobytes() == computed.final.tobytes(), name
-        assert given_d2.flags == computed.flags, name
 
 
 def _pinned_negative_zero(problem):

@@ -1,5 +1,6 @@
 """JSON problem files, JSONL run records, CSV reports: round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -70,9 +71,9 @@ def test_record_round_trip(tmp_path):
     )
     path = tmp_path / "records.jsonl"
     storage.append_record(rec, path)
-    storage.append_record(rec, path)
+    storage.append_record(dataclasses.replace(rec, problem_id="p0004"), path)
     back = storage.read_records(path)
-    assert len(back) == 2
+    assert [r.problem_id for r in back] == ["p0003", "p0004"]
     r = back[0]
     assert r.problem_id == rec.problem_id
     assert r.algorithm == rec.algorithm

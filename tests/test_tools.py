@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import vertipy
-from vertipy.feasibility import BEST_APPROXIMATION_ALGORITHMS, FEASIBILITY_ALGORITHMS
+from vertipy.feasibility import ALGORITHMS, FEASIBILITY_ALGORITHMS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,7 +27,7 @@ def test_op_timings_runs_with_one_repeat():
     ops = [f"{t}.{m}" for t in tags for m in ("project", "intrepid", "residual")]
     ops += ["kernel.project_each", "kernel.proximity2", "kernel.survey", "ProductSet.project"]
     ops += [f"step.{name}" for name in FEASIBILITY_ALGORITHMS]
-    ops += [f"iter.{name}" for name in (*FEASIBILITY_ALGORITHMS, *BEST_APPROXIMATION_ALGORITHMS)]
+    ops += [f"iter.{name}" for name in ALGORITHMS]
     problems = {}
     for row in rows:
         pid, size, kind, op, median, iqr = row.split()

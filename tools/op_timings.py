@@ -11,8 +11,8 @@ nonconvex, it times:
 * one step of each feasibility algorithm, averaged over the first steps of
   a run from the problem's start profile (for ParP, ExParP and ExAltP the
   step includes the survey of the new iterate);
-* one iteration of each feasibility and each best-approximation algorithm
-  as ``run`` drives it: the step plus the squared proximity of the
+* one iteration of every algorithm as ``run`` drives it: the step (one
+  pass for the superiorized family) plus the squared proximity of the
   monitored point.
 
 Each timing is calibrated once (the call count is doubled until one repeat
@@ -97,7 +97,7 @@ def operations(problem):
     for name in feasibility.FEASIBILITY_ALGORITHMS:
         algo = feasibility.make_algorithm(name, sets, x)
         ops.append((f"step.{name}", algo.step))
-    for name in (*feasibility.FEASIBILITY_ALGORITHMS, *feasibility.BEST_APPROXIMATION_ALGORITHMS):
+    for name in feasibility.ALGORITHMS:
         algo = feasibility.make_algorithm(name, sets, x)
 
         def iteration(algo=algo):
