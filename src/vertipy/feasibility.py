@@ -28,7 +28,7 @@ import numpy as np
 from . import bestapprox, product
 from .geometry import Breakpoints, InvalidSpecError, _norm, kernel_of
 from .metrics import RunRecord, StopRule, proximity_squared_sum
-from .superior import Superiorized
+from .superior import Superiorized, check_direction
 
 __all__ = [
     "AlgorithmConfigError",
@@ -339,7 +339,7 @@ class _ProductDR(_Algorithm):
         self.parts = dr_two_set_step(self.parts, self.product_set, self.diagonal)
 
     def monitor(self):
-        return product.diagonal_part(self.parts)
+        return self.diagonal.project(self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +420,7 @@ class ParallelDykstra(_ProductDR):
         self.z = np.zeros_like(self.parts)
 
     def step(self):
-        shifted = self.z + product.diagonal_part(self.parts)
+        shifted = self.z + self.diagonal.project(self.parts)
         self.parts = self.product_set.project(shifted)
         self.z = shifted - self.parts
 
@@ -507,8 +507,9 @@ def make_algorithm(name: str, sets, v, **options):
     """Build a registered algorithm on `sets` from v.
 
     The one option is ``direction``, which steers the superiorized family;
-    the other algorithms accept it and ignore it.  Any other option raises
-    AlgorithmConfigError.
+    the other algorithms accept it and ignore it.  Every algorithm raises
+    InvalidSpecError for a direction other than "away" or "toward", and
+    AlgorithmConfigError for any other option.
     """
     if name not in ALGORITHMS:
         raise AlgorithmConfigError(
@@ -519,6 +520,7 @@ def make_algorithm(name: str, sets, v, **options):
         raise AlgorithmConfigError(
             f"unknown option(s) {', '.join(unknown)}; the only option is direction"
         )
+    check_direction(options.get("direction", "away"))
     factory = ALGORITHMS[name]
     if name in SUPERIORIZED_ALGORITHMS:
         return factory(sets, v, **options)
@@ -566,8 +568,10 @@ def run(
     for a 2-cycle).
 
     Each iteration steps the algorithm, takes the monitored point
-    x = ``algo.monitor()`` and its squared proximity ``algo.proximity2(x)``.
-    An algorithm that has already computed that sum in its step returns it
+    x = ``algo.monitor()`` and its squared proximity ``algo.proximity2(x)``,
+    a function of x's bytes alone: an x with the bytes of the previous
+    monitored point (hCycP and CycDyk often repeat one) repeats its d
+    without asking.  An algorithm that has already computed that sum in its step returns it
     from there: the superiorized family keeps it from its acceptance test,
     and ParP, ExParP, ExAltP and hParP from the survey that also gives
     their next step's projections.
@@ -595,7 +599,7 @@ def run(
     trace = [1.0]
     converged = trace[-1] < stop.eps
     iterations = 0
-    prev = v
+    prev, prev_bytes = v, v.tobytes()
     final = None
     flags = {}
     if not converged:
@@ -607,7 +611,11 @@ def run(
                 flags["infeasible_signal"] = str(exc)
                 break
             x = algo.monitor()
-            d = math.sqrt(algo.proximity2(x) / denom)
+            x_bytes = x.tobytes()
+            if x_bytes == prev_bytes:
+                d = trace[-1]
+            else:
+                d = math.sqrt(algo.proximity2(x) / denom)
             trace.append(d)
             iterations = k
             if d < stop.eps and (not needs_small_step or _norm(x - prev) < stop.eps):
@@ -618,7 +626,7 @@ def run(
             elif cycled is not None and k > 1 and d == trace[-3] and cycled():
                 period = 2
             else:
-                prev = x
+                prev, prev_bytes = x, x_bytes
                 continue
             # every later pass repeats the last `period` ones: record what the cap would give
             remaining = stop.k_max - k

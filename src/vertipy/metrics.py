@@ -134,11 +134,13 @@ def performance_profile(records, k_max: int | None = None, kappa_grid=None):
     else:
         kappa_grid = np.asarray(kappa_grid, dtype=float)
 
+    # every kappa at once: count the log-ratios at or below each grid point
     n_problems = len(by_problem)
-    rho = {}
-    for a in algorithms:
-        lr = np.asarray(log_ratios[a])
-        rho[a] = np.array([(lr <= kappa).sum() / n_problems for kappa in kappa_grid])
+    rho = {
+        a: (np.asarray(log_ratios[a], dtype=float)[:, None] <= kappa_grid).sum(axis=0)
+        / n_problems
+        for a in algorithms
+    }
     return kappa_grid, rho
 
 

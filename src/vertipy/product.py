@@ -50,7 +50,19 @@ class ProductSet:
 
 
 class Diagonal:
-    """D = {(x, ..., x)}: the projection is the row average, one row that broadcasts."""
+    """D = {(x, ..., x)}: the projection is the row average, one row that broadcasts.
+
+    The last input array and its average are kept, so projecting the same
+    array object again (a product-space method's monitor after a step, then
+    its next step) averages once.  Callers change neither an input array in
+    place nor a returned row.
+    """
+
+    def __init__(self):
+        self._parts = self._mean = None
 
     def project(self, parts):
-        return diagonal_part(parts)
+        if parts is not self._parts:
+            self._mean = diagonal_part(parts)
+            self._parts = parts
+        return self._mean

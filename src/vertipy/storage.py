@@ -10,6 +10,7 @@ produce byte-identical CSVs.  Timestamps live only in the batch manifest.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import sys
@@ -230,32 +231,57 @@ def write_records(records, path) -> None:
         raise
 
 
-def write_profile_csv(path, kappa, rho) -> None:
+def _csv_field(value) -> str:
+    """`value` as csv.writer writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _formatted(values) -> list:
+    """`_FMT` of each value; each distinct value is formatted once.
+
+    Values are told apart by their bits, so -0.0 keeps its sign; padded and
+    stalled traces repeat their tail, so many lines reuse a string.
+    """
+    bits, where = np.unique(
+        np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True
+    )
+    text = np.array([_FMT(x) for x in bits.view(float).tolist()], dtype=object)
+    return text[where].tolist()
+
+
+def _write_curves(path, header, xs, curves) -> None:
+    """One line per (algorithm, x, y), written as csv.writer would write it.
+
+    Each algorithm's lines are built as one string and written with one
+    call; only one algorithm's lines exist at a time.  As with zip, a curve
+    and `xs` pair up to the shorter of the two.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "kappa", "rho"])
-        for algorithm in sorted(rho):
-            for k, r in zip(kappa, rho[algorithm]):
-                writer.writerow([algorithm, _FMT(k), _FMT(r)])
+        csv.writer(fh).writerow(header)
+        for algorithm in sorted(curves):
+            name = _csv_field(algorithm)
+            cells = zip(xs, _formatted(curves[algorithm]))
+            fh.write("".join([f"{name},{x},{y}\r\n" for x, y in cells]))
+
+
+def write_profile_csv(path, kappa, rho) -> None:
+    _write_curves(path, ["algorithm", "kappa", "rho"], _formatted(kappa), rho)
 
 
 def write_proximity_csv(path, ks, beta) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "k", "beta"])
-        for algorithm in sorted(beta):
-            for k, b in zip(ks, beta[algorithm]):
-                writer.writerow([algorithm, int(k), _FMT(b)])
+    _write_curves(path, ["algorithm", "k", "beta"], [int(k) for k in ks], beta)
 
 
 def write_delta_csv(path, stats) -> None:
     header = ["algorithm", "Min", "1st Qrt.", "Median", "3rd Qrt.", "Max", "Mean", "Std.dev"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for algorithm in sorted(stats):
             row = stats[algorithm]
-            writer.writerow([algorithm] + [_FMT(row[f]) for f in STAT_FIELDS])
+            cells = [_csv_field(algorithm)] + _formatted([row[f] for f in STAT_FIELDS])
+            fh.write(",".join(cells) + "\r\n")
 
 
 def write_manifest(directory, data: dict) -> None:

@@ -29,7 +29,13 @@ import numpy as np
 from .geometry import InvalidSpecError, _norm
 from .metrics import proximity_squared_sum
 
-__all__ = ["Superiorized"]
+__all__ = ["Superiorized", "check_direction"]
+
+
+def check_direction(direction) -> None:
+    """Raise InvalidSpecError unless direction is "away" or "toward"."""
+    if direction not in ("away", "toward"):
+        raise InvalidSpecError(f"direction must be 'away' or 'toward', got {direction!r}")
 
 
 class Superiorized:
@@ -45,8 +51,7 @@ class Superiorized:
     kind = "super"
 
     def __init__(self, base_step, sets, v, direction: str = "away"):
-        if direction not in ("away", "toward"):
-            raise InvalidSpecError(f"direction must be 'away' or 'toward', got {direction!r}")
+        check_direction(direction)
         self.base_step = base_step
         self.sets = list(sets)
         self.v = np.asarray(v, dtype=float)

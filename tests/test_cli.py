@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline (generate/run/report/verify)."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -107,6 +108,20 @@ def test_csv_outputs_deterministic(tmp_path):
         outs.append(out)
     for name in ("profiles.csv", "proximity.csv", "delta.csv", "summary.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_super_stall_report_matches_the_benchmark_reference(tmp_path):
+    # the seed-0 super-stall pipeline of the benchmark writes the same report bytes
+    out = _generate(tmp_path, count=1, seed=0)
+    assert cli.main(["run", "--out", str(out), "--mode", "super", "--jobs", "1"]) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
+    digests = json.loads(BENCH_REFERENCE.read_text())["super-stall"]["digests"]
+    assert sorted(digests) == ["delta.csv", "profiles.csv", "proximity.csv"]
+    found = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+    assert found == digests
 
 
 def _records_without_wall_time(path):

@@ -1,14 +1,17 @@
 """Feasibility-seeking steps, the algorithm registry, and the run driver."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from vertipy import feasibility as F
-from vertipy import verify
+from vertipy import product, verify
 from vertipy.feasibility import AlgorithmConfigError, FeasibilityProblem
 from vertipy.geometry import InvalidSpecError
 from vertipy.metrics import StopRule
+from vertipy.probgen import make_batch
 from vertipy.product import Diagonal, ProductSet
 from vertipy.sets import HalfspaceSet, SlabSet, SpanSet
 
@@ -148,6 +151,18 @@ def test_make_algorithm_and_run_reject_an_unknown_option(option):
             F.run("CycP", prob, **{option: 1.0})
 
 
+def test_make_algorithm_checks_direction_for_every_algorithm():
+    sets = _half_and_axis()
+    v = np.array([1.0, 1.0])
+    for name in F.ALGORITHMS:
+        with pytest.raises(InvalidSpecError, match="sideways"):
+            F.make_algorithm(name, sets, v, direction="sideways")
+        for direction in ("away", "toward"):
+            F.make_algorithm(name, sets, v, direction=direction)
+    with pytest.raises(InvalidSpecError, match="sideways"):
+        F.run("CycP", FeasibilityProblem(v=v, sets=sets), direction="sideways")
+
+
 def test_exaltp_algorithm_reorders_affine_first():
     sets = _half_and_axis()  # affine set is second
     algo = F.make_algorithm("ExAltP", sets, np.array([1.0, 1.0]))
@@ -197,6 +212,47 @@ def test_run_unknown_algorithm():
     feasible = FeasibilityProblem(v=[-1.0, 0.0], sets=_half_and_axis())
     with pytest.raises(AlgorithmConfigError):
         F.run("Newton", feasible)
+
+
+def test_run_scores_a_repeated_monitored_point_once(monkeypatch):
+    # hCycP and CycDyk often monitor the same point twice in a row; run then
+    # repeats its d instead of asking proximity2, and the trace does not change
+    problem = make_batch(0, count=1)[0]
+    monitored, scored = [], []
+    make = F.make_algorithm
+
+    def instrumented(*args, **options):
+        algo = make(*args, **options)
+        monitor, proximity2 = algo.monitor, algo.proximity2
+        algo.monitor = lambda: monitored.append(monitor()) or monitored[-1]
+        algo.proximity2 = lambda x: scored.append(x) or proximity2(x)
+        return algo
+
+    monkeypatch.setattr(F, "make_algorithm", instrumented)
+    for name in ("hCycP", "CycDyk"):
+        monitored.clear()
+        scored.clear()
+        rec = F.run(name, problem, StopRule(k_max=300))
+        points = [problem.v] + monitored[: rec.iterations]  # the last call gives the final
+        fresh = sum(a.tobytes() != b.tobytes() for a, b in zip(points, points[1:]))
+        assert len(scored) == 1 + fresh < 1 + rec.iterations, name  # 1: the normalizer
+        algo = make(name, problem.sets, problem.v)
+        denom = algo.proximity2(problem.v)
+        want = [math.sqrt(algo.proximity2(x) / denom) for x in points]
+        assert [d.hex() for d in rec.d_trace] == [d.hex() for d in want], name
+
+
+def test_product_methods_average_the_rows_once_per_iteration(monkeypatch):
+    # the monitor's average after step k is the one step k + 1 starts from
+    problem = make_batch(0, count=1)[0]
+    calls = []
+    average = product.diagonal_part
+    monkeypatch.setattr(product, "diagonal_part", lambda parts: calls.append(1) or average(parts))
+    for name in ("D-R", "ParDyk", "baD-R", "hD-R"):
+        calls.clear()
+        rec = F.run(name, problem, StopRule(k_max=200))
+        assert rec.iterations > 1
+        assert len(calls) <= rec.iterations + 1, name
 
 
 # ------------------------------------------- the period-2 splitting orbit

@@ -1,5 +1,7 @@
 """Proximity measure, performance profiles, proximity curves, distance stats."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -94,6 +96,47 @@ def test_profile_multiple_problems_fractions():
     assert_allclose(rho["A"], [1.0, 1.0, 1.0], atol=0)
     # B ties on p0 (ratio 1) and is 8x slower on p1 (log2 = 3)
     assert_allclose(rho["B"], [0.5, 0.5, 1.0], atol=0)
+
+
+def _rho_per_kappa(records, k_max, kappa_grid):
+    # the profile as one count per (algorithm, kappa), the definition read literally
+    by_problem = {}
+    for r in records:
+        by_problem.setdefault(r.problem_id, {})[r.algorithm] = r.iterations if r.converged else k_max
+    log_ratios = {}
+    for ks in by_problem.values():
+        kmin = min(ks.values())
+        for a, k in ks.items():
+            log_ratios.setdefault(a, []).append(math.log2(1.0 if kmin == 0 else k / kmin))
+    n = len(by_problem)
+    return {
+        a: np.array([(np.asarray(lr) <= kappa).sum() / n for kappa in kappa_grid])
+        for a, lr in log_ratios.items()
+    }
+
+
+def test_profile_counts_every_kappa_at_once_as_the_per_kappa_loop():
+    rng = np.random.default_rng(5)
+    k_max = 512
+    records = []
+    for p in range(30):
+        for a in ("A", "B", "C", "D"):
+            if a == "D" and p % 3 == 0:
+                continue  # D skipped some problems
+            # powers of two put log-ratios exactly on the grid's integers
+            k = int(2 ** rng.integers(0, 9)) if p % 2 else int(rng.integers(0, 600))
+            records.append(_rec(f"p{p:02d}", a, min(k, k_max), bool(rng.random() < 0.8)))
+    default_grid, _ = performance_profile(records, k_max=k_max)
+    grids = [default_grid, [0.0, 1.0, 2.0, 3.0, 8.0, 9.5]]
+    # a grid of the log-ratios themselves: every one sits exactly on a grid point
+    grids.append(sorted({math.log2(k / d) for k in range(1, 600) for d in (1, 2, 7)}))
+    for grid in grids:
+        kappa, rho = performance_profile(records, k_max=k_max, kappa_grid=grid)
+        want = _rho_per_kappa(records, k_max, kappa)
+        assert rho.keys() == want.keys()
+        for a in rho:
+            assert rho[a].dtype == want[a].dtype
+            assert rho[a].tobytes() == want[a].tobytes(), a
 
 
 def test_profile_requires_records():

@@ -79,3 +79,16 @@ def test_product_methods_match_the_per_row_formulas_bitwise(nonconvex):
         pardyk.step()
         assert pardyk.parts.tobytes() == dyk_parts.tobytes()
         assert pardyk.z.tobytes() == dyk_z.tobytes()
+
+
+def test_diagonal_reuses_the_average_of_the_same_array_only():
+    diagonal = product.Diagonal()
+    parts = np.array([[1.0, 2.0], [3.0, 6.0]])
+    first = diagonal.project(parts)
+    assert_allclose(first, [2.0, 4.0], atol=0)
+    assert diagonal.project(parts) is first
+    # an equal array that is another object is averaged afresh
+    again = diagonal.project(parts.copy())
+    assert again is not first
+    assert_allclose(again, first, atol=0)
+    assert_allclose(diagonal.project(2.0 * parts), [4.0, 8.0], atol=0)

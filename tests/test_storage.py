@@ -1,5 +1,6 @@
 """JSON problem files, JSONL run records, CSV reports: round-trips."""
 
+import csv
 import dataclasses
 import json
 
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 from vertipy import probgen, storage
 from vertipy.feasibility import FeasibilityProblem
 from vertipy.geometry import InvalidSpecError
-from vertipy.metrics import RunRecord
+from vertipy.metrics import STAT_FIELDS, RunRecord
 from vertipy.probgen import ProblemSpec
 from vertipy.sets import HalfspaceSet
 
@@ -187,6 +188,76 @@ def test_delta_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "algorithm,Min,1st Qrt.,Median,3rd Qrt.,Max,Mean,Std.dev"
     assert lines[1] == "A,0.1,0.2,0.3,0.4,0.5,0.3,0.125"
+
+
+# The report writers build each algorithm's lines as one string; these are the
+# rows csv.writer would write for the same tables, one writerow per row.
+
+
+def _reference_curves(path, header, xs, curves, fmt_x):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for algorithm in sorted(curves):
+            for x, y in zip(xs, curves[algorithm]):
+                writer.writerow([algorithm, fmt_x(x), storage._FMT(y)])
+
+
+def _reference_delta(path, stats):
+    header = ["algorithm", "Min", "1st Qrt.", "Median", "3rd Qrt.", "Max", "Mean", "Std.dev"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for algorithm in sorted(stats):
+            writer.writerow([algorithm] + [storage._FMT(stats[algorithm][f]) for f in STAT_FIELDS])
+
+
+# names csv.writer must quote (comma, quote, newline) next to plain ones
+_NAMES = ["CycP", 'say "hi", then go', "a,b", "line\nbreak", "", "sExParP"]
+
+
+def _curve(rng, size):
+    # repeated tails (padded and stalled traces), signed zeros, infinities, nan
+    y = np.concatenate([rng.normal(scale=1e3, size=size), np.full(size, 1.0 / 3.0)])
+    y[[0, 3, 5, 7, 9]] = [-np.inf, np.nan, -0.0, 0.0, np.inf]
+    return y
+
+
+def test_report_writers_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    kappa = np.arange(40) * 0.05
+    rho = {name: _curve(rng, 20) for name in _NAMES}
+    rho["short"] = np.array([0.25, -0.0])  # zip pairs up to the shorter side
+    ks = np.arange(45)
+    beta = {name: _curve(rng, 22) for name in _NAMES}
+    stats = {name: dict(zip(STAT_FIELDS, _curve(rng, 5)[3:])) for name in _NAMES}
+    cases = [
+        (storage.write_profile_csv, (kappa, rho),
+         lambda p: _reference_curves(p, ["algorithm", "kappa", "rho"], kappa, rho, storage._FMT)),
+        (storage.write_proximity_csv, (ks, beta),
+         lambda p: _reference_curves(p, ["algorithm", "k", "beta"], ks, beta, int)),
+        (storage.write_delta_csv, (stats,), lambda p: _reference_delta(p, stats)),
+    ]
+    for write, args, reference in cases:
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write(got, *args)
+        reference(want)
+        assert got.read_bytes() == want.read_bytes(), write.__name__
+        # the reference quotes the awkward names, so the match covers quoting
+        text = got.read_bytes()
+        assert b'\r\n"say ""hi"", then go",' in text and b'\r\n"a,b",' in text
+
+
+def test_report_writers_on_empty_tables(tmp_path):
+    # no algorithm, or one with an empty curve: the header line alone
+    storage.write_profile_csv(tmp_path / "p.csv", [], {})
+    storage.write_proximity_csv(tmp_path / "b.csv", np.arange(3), {"A": []})
+    storage.write_delta_csv(tmp_path / "d.csv", {})
+    assert (tmp_path / "p.csv").read_bytes() == b"algorithm,kappa,rho\r\n"
+    assert (tmp_path / "b.csv").read_bytes() == b"algorithm,k,beta\r\n"
+    assert (tmp_path / "d.csv").read_bytes() == (
+        b"algorithm,Min,1st Qrt.,Median,3rd Qrt.,Max,Mean,Std.dev\r\n"
+    )
 
 
 def test_manifest_round_trip(tmp_path):
