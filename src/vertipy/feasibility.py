@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import bestapprox, product
-from .geometry import Breakpoints, InvalidSpecError, _norm, kernel_of
-from .metrics import RunRecord, StopRule, proximity_squared_sum
+from .geometry import Breakpoints, InvalidSpecError, _norm, _SetList, kernel_of
+from .metrics import RunRecord, StopRule, _Algorithm, proximity_squared_sum
 from .superior import Superiorized, check_direction
 
 __all__ = [
@@ -230,19 +230,8 @@ def admm_two_set_step(b, u, set_a, set_b):
 # ---------------------------------------------------------------------------
 # driver-facing algorithm wrappers
 #
-# Every algorithm has kind, step(), monitor() and proximity2(x), which `run`
-# calls with x = monitor() and which equals proximity_squared_sum(x, sets)
-# bitwise.  The set list is resolved to its kernel once per algorithm.
-
-
-class _Algorithm:
-    @cached_property
-    def _kernel(self):
-        return kernel_of(self.sets)
-
-    def proximity2(self, x) -> float:
-        """The squared proximity of the monitored point x."""
-        return self._kernel.proximity2(x)
+# Every algorithm is a `metrics._Algorithm`: it holds its sets resolved to
+# their kernel once, and has kind, step(), monitor() and proximity2(x).
 
 
 class _Surveyed(_Algorithm):
@@ -257,14 +246,14 @@ class _Surveyed(_Algorithm):
 
     @cached_property
     def _rows(self):
-        return self._kernel.project_each(self.x)
+        return self.sets.kernel.project_each(self.x)
 
     @cached_property
     def _d2(self):
-        return self._kernel.proximity2(self.x)
+        return self.sets.kernel.proximity2(self.x)
 
     def _surveyed(self, x):
-        self._d2, self._rows = self._kernel.survey(x)
+        self._d2, self._rows = self.sets.kernel.survey(x)
         return x
 
     def proximity2(self, x) -> float:
@@ -272,38 +261,25 @@ class _Surveyed(_Algorithm):
 
 
 class _SweepAlgo(_Algorithm):
-    kind = "feas"
+    """x <- T(x) for a step function T of x and the sets."""
 
     def __init__(self, step_fn, sets, v):
+        super().__init__(sets, v)
         self._step_fn = step_fn
-        self.sets = list(sets)
-        self.x = np.asarray(v, dtype=float).copy()
-        self._prev = self._prev2 = None  # the inputs of the last two sweeps
 
     def step(self):
-        self._prev2, self._prev = self._prev, self.x
-        self.x = self._next()
+        self.x = self._step_fn(self.x, self.sets)
 
-    def _next(self):
-        return self._step_fn(self.x, self.sets)
-
-    def stalled(self) -> bool:
-        """True if the last sweep returned its input: x is a fixed point."""
-        return self._prev is not None and self._prev.tobytes() == self.x.tobytes()
-
-    def cycled(self) -> bool:
-        """True if the last sweep returned the input of the sweep before: x alternates with period 2."""
-        return self._prev2 is not None and self._prev2.tobytes() == self.x.tobytes()
-
-    def monitor(self):
-        return self.x
+    def memoryless(self) -> bool:
+        """Always true: a sweep's next x is a function of x alone."""
+        return True
 
 
 class _SurveyedSweep(_Surveyed, _SweepAlgo):
     """ParP, ExParP or ExAltP: the step combines the rows of x and surveys the result."""
 
-    def _next(self):
-        return self._surveyed(self._step_fn(self.x, self._rows, self.sets))
+    def step(self):
+        self.x = self._surveyed(self._step_fn(self.x, self._rows, self.sets))
 
 
 def _affine_first(sets):
@@ -316,21 +292,11 @@ def _affine_first(sets):
     return [sets[first]] + sets[:first] + sets[first + 1 :]
 
 
-def _set_list(sets):
-    sets = list(sets)
-    if not sets:
-        raise InvalidSpecError("need at least one set")
-    return sets
-
-
 class _ProductDR(_Algorithm):
     """D-R on the product set and the diagonal, from rows v; monitors their mean."""
 
-    kind = "feas"
-
     def __init__(self, sets, v):
-        self.sets = _set_list(sets)
-        self.v = np.asarray(v, dtype=float)
+        super().__init__(sets, v)
         self.parts = product.make_product_point(self.v, len(self.sets))
         self.product_set = product.ProductSet(self.sets)
         self.diagonal = product.Diagonal()
@@ -345,23 +311,15 @@ class _ProductDR(_Algorithm):
 # ---------------------------------------------------------------------------
 # best approximation: anchored algorithms over m sets
 #
-# Each starts at the anchor v and keeps the driver interface kind, step(),
-# monitor(); kind "ba" makes `run` also require a small monitored step.
+# Each starts at the anchor v; kind "ba" makes `run` also require a small
+# monitored step.
 
 
 class _Anchored(_Algorithm):
-    """Anchor v, iterate x (starting at v) and pass counter k of the single-iterate methods."""
+    """The single-iterate methods: x starts at the anchor v, and k counts the passes."""
 
     kind = "ba"
-
-    def __init__(self, sets, v):
-        self.sets = _set_list(sets)
-        self.v = np.asarray(v, dtype=float)
-        self.x = self.v.copy()
-        self.k = 0
-
-    def monitor(self):
-        return self.x
+    k = 0
 
 
 class HalpernWittmann(_Anchored):
@@ -461,8 +419,8 @@ def _sweep(step_fn, order=list, cls=_SweepAlgo):
 
 def _superiorized(step_fn, order=list):
     def factory(sets, v, direction="away"):
-        ordered = order(sets)
-        return Superiorized(lambda x: step_fn(x, ordered), sets, v, direction=direction)
+        ordered = _SetList(order(sets))
+        return Superiorized(lambda x: step_fn(x, ordered), ordered, v, direction=direction)
 
     return factory
 
@@ -561,11 +519,17 @@ def run(
     finite number (see `start_proximity2`).  A start that is already
     feasible (zero normalizer) short-circuits to a converged record with
     trace [0.0].  An infeasibility signal from the Q-based methods
-    ends the run with converged=False and a flag.  A run whose ``stalled()``
-    says its next step changes nothing, or whose ``cycled()`` says its state
-    alternates between two values, ends early, recorded exactly as if it had
-    run to the cap plus ``flags["stalled_at"]`` (and ``flags["period"] = 2``
-    for a 2-cycle).
+    ends the run with converged=False and a flag.
+
+    A run ends early when its monitored point has the bytes of the monitored
+    point one or two iterations back and the algorithm's optional
+    ``memoryless()`` says its next step depends on that point alone: every
+    later iteration then repeats the last one or two.  That always holds for
+    the six sweeps and, for a superiorized method, after a pass that
+    perturbed x to itself and rejected T(x); the product-space and
+    best-approximation methods have no ``memoryless`` and never end early.
+    The record is exactly the one that running to the cap would give, plus
+    ``flags["stalled_at"]`` (and ``flags["period"] = 2`` for a 2-cycle).
 
     Each iteration steps the algorithm, takes the monitored point
     x = ``algo.monitor()`` and its squared proximity ``algo.proximity2(x)``,
@@ -577,10 +541,9 @@ def run(
     their next step's projections.
     """
     stop = stop or StopRule()
-    sets = problem.sets
     v = problem.v
     start = time.perf_counter()
-    algo = make_algorithm(algorithm, sets, v, **options)
+    algo = make_algorithm(algorithm, problem.sets, v, **options)
     denom = _normalizer(problem, algo.proximity2)
     if denom == 0.0:
         return RunRecord(
@@ -594,12 +557,12 @@ def run(
         )
 
     needs_small_step = algo.kind == "ba"
-    stalled = getattr(algo, "stalled", None)
-    cycled = getattr(algo, "cycled", None)
+    memoryless = getattr(algo, "memoryless", None)
     trace = [1.0]
     converged = trace[-1] < stop.eps
     iterations = 0
-    prev, prev_bytes = v, v.tobytes()
+    prev = v  # the monitored point one iteration back; back1, back2: the bytes one and two back
+    back1, back2 = v.tobytes(), None
     final = None
     flags = {}
     if not converged:
@@ -612,23 +575,17 @@ def run(
                 break
             x = algo.monitor()
             x_bytes = x.tobytes()
-            if x_bytes == prev_bytes:
-                d = trace[-1]
-            else:
-                d = math.sqrt(algo.proximity2(x) / denom)
+            period = 1 if x_bytes == back1 else 2 if x_bytes == back2 else 0
+            d = trace[-1] if period == 1 else math.sqrt(algo.proximity2(x) / denom)
             trace.append(d)
             iterations = k
             if d < stop.eps and (not needs_small_step or _norm(x - prev) < stop.eps):
                 converged = True
                 break
-            if stalled is not None and d == trace[-2] and stalled():
-                period = 1
-            elif cycled is not None and k > 1 and d == trace[-3] and cycled():
-                period = 2
-            else:
-                prev, prev_bytes = x, x_bytes
+            if not (period and memoryless is not None and memoryless()):
+                prev, back1, back2 = x, x_bytes, back1
                 continue
-            # every later pass repeats the last `period` ones: record what the cap would give
+            # every later iteration repeats the last `period` ones: record what the cap would give
             remaining = stop.k_max - k
             tail = trace[-period:]
             trace.extend(tail[j % period] for j in range(remaining))

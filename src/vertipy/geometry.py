@@ -360,10 +360,11 @@ class ProfileKernel:
     or to a per-set stand-in with the same four methods.
 
     The arrays are computed on first use and then kept.  Generating and
-    saving a problem uses none of them, and a problem sent to a pool worker
-    pickles as its specs.  The kernel does not refer back to its
-    constraints: a reference cycle would leave every loaded problem to the
-    cyclic garbage collector, and memory would grow from run to run.
+    saving a problem uses none of them, and the kernel pickles as its specs
+    alone, so a problem sent to a pool worker does not carry the arrays the
+    parent computed.  The kernel does not refer back to its constraints: a
+    reference cycle would leave every loaded problem to the cyclic garbage
+    collector, and memory would grow from run to run.
     """
 
     def __init__(self, n, interp, slope, curvature, bp):
@@ -372,6 +373,9 @@ class ProfileKernel:
         self.slope = slope
         self.curvature = curvature
         self.bp = bp
+
+    def __reduce__(self):
+        return ProfileKernel, (self.n, self.interp, self.slope, self.curvature, self.bp)
 
     @cached_property
     def perm(self):
@@ -548,16 +552,29 @@ class _PerSet:
         return np.array([c.project(row) for c, row in zip(self.sets, parts)])
 
 
-def kernel_of(sets):
-    """The `ProfileKernel` that owns `sets` (see `ProfileKernel.owns`), else a per-set stand-in.
+class _SetList(tuple):
+    """A fixed set list and its `kernel`, resolved once; `_SetList` of one returns it.
 
-    Either has `proximity2`, `project_each`, `survey` and `project_rows`,
-    and both give the same numbers bitwise: the kernel's fused passes are
-    exactly the per-set sums and stacks.  Whoever holds a fixed set list
-    resolves it once and keeps the result.
+    `kernel` is the `ProfileKernel` that owns the list (see
+    `ProfileKernel.owns`), else a per-set stand-in.  Either has
+    `proximity2`, `project_each`, `survey` and `project_rows`, and both give
+    the same numbers bitwise: the kernel's fused passes are exactly the
+    per-set sums and stacks.  An algorithm holds its sets as one, so the
+    steps and monitors it hands them to never ask `owns` again.
     """
-    kernel = getattr(sets[0], "kernel", None) if len(sets) else None
-    return kernel if kernel is not None and kernel.owns(sets) else _PerSet(sets)
+
+    def __new__(cls, sets):
+        if isinstance(sets, _SetList):
+            return sets
+        self = super().__new__(cls, sets)
+        kernel = getattr(self[0], "kernel", None) if self else None
+        self.kernel = kernel if kernel is not None and kernel.owns(self) else _PerSet(tuple(self))
+        return self
+
+
+def kernel_of(sets):
+    """The kernel of `sets` (see `_SetList`): resolved now, or kept from a `_SetList`."""
+    return _SetList(sets).kernel
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InvalidSpecError, kernel_of
+from .geometry import InvalidSpecError, _SetList, kernel_of
 
 __all__ = [
     "UndefinedNormalizerError",
@@ -71,6 +71,34 @@ class RunRecord:
     final: np.ndarray
     wall_time: float = 0.0
     flags: dict = field(default_factory=dict)
+
+
+class _Algorithm:
+    """What `feasibility.run` drives: the sets, the anchor v and the iterate x.
+
+    The sets are resolved to their kernel once (`geometry._SetList`) and
+    must not be empty; x starts as a copy of v.  Every algorithm has kind,
+    step(), monitor() and proximity2(x), which `run` calls with
+    x = monitor() and which equals proximity_squared_sum(x, sets) bitwise.
+    An algorithm whose next step depends on its monitored point alone once
+    that point repeats also has `memoryless()` (see `feasibility.run`).
+    """
+
+    kind = "feas"
+
+    def __init__(self, sets, v):
+        self.sets = _SetList(sets)
+        if not self.sets:
+            raise InvalidSpecError("need at least one set")
+        self.v = np.asarray(v, dtype=float)
+        self.x = self.v.copy()
+
+    def proximity2(self, x) -> float:
+        """The squared proximity of the monitored point x."""
+        return self.sets.kernel.proximity2(x)
+
+    def monitor(self):
+        return self.x
 
 
 def proximity_squared_sum(x, sets) -> float:

@@ -41,12 +41,11 @@ class ProductSet:
     A profile kernel's six sets, in canonical order, take its fused
     `project_rows`, whose rows equal the sets' own projections bitwise; any
     other list stacks `c_i.project(row i)`.  The list is resolved once
-    (`geometry.kernel_of`).
+    (`geometry.kernel_of`), or not again if it already was.
     """
 
     def __init__(self, sets):
-        self.sets = list(sets)
-        self.project = kernel_of(self.sets).project_rows
+        self.project = kernel_of(sets).project_rows
 
 
 class Diagonal:

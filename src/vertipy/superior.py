@@ -16,18 +16,17 @@ only on T improving proximity -- the behavior to use when the goal is
 actually steering toward the anchor.  The default is ``"away"``.
 
 Once x~ rounds back to x bitwise and T(x) is rejected, every later pass
-repeats that (theta only shrinks, rounding is monotone): `stalled` says so, and
-`feasibility.run` records the run as reaching the cap, with ``flags["stalled_at"]``.
+repeats that (theta only shrinks, rounding is monotone): `memoryless` says
+so, and `feasibility.run` records the run as reaching the cap, with
+``flags["stalled_at"]``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from .geometry import InvalidSpecError, _norm
-from .metrics import proximity_squared_sum
+from .metrics import _Algorithm, proximity_squared_sum
 
 __all__ = ["Superiorized", "check_direction"]
 
@@ -38,7 +37,7 @@ def check_direction(direction) -> None:
         raise InvalidSpecError(f"direction must be 'away' or 'toward', got {direction!r}")
 
 
-class Superiorized:
+class Superiorized(_Algorithm):
     """Driver-compatible superiorized wrapper around a step operator.
 
     `_d2` is always the squared proximity of the kept iterate x: that of v,
@@ -52,13 +51,11 @@ class Superiorized:
 
     def __init__(self, base_step, sets, v, direction: str = "away"):
         check_direction(direction)
+        super().__init__(sets, v)
         self.base_step = base_step
-        self.sets = list(sets)
-        self.v = np.asarray(v, dtype=float)
         self.sign = 1.0 if direction == "away" else -1.0
-        self.x = self.v.copy()
         self.theta = 1.0
-        self._xt = None  # perturbed point of the last pass whose candidate was rejected
+        self._fixed = False  # the last pass perturbed x to itself and rejected T(x)
 
     @cached_property
     def _d2(self):
@@ -73,7 +70,7 @@ class Superiorized:
         else:
             xt = x
         self.theta *= 0.5
-        self._xt = None
+        self._fixed = False
         if _norm(xt - self.v) <= norm:
             candidate = self.base_step(xt)
             d2 = proximity_squared_sum(candidate, self.sets)
@@ -81,15 +78,12 @@ class Superiorized:
                 self.x = candidate
                 self._d2 = d2
             else:
-                self._xt = xt
+                self._fixed = xt.tobytes() == x.tobytes()
 
     def proximity2(self, x) -> float:
         """The squared proximity of x = monitor(), kept from the acceptance test."""
         return self._d2
 
-    def stalled(self) -> bool:
-        """True if the last pass perturbed x to itself and rejected T(x)."""
-        return self._xt is not None and self._xt.tobytes() == self.x.tobytes()
-
-    def monitor(self):
-        return self.x
+    def memoryless(self) -> bool:
+        """True if the last pass perturbed x to itself and rejected T(x), as all later ones will."""
+        return self._fixed

@@ -207,12 +207,12 @@ def check_dr_admm_equivalence() -> CheckResult:
         x = b.copy()
         u = np.zeros(n)
         for _ in range(steps):
-            u_prev = u
+            u_old = u
             a, b, u = admm_two_set_step(b, u, set_a, set_b)
             x = dr_two_set_step(x, set_a, set_b)
             worst = max(
                 worst,
-                float(np.max(np.abs(x - (a + u_prev)))),
+                float(np.max(np.abs(x - (a + u_old)))),
                 float(np.max(np.abs(set_b.project(x) - b))),
             )
     return CheckResult(

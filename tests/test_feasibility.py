@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from vertipy import feasibility as F
 from vertipy import product, verify
 from vertipy.feasibility import AlgorithmConfigError, FeasibilityProblem
-from vertipy.geometry import InvalidSpecError
+from vertipy.geometry import InvalidSpecError, ProfileKernel
 from vertipy.metrics import StopRule
 from vertipy.probgen import make_batch
 from vertipy.product import Diagonal, ProductSet
@@ -161,6 +161,29 @@ def test_make_algorithm_checks_direction_for_every_algorithm():
             F.make_algorithm(name, sets, v, direction=direction)
     with pytest.raises(InvalidSpecError, match="sideways"):
         F.run("CycP", FeasibilityProblem(v=v, sets=sets), direction="sideways")
+
+
+def test_every_algorithm_rejects_an_empty_set_list():
+    for name in F.ALGORITHMS:
+        with pytest.raises(InvalidSpecError):
+            F.make_algorithm(name, [], np.array([1.0, 1.0]))
+
+
+def test_a_run_resolves_its_set_list_once(monkeypatch):
+    # the steps and monitors take the kernel the algorithm resolved, so the
+    # number of ProfileKernel.owns calls does not grow with the passes
+    problem = make_batch(0, count=1)[0]
+    calls = []
+    owns = ProfileKernel.owns
+    counted = lambda self, sets: calls.append(1) or owns(self, sets)  # noqa: E731
+    monkeypatch.setattr(ProfileKernel, "owns", counted)
+    for name in F.ALGORITHMS:
+        counts = []
+        for k_max in (30, 300):
+            calls.clear()
+            F.run(name, problem, StopRule(k_max=k_max))
+            counts.append(len(calls))
+        assert counts == [1, 1], name
 
 
 def test_exaltp_algorithm_reorders_affine_first():

@@ -12,6 +12,7 @@ the per-set sum `run` would otherwise compute.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -305,6 +306,20 @@ def _standalone(kernel):
         SlopeConstraint(kernel.slope, "odd", n),
         *(CurvatureConstraint(kernel.curvature, kernel.bp, b) for b in (1, 2, 3)),
     ]
+
+
+def test_a_problem_pickles_as_its_specs_after_its_kernel_has_run():
+    # the arrays a kernel keeps after its first pass do not travel with the
+    # problem to a pool worker
+    problem = make_batch(0, count=1, nonconvex=True)[0]
+    kernel = problem.sets[0].kernel
+    fresh = pickle.dumps(problem)
+    kernel.survey(problem.v)
+    kernel.project_rows(np.tile(problem.v, (6, 1)))
+    assert len(pickle.dumps(problem)) == len(fresh)
+    back = pickle.loads(fresh)
+    assert back.sets[0].kernel.owns(back.sets)
+    assert kernel_of(back.sets).proximity2(problem.v) == kernel.proximity2(problem.v)
 
 
 def test_standalone_constraints_have_no_kernel():

@@ -100,10 +100,41 @@ def test_two_cycle_record_matches_run_to_cap(k_max):
 
 
 def test_product_space_and_best_approximation_never_stall():
-    # their tails need not be stationary, so they have no stalled() to ask
+    # their tails need not be stationary, so they have no memoryless() for run to ask
     problem = _convex_p0000()
-    for name in ["D-R", *F.BEST_APPROXIMATION_ALGORITHMS]:
-        assert not hasattr(F.make_algorithm(name, problem.sets, problem.v), "stalled"), name
+    for name in F.ALGORITHMS:
+        algo = F.make_algorithm(name, problem.sets, problem.v)
+        assert hasattr(algo, "memoryless") is (name in STALLING), name
+
+
+def _state(algo):
+    return algo.monitor().tobytes(), getattr(algo, "_d2", None)
+
+
+def _exit_period(name, problem, k_max, direction="away"):
+    """The period of `run`'s early exit, checked against a fresh algorithm; None without one.
+
+    Stepped to the pass `stalled_at` and then `period` passes further, the
+    fresh algorithm is back at the exit state bitwise, and a 2-cycle passes
+    through a different state on the way.  The stop rule converges only at
+    d = 0, so the run stops early only by the exit rule.
+    """
+    stop = StopRule(eps=np.nextafter(0.0, 1.0), k_max=k_max)
+    rec = F.run(name, problem, stop, direction=direction)
+    if "stalled_at" not in rec.flags:
+        return None
+    k, period = rec.flags["stalled_at"], rec.flags.get("period", 1)
+    algo = F.make_algorithm(name, problem.sets, problem.v, direction=direction)
+    for _ in range(k):
+        algo.step()
+    exit_state = _state(algo)
+    passes = []
+    for _ in range(period):
+        algo.step()
+        passes.append(_state(algo))
+    assert passes[-1] == exit_state, (name, k, period)
+    assert period == 1 or passes[0] != exit_state, (name, k)
+    return period
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,21 +151,8 @@ def test_cycled_means_the_sweeps_alternate(name, seed, xi_max):
         problem = generate(
             ProblemSpec(length=500.0, speed=30.0, xi_max=xi_max, seed=seed, nonconvex=True)
         )
-    algo = F.make_algorithm(name, problem.sets, problem.v)
-    assert not algo.cycled()
-    for _ in range(1000):
-        algo.step()
-        if algo.cycled():
-            event(f"{name} cycled")
-            states = [algo._prev.tobytes(), algo.x.tobytes()]
-            for j in range(4):
-                algo.step()
-                assert algo.x.tobytes() == states[j % 2] and algo.cycled()
-            return
-
-
-def _state(algo):
-    return algo.x.tobytes(), getattr(algo, "_d2", None)
+    if _exit_period(name, problem, 1000) == 2:
+        event(f"{name} cycled")
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,14 +167,5 @@ def test_stalled_means_next_step_changes_nothing(name, seed, nonconvex, xi_max, 
     problem = generate(
         ProblemSpec(length=500.0, speed=30.0, xi_max=xi_max, seed=seed, nonconvex=nonconvex)
     )
-    algo = F.make_algorithm(name, problem.sets, problem.v, direction=direction)
-    assert not algo.stalled()
-    for _ in range(200):
-        algo.step()
-        if algo.stalled():
-            event(f"{name} stalled")
-            before = _state(algo)
-            algo.step()
-            assert _state(algo) == before
-            assert algo.stalled()
-            return
+    if _exit_period(name, problem, 200, direction) == 1:
+        event(f"{name} stalled")
