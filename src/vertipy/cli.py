@@ -12,10 +12,10 @@ Pipeline layout under the output directory (--out):
     summary.txt               plain-text report
 
 Option precedence: command-line flag, then VERTIPY_<NAME> environment
-variable, then the --config JSON file, then the built-in default.  Runs are
-resumable: finished (algorithm, problem) pairs found in records.jsonl are
-skipped, and the record file is rewritten in sorted order at the end so
-reruns produce identical files.
+variable, then the --config JSON file, then the built-in default.  A run
+appends one line per finished (algorithm, problem) pair to records.jsonl, the
+only store of records, skips the pairs found there (so runs resume), and ends
+by sorting the file's own lines, so reruns produce identical files.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure.
 """
@@ -262,8 +262,7 @@ def cmd_run(opts) -> int:
     options = {"direction": direction}
 
     record_path = out / "records.jsonl"
-    records = storage.read_records(record_path)
-    done = {(r.algorithm, r.problem_id) for r in records}
+    done = {(r.algorithm, r.problem_id) for r in storage.read_records(record_path)}
     pairs = [
         (a, p) for a in algorithms for p in problems if (a, p.problem_id) not in done
     ]
@@ -277,15 +276,11 @@ def cmd_run(opts) -> int:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_pair, a, p, stop, options) for a, p in pairs]
             for future in as_completed(futures):  # append each pair as soon as it finishes
-                rec = future.result()
-                storage.append_record(rec, record_path)
-                records.append(rec)
+                storage.append_record(future.result(), record_path)
     else:
         for a, p in pairs:
-            rec = _run_pair(a, p, stop, options)
-            storage.append_record(rec, record_path)
-            records.append(rec)
-    storage.write_records(records, record_path)
+            storage.append_record(_run_pair(a, p, stop, options), record_path)
+    records = storage.write_records(record_path)  # holds lines other processes appended too
 
     for a in algorithms:
         mine = [r for r in records if r.algorithm == a]

@@ -112,7 +112,7 @@ def proximity_squared_sum(x, sets) -> float:
 
 
 def proximity(x, sets, x0) -> float:
-    """Normalized proximity d(x) relative to the start x0."""
+    """Normalized d(x) relative to x0; unused in src, kept for the benchmark's check of final d."""
     denom = proximity_squared_sum(x0, sets)
     if denom == 0.0:
         raise UndefinedNormalizerError("x0 is already feasible for every set")

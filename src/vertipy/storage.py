@@ -10,10 +10,12 @@ produce byte-identical CSVs.  Timestamps live only in the batch manifest.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +61,7 @@ class RecordFileError(ValueError):
 
 
 def _floats(values):
-    return [float(x) for x in np.asarray(values, dtype=float)]
+    return np.asarray(values, dtype=float).tolist()
 
 
 def _first_set(problem, cls):
@@ -167,11 +169,52 @@ def record_from_dict(data: dict) -> RunRecord:
     )
 
 
+@contextmanager
+def _locked(path):
+    """Hold an exclusive lock for one operation on the record file `path`.
+
+    The lock is on the file's directory, which the closing rename does not
+    replace, so appends, reads and the close of every process take turns.
+    `flock` is POSIX-only and belongs to the open file description: hold it
+    only for the operation itself, and never take it twice in one process.
+    """
+    fd = os.open(Path(path).parent, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
 def append_record(rec: RunRecord, path) -> None:
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record_to_dict(rec)) + "\n")
+    line = json.dumps(record_to_dict(rec)) + "\n"
+    with _locked(path), open(path, "a") as fh:
+        fh.write(line)
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def _read(path) -> dict:
+    """Each (algorithm, problem) pair of a record file -> (line number, record, line bytes)."""
+    *lines, tail = path.read_bytes().split(b"\n")  # holds the file's bytes once, as lines
+    rows = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = record_from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise RecordFileError(f"{path}, line {lineno}: malformed record ({exc})") from exc
+        pair = (rec.algorithm, rec.problem_id)
+        if pair in rows:
+            raise RecordFileError(
+                f"{path}, lines {rows[pair][0]} and {lineno}: two records for {' on '.join(pair)}"
+            )
+        rows[pair] = (lineno, rec, line)
+    if tail.strip():
+        print(f"warning: {path}: dropped a torn last line ({len(tail)} bytes)", file=sys.stderr)
+        os.truncate(path, path.stat().st_size - len(tail))
+    return rows
 
 
 def read_records(path) -> list:
@@ -186,49 +229,31 @@ def read_records(path) -> list:
     path = Path(path)
     if not path.exists():
         return []
-    data = path.read_bytes()
-    body, _, tail = data.rpartition(b"\n")
-    records, seen = [], {}
-    for lineno, line in enumerate(body.split(b"\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = record_from_dict(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise RecordFileError(f"{path}, line {lineno}: malformed record ({exc})") from exc
-        pair = (rec.algorithm, rec.problem_id)
-        if pair in seen:
-            raise RecordFileError(
-                f"{path}, lines {seen[pair]} and {lineno}: two records for {pair[0]} on {pair[1]}"
-            )
-        seen[pair] = lineno
-        records.append(rec)
-    if tail.strip():
-        print(f"warning: {path}: dropped a torn last line ({len(tail)} bytes)", file=sys.stderr)
-        os.truncate(path, len(data) - len(tail))
-    return records
+    with _locked(path):
+        return [rec for _, rec, _ in _read(path).values()]
 
 
-def write_records(records, path) -> None:
-    """Write records sorted by (algorithm, problem), replacing the file atomically.
+def write_records(path) -> list:
+    """Sort a record file's own lines by (algorithm, problem); return the sorted records.
 
-    The records go to a temporary file in the same directory, which is
-    fsync'd and then renamed over `path`; if anything fails first, the old
-    file is left as it was and the temporary file is removed.
+    The lines are checked as `read_records` checks them and keep their bytes.
+    They go to a temporary file in the same directory, fsync'd and renamed over
+    `path`; if anything fails first, the old file is left as it was, with no temporary file.
     """
-    ordered = sorted(records, key=lambda r: (r.algorithm, r.problem_id))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            for rec in ordered:
-                fh.write(json.dumps(record_to_dict(rec)) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _locked(path):
+        ordered = [row for _, row in sorted(_read(path).items())]  # no two rows share a pair
+        try:
+            with open(tmp, "wb") as fh:
+                fh.writelines(line + b"\n" for _, _, line in ordered)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    return [rec for _, rec, _ in ordered]
 
 
 def _csv_field(value) -> str:

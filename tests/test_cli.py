@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import vertipy
 from vertipy import cli, storage, verify
-from vertipy.feasibility import SUPERIORIZED_ALGORITHMS
+from vertipy.feasibility import BEST_APPROXIMATION_ALGORITHMS, SUPERIORIZED_ALGORITHMS
 from vertipy.geometry import ProfileKernel
 from vertipy.verify import CheckResult
 
@@ -185,6 +186,52 @@ def test_resume_after_torn_append_matches_clean_run(tmp_path, capsys):
     assert "dropped a torn last line" in captured.err
     assert "resuming: 3 finished pair(s) found, 1 to go" in captured.out
     assert _records_without_wall_time(runs["torn"]) == _records_without_wall_time(runs["clean"])
+
+
+def test_two_runs_on_one_directory_keep_both_sets_of_records(tmp_path):
+    # a slow run in another process is still appending when a quick run here
+    # closes, and its own close comes after; neither close may drop the
+    # other run's records
+    out = _generate(tmp_path, count=2, seed=7)
+    path = out / "records.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vertipy.cli", "run", "--out", str(out), "--mode", "ba",
+         "--jobs", "1"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(vertipy.__file__).parents[1])),
+    )
+    try:
+        while proc.poll() is None and not (path.exists() and path.stat().st_size):
+            time.sleep(0.01)  # until the other run's first record is on disk
+        args = ["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]
+        assert cli.main(args) == 0
+        assert proc.poll() is None  # the other run has not closed yet
+        assert proc.wait(timeout=60) == 0, proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    lines = path.read_text().splitlines()
+    keys = [(json.loads(l)["algorithm"], json.loads(l)["problem_id"]) for l in lines]
+    expected = sorted(BEST_APPROXIMATION_ALGORITHMS) + ["CycP"]
+    assert keys == sorted((a, p) for a in expected for p in ("p0000", "p0001"))
+
+
+def test_resumed_line_in_an_older_format_is_kept_byte_for_byte(tmp_path):
+    # a line without wall_time and flags is sorted into place as it is, not re-encoded
+    out = _generate(tmp_path, count=2, seed=3)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
+    path = out / "records.jsonl"
+    lines = path.read_text().splitlines()
+    data = json.loads(lines[1])
+    del data["wall_time"], data["flags"]
+    old = json.dumps(data, separators=(",", ":"))
+    path.write_text(lines[0] + "\n" + old + "\n")
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP,SaP", "--jobs", "1"]) == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4 and lines[1] == old
+    assert cli.main(["report", "--out", str(out)]) == 0
 
 
 def test_malformed_record_line_exits_1(tmp_path, capsys):

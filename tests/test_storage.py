@@ -3,11 +3,17 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vertipy
 from vertipy import probgen, storage
 from vertipy.feasibility import FeasibilityProblem
 from vertipy.geometry import InvalidSpecError
@@ -86,26 +92,76 @@ def test_record_round_trip(tmp_path):
 
 
 def test_write_records_overwrites(tmp_path):
+    # the close replaces the file with its own lines, sorted, and never appends
     path = tmp_path / "records.jsonl"
     r1 = RunRecord("p0", "A", 1, True, [1.0, 0.0], np.zeros(2))
     r2 = RunRecord("p1", "B", 2, False, [1.0, 0.9, 0.8], np.ones(2))
-    storage.write_records([r1, r2], path)
-    storage.write_records([r1], path)
-    assert len(storage.read_records(path)) == 1
+    storage.append_record(r2, path)
+    storage.append_record(r1, path)
+    b_line, a_line = path.read_bytes().splitlines(keepends=True)
+    inode = path.stat().st_ino
+    for _ in range(2):  # sorting a sorted file gives the same bytes
+        back = storage.write_records(path)
+        assert [(r.algorithm, r.problem_id) for r in back] == [("A", "p0"), ("B", "p1")]
+        assert path.read_bytes() == a_line + b_line
+        assert path.stat().st_ino != inode  # renamed over, not written in place
+        inode = path.stat().st_ino
 
 
-def test_failed_rewrite_keeps_the_old_file(tmp_path):
+def test_failed_rewrite_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "records.jsonl"
-    old = [RunRecord(f"p{i}", "B", i, True, [1.0, 0.0], np.full(2, i)) for i in range(3)]
-    storage.write_records(old, path)
+    for i in (2, 0, 1):
+        storage.append_record(RunRecord(f"p{i}", "B", i, True, [1.0, 0.0], np.full(2, i)), path)
     before = path.read_bytes()
-    # sorts first, so the rewrite fails before it reaches the good records
-    bad = RunRecord("p9", "A", 1, True, [1.0, 0.0], np.zeros(2), flags={"x": object()})
-    with pytest.raises(TypeError):
-        storage.write_records([*old, bad], path)
-    assert path.read_bytes() == before
-    assert len(storage.read_records(path)) == 3
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+    def broken(*args):
+        raise OSError("disk full")
+
+    # nothing is encoded, so the rewrite can fail only at the temporary file or the rename
+    for name in ("fsync", "replace"):
+        with monkeypatch.context() as m:
+            m.setattr(storage.os, name, broken)
+            with pytest.raises(OSError, match="disk full"):
+                storage.write_records(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+    assert [r.problem_id for r in storage.read_records(path)] == ["p2", "p0", "p1"]
+
+
+_APPENDER = """
+import sys
+import numpy as np
+from vertipy import storage
+from vertipy.metrics import RunRecord
+path, count = sys.argv[1], int(sys.argv[2])
+for i in range(count):
+    storage.append_record(RunRecord(f"p{i:04d}", "A", i, True, [1.0, 0.5], np.zeros(3)), path)
+"""
+
+
+def test_no_append_is_lost_to_a_concurrent_close(tmp_path):
+    # another process appends while this one sorts the file over and over;
+    # an append between a close's read and its rename must not be lost
+    path = tmp_path / "records.jsonl"
+    count = 200
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _APPENDER, str(path), str(count)],
+        env=dict(os.environ, PYTHONPATH=str(Path(vertipy.__file__).parents[1])),
+    )
+    try:
+        closes = 0
+        while proc.poll() is None:
+            if path.exists():
+                storage.write_records(path)
+                closes += 1
+            time.sleep(0.001)  # flock is not fair: let the appender take its turn
+        assert proc.returncode == 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert closes > 1
+    back = storage.write_records(path)
+    assert [r.problem_id for r in back] == [f"p{i:04d}" for i in range(count)]
 
 
 def test_problem_to_dict_finds_specs_by_type():
