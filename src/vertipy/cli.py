@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 usage or input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,7 +54,6 @@ from .probgen import (
     DEFAULT_LENGTHS,
     DEFAULT_SPEEDS,
     DEFAULT_XI_MAX,
-    child_seed,
     make_batch,
 )
 
@@ -200,14 +200,14 @@ def cmd_generate(opts) -> int:
     )
     problem_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, problem in enumerate(problems):
+    for problem in problems:
         path = problem_dir / f"{problem.problem_id}.json"
         storage.save_problem(problem, path)
         entries.append(
             {
                 "id": problem.problem_id,
                 "file": f"problems/{path.name}",
-                "seed": child_seed(seed, i),
+                "seed": problem.meta["seed"],
             }
         )
     storage.write_manifest(
@@ -375,6 +375,7 @@ def _add_common(sub):
     sub.add_argument("--out", help="output directory (default .)")
 
 
+@functools.cache  # once per process: `main` runs in process, call after call
 def build_parser() -> _Parser:
     parser = _Parser(prog="vertipy", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)

@@ -517,9 +517,9 @@ def run(
     computes once it is built (so a bad name or option raises first), as
     ``algo.proximity2(v)``; it raises InvalidSpecError if that is not a
     finite number (see `start_proximity2`).  A start that is already
-    feasible (zero normalizer) short-circuits to a converged record with
-    trace [0.0].  An infeasibility signal from the Q-based methods
-    ends the run with converged=False and a flag.
+    feasible (zero normalizer) takes no step: its record is converged, with
+    trace [0.0] and final v.  An infeasibility signal from the Q-based
+    methods ends the run with converged=False and a flag.
 
     A run ends early when its monitored point has the bytes of the monitored
     point one or two iterations back and the algorithm's optional
@@ -545,25 +545,14 @@ def run(
     start = time.perf_counter()
     algo = make_algorithm(algorithm, problem.sets, v, **options)
     denom = _normalizer(problem, algo.proximity2)
-    if denom == 0.0:
-        return RunRecord(
-            problem_id=problem.problem_id,
-            algorithm=algorithm,
-            iterations=0,
-            converged=True,
-            d_trace=[0.0],
-            final=v.copy(),
-            wall_time=time.perf_counter() - start,
-        )
-
     needs_small_step = algo.kind == "ba"
     memoryless = getattr(algo, "memoryless", None)
-    trace = [1.0]
+    trace = [1.0 if denom else 0.0]  # a feasible start (denom 0) is converged as it stands
     converged = trace[-1] < stop.eps
     iterations = 0
     prev = v  # the monitored point one iteration back; back1, back2: the bytes one and two back
     back1, back2 = v.tobytes(), None
-    final = None
+    final = None if denom else v.copy()
     flags = {}
     if not converged:
         for k in range(1, stop.k_max + 1):

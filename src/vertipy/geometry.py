@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -189,7 +189,7 @@ class CurvatureBounds:
 
 
 # ---------------------------------------------------------------------------
-# target maps in difference space
+# interval maps in difference space
 #
 # A slope operator moves the pair (x_i, x_{i+1}) only along (-1, 1)/sqrt(2),
 # preserving x_i + x_{i+1}.  It is therefore determined by how it maps
@@ -198,11 +198,13 @@ class CurvatureBounds:
 # via the inner product s = tau_{i+1} x_i - (tau_i + tau_{i+1}) x_{i+1}
 # + tau_i x_{i+2}.
 #
-# Every target map acts on one interval [lo, hi] (module docstring): a convex
-# slope pair on d in [-alpha, alpha], a nonconvex one on |d| in [beta, alpha]
-# through `_mirrored`, a curvature triple on s in [lo, hi].  The intrepid map
-# is piecewise and the first matching case wins; its breakpoints depend on
-# the bounds only, so a "table" of them is built once per set.
+# Every operator applies one interval map, `_clip` to project and
+# `_intrepid_map` for intrepid, on one interval [lo, hi] (module docstring):
+# a convex slope pair on d in [-alpha, alpha], a nonconvex one on |d| in
+# [beta, alpha] (`_slope_shift` puts the image back on d's side), a
+# curvature triple on s.  The intrepid map is piecewise and the first
+# matching case wins; its breakpoints depend on the bounds only, so a
+# "table" of them is built once per set.
 
 
 def _clip(v, lo, hi):
@@ -215,35 +217,17 @@ def _gap(s, lo, hi):
     return s - _clip(s, lo, hi)
 
 
-def _interval_intrepid_table(lo, hi):
+def _intrepid_table(lo, hi):
     half = 0.5 * (hi - lo)
     with np.errstate(invalid="ignore"):  # lo = -inf, hi = inf: a NaN midpoint no finite s selects
         mid = 0.5 * (lo + hi)
     return lo - half, lo, hi, hi + half, mid, 2.0 * lo, 2.0 * hi
 
 
-def _interval_sstar_from(s, table):
+def _intrepid_map(s, table):
     far_lo, lo, hi, far_hi, mid, two_lo, two_hi = table
     inner = np.where(s <= hi, s, np.where(s <= far_hi, two_hi - s, mid))
     return np.where(s < far_lo, mid, np.where(s < lo, two_lo - s, inner))
-
-
-def _interval_maps(lo, hi):
-    # the exact and the intrepid map onto [lo, hi]; partials, not lambdas,
-    # because problems are pickled to pool workers
-    table = _interval_intrepid_table(lo, hi)
-    return partial(_clip, lo=lo, hi=hi), partial(_interval_sstar_from, table=table)
-
-
-def _on_side(a, d, up):
-    # put the image a of |d| back on d's side; the tie d = 0 (either sign)
-    # takes the upward side if `up`, the downward if not
-    return np.where(d >= 0.0 if up else d > 0.0, a, -a)
-
-
-def _mirrored(interval_map, d, up):
-    # apply an interval map to |d| and put the result back on d's side
-    return _on_side(interval_map(np.abs(d)), d, up)
 
 
 def _slope_interval(bounds):
@@ -252,19 +236,13 @@ def _slope_interval(bounds):
     return (-alpha if bounds.convex else bounds.beta), alpha
 
 
-def _slope_maps(lo, hi, convex):
-    # the exact and the intrepid target map d -> d* of differences on [lo, hi]
-    maps = _interval_maps(lo, hi)
-    if convex:
-        return maps
-    # the tie d = 0: the projection goes up to +beta, the intrepid map down
-    return partial(_mirrored, maps[0], up=True), partial(_mirrored, maps[1], up=False)
-
-
-def _pair_shift(d, dstar):
-    # h of pairs with differences d and targets dstar: the pair (x_i, x_{i+1})
-    # moves to (x_i - h, x_{i+1} + h)
-    return 0.5 * (dstar - d)
+def _slope_shift(d, image, convex, up):
+    # h of pairs whose differences d map to `image`: (x_i, x_{i+1}) moves to
+    # (x_i - h, x_{i+1} + h).  The band maps |d|, so its image goes back on
+    # d's side; the tie d = 0 (either sign) takes the upward side if `up`
+    if not convex:
+        image = np.where(d >= 0.0 if up else d > 0.0, image, -image)
+    return 0.5 * (image - d)
 
 
 def _inner(w, a, b, c):
@@ -460,7 +438,7 @@ class ProfileKernel:
         out[0, self.interp.indices] = self.interp.values
         flat = out.reshape(-1)
         left, right, triples = self.scatter
-        h = _pair_shift(d, a if self.slope.convex else _on_side(a, d, up=True))
+        h = _slope_shift(d, a, self.slope.convex, up=True)
         flat[left] -= h
         flat[right] += h
         flat[triples] += _triple_moves(c - s, self.weights).ravel()
@@ -584,9 +562,9 @@ def kernel_of(sets):
 # closed-form residual; a set without an intrepid operator of its own uses
 # its projector.  The plain algorithms call `project`, the overshooting ones
 # `intrepid`.  The profile constraints check the shape at these public
-# methods.  A slope or curvature set computes the bounds and weights of its
-# pairs or triples from its own spec on first use and keeps them; `_move`
-# applies a target map (layout in the module docstring).
+# methods.  A slope or curvature set computes the bounds, weights and
+# intrepid table of its pairs or triples from its own spec on first use and
+# keeps them; `_move` applies the interval map it is handed (module docstring).
 
 
 class Constraint:
@@ -650,10 +628,7 @@ class SlopeConstraint(Constraint):
         self.parity = parity
         self.tag = "SlopeOdd" if parity == "odd" else "SlopeEven"
         self._off = 0 if parity == "odd" else 1
-
-    @property
-    def convex(self) -> bool:
-        return self.bounds.convex
+        self.convex = bounds.convex
 
     @cached_property
     def _interval(self):
@@ -661,28 +636,30 @@ class SlopeConstraint(Constraint):
         return tuple(b[self._off :: 2].copy() for b in _slope_interval(self.bounds))
 
     @cached_property
-    def _dstar(self):
-        """The exact and the intrepid target map d -> d* of this parity's pairs."""
-        return _slope_maps(*self._interval, self.convex)
+    def _table(self):
+        """The intrepid breakpoints of `_interval`."""
+        return _intrepid_table(*self._interval)
 
     def _pairs(self, x):
         k = self._interval[1].size
         return x[self._off : self._off + 2 * k].reshape(k, 2)
 
-    def _move(self, x, dstar):
+    def _move(self, x, up, interval_map, *args):
+        # the band's tie d = 0 goes up to +beta in `project`, down in `intrepid`
         out = self._check(x).copy()
         pairs = self._pairs(out)
         d = pairs[:, 1] - pairs[:, 0]
-        h = _pair_shift(d, dstar(d))
+        convex = self.convex
+        h = _slope_shift(d, interval_map(d if convex else np.abs(d), *args), convex, up)
         pairs[:, 0] -= h
         pairs[:, 1] += h
         return out
 
     def project(self, x):
-        return self._move(x, self._dstar[0])
+        return self._move(x, True, _clip, *self._interval)
 
     def intrepid(self, x):
-        return self._move(x, self._dstar[1])
+        return self._move(x, False, _intrepid_map, self._table)
 
     def residual(self, x):
         pairs = self._pairs(self._check(x))
@@ -710,26 +687,26 @@ class CurvatureConstraint(Constraint):
         return tuple(w[self.block - 1 :: 3].copy() for w in _triple_weights(self.bounds, self.bp))
 
     @cached_property
-    def _sstar(self):
-        """The exact and the intrepid target map s -> s* of this block's triples."""
-        return _interval_maps(*self._weights[3:5])
+    def _table(self):
+        """The intrepid breakpoints of this block's intervals [lo, hi]."""
+        return _intrepid_table(*self._weights[3:5])
 
     def _triples(self, x):
         k = self._weights[0].size
         return x[self.block - 1 : self.block - 1 + 3 * k].reshape(k, 3)
 
-    def _move(self, x, sstar):
+    def _move(self, x, interval_map, *args):
         out = self._check(x).copy()
         triples = self._triples(out)
         s = _inner(self._weights, *triples.T)
-        triples += _triple_moves(sstar(s) - s, self._weights)
+        triples += _triple_moves(interval_map(s, *args) - s, self._weights)
         return out
 
     def project(self, x):
-        return self._move(x, self._sstar[0])
+        return self._move(x, _clip, *self._weights[3:5])
 
     def intrepid(self, x):
-        return self._move(x, self._sstar[1])
+        return self._move(x, _intrepid_map, self._table)
 
     def residual(self, x):
         s = _inner(self._weights, *self._triples(self._check(x)).T)

@@ -15,8 +15,8 @@ from .geometry import (
     InvalidSpecError,
     _clip,
     _gap,
-    _interval_intrepid_table,
-    _interval_sstar_from,
+    _intrepid_map,
+    _intrepid_table,
 )
 
 __all__ = ["HalfspaceSet", "SlabSet", "BallSet", "SpanSet"]
@@ -64,12 +64,12 @@ class SlabSet(Constraint):
         self.lo = float(lo)
         self.hi = float(hi)
         self._nn = float(np.dot(a, a))
-        self._intrepid_table = _interval_intrepid_table(self.lo, self.hi)
+        self._table = _intrepid_table(self.lo, self.hi)
 
-    def _move(self, x, sstar_fn, *args):
+    def _move(self, x, interval_map, *args):
         x = self._check(x)
         s = np.dot(self.a, x)
-        sstar = float(sstar_fn(s, *args))
+        sstar = float(interval_map(s, *args))
         if sstar == s:
             return x.copy()
         return x + ((sstar - s) / self._nn) * self.a
@@ -78,7 +78,7 @@ class SlabSet(Constraint):
         return self._move(x, _clip, self.lo, self.hi)
 
     def intrepid(self, x):
-        return self._move(x, _interval_sstar_from, self._intrepid_table)
+        return self._move(x, _intrepid_map, self._table)
 
     def residual(self, x):
         return abs(_gap(np.dot(self.a, self._check(x)), self.lo, self.hi)) / np.sqrt(self._nn)

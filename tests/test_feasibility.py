@@ -219,12 +219,18 @@ def test_run_converges_on_easy_instance():
 
 
 def test_run_feasible_start_short_circuits():
-    prob = FeasibilityProblem(v=[-1.0, 0.0], sets=_half_and_axis())
-    rec = F.run("CycP", prob)
-    assert rec.iterations == 0
-    assert rec.converged
-    assert rec.d_trace == [0.0]
-    assert_allclose(rec.final, [-1.0, 0.0], atol=0)
+    # three sets, so that the mean of m copies of v (a product-space method's
+    # monitored point) differs from v in the last bit: final must be v itself
+    v = np.array([-0.1, 0.0])
+    assert np.mean([v, v, v], axis=0).tobytes() != v.tobytes()
+    prob = FeasibilityProblem(v=v, sets=[*_half_and_axis(), HalfspaceSet([1.0, 1.0], 0.0)])
+    for name in F.ALGORITHMS:
+        rec = F.run(name, prob)
+        assert rec.iterations == 0, name
+        assert rec.converged, name
+        assert rec.d_trace == [0.0], name
+        assert rec.final.tobytes() == v.tobytes(), name
+        assert rec.flags == {}, name
 
 
 def test_run_unknown_algorithm():
