@@ -61,13 +61,18 @@ class StopRule:
 
 @dataclass
 class RunRecord:
-    """Outcome of one (algorithm, problem) run."""
+    """Outcome of one (algorithm, problem) run.
+
+    d_trace holds d(x_k) for k = 0..iterations and final the last iterate.
+    A record from `run` keeps its trace as a list; one read from a record
+    file (`storage.read_records`) holds both as 1-D float64 arrays.
+    """
 
     problem_id: str
     algorithm: str
     iterations: int
     converged: bool
-    d_trace: list
+    d_trace: list | np.ndarray
     final: np.ndarray
     wall_time: float = 0.0
     flags: dict = field(default_factory=dict)
@@ -189,22 +194,48 @@ def relative_proximity_curve(records):
     length = max(len(r.d_trace) for r in records)
     by_alg: dict = {}
     for rec in records:
-        trace = np.asarray(rec.d_trace, dtype=float)
-        padded = np.concatenate([trace, np.full(length - trace.size, trace[-1])])
-        by_alg.setdefault(rec.algorithm, []).append(padded)
+        by_alg.setdefault(rec.algorithm, []).append(rec.d_trace)
 
+    # only one algorithm's padded (P, length) block exists at a time; it is squared in place
     ks = np.arange(length)
     beta = {}
     for a, traces in by_alg.items():
-        mean_sq = np.mean(np.square(traces), axis=0)
+        block = np.empty((len(traces), length))
+        for row, trace in zip(block, traces):
+            row[: len(trace)] = trace
+            row[len(trace) :] = trace[-1]
+        mean_sq = np.mean(np.square(block, out=block), axis=0)
         with np.errstate(divide="ignore"):
             beta[a] = 10.0 * np.log10(mean_sq)
     return ks, beta
 
 
+def _quartiles(values) -> tuple:
+    """The 25th, 50th and 75th percentiles of a nonempty 1-D array.
+
+    What np.percentile(values, [25, 50, 75], method="linear") gives, bit for
+    bit, without its first call's import of numpy.ma: sort, take the
+    neighbours of the virtual index (n - 1) q, and interpolate as numpy does.
+    A NaN sorts last and makes every quartile NaN.  (Where -0.0 ties with
+    0.0, numpy's partial sort may pick the other zero; distances never hold -0.0.)
+    """
+    ordered = np.sort(values)
+    if math.isnan(ordered[-1]):
+        return (float(ordered[-1]),) * 3
+    last = ordered.size - 1
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        at = last * q
+        lo = math.floor(at) if at < last else -1  # past the end numpy takes the last value twice
+        hi = lo + 1 if lo >= 0 else -1
+        a, b, g = float(ordered[lo]), float(ordered[hi]), at - lo
+        quartiles.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return tuple(quartiles)
+
+
 def _summary(values) -> dict:
     values = np.asarray(values, dtype=float)
-    q1, med, q3 = np.percentile(values, [25, 50, 75], method="linear")
+    q1, med, q3 = _quartiles(values)
     return {
         "min": float(values.min()),
         "q1": float(q1),

@@ -154,16 +154,32 @@ def record_to_dict(rec: RunRecord) -> dict:
     }
 
 
+def _vector(data: dict, key: str) -> np.ndarray:
+    """The list of numbers `data[key]` as a 1-D float64 array; anything else raises ValueError.
+
+    A number is a JSON int or float: null, booleans, strings and nested
+    lists are not, nor is an int that overflows a float64.
+    """
+    values = data[key]
+    if type(values) is not list or not set(map(type, values)) <= {float, int}:
+        raise ValueError(f"{key} is not a list of numbers")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{key} holds a number too large for a float") from None
+
+
 def record_from_dict(data: dict) -> RunRecord:
-    if not data["d_trace"]:
+    d_trace = _vector(data, "d_trace")
+    if not d_trace.size:
         raise ValueError("empty d_trace")
     return RunRecord(
         problem_id=data["problem_id"],
         algorithm=data["algorithm"],
         iterations=int(data["iterations"]),
         converged=bool(data["converged"]),
-        d_trace=[float(x) for x in data["d_trace"]],
-        final=np.asarray(data["final"], dtype=float),
+        d_trace=d_trace,
+        final=_vector(data, "final"),
         wall_time=float(data.get("wall_time", 0.0)),
         flags=data.get("flags", {}),
     )
@@ -194,43 +210,54 @@ def append_record(rec: RunRecord, path) -> None:
         os.fsync(fh.fileno())
 
 
-def _read(path) -> dict:
-    """Each (algorithm, problem) pair of a record file -> (line number, record, line bytes)."""
-    *lines, tail = path.read_bytes().split(b"\n")  # holds the file's bytes once, as lines
-    rows = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            rec = record_from_dict(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise RecordFileError(f"{path}, line {lineno}: malformed record ({exc})") from exc
-        pair = (rec.algorithm, rec.problem_id)
-        if pair in rows:
-            raise RecordFileError(
-                f"{path}, lines {rows[pair][0]} and {lineno}: two records for {' on '.join(pair)}"
-            )
-        rows[pair] = (lineno, rec, line)
+def _read(path):
+    """Yield (record, line bytes with the newline) for each complete line of a record file.
+
+    The file is read one line at a time.  A malformed line, or a second line
+    for one (algorithm, problem) pair, raises RecordFileError.  Once every
+    complete line has been read, bytes after the last newline (an interrupted
+    append) are dropped with a warning and cut from the file; a file that
+    raises first is left as it was.
+    """
+    first = {}  # (algorithm, problem) -> number of the line that holds it
+    tail = b""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                tail = line
+                break
+            if not line.strip():
+                continue
+            try:  # decoded without its newline, so a decode error's position stays on line 1
+                rec = record_from_dict(json.loads(line[:-1]))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise RecordFileError(f"{path}, line {lineno}: malformed record ({exc})") from exc
+            pair = (rec.algorithm, rec.problem_id)
+            if pair in first:
+                raise RecordFileError(
+                    f"{path}, lines {first[pair]} and {lineno}: two records for {' on '.join(pair)}"
+                )
+            first[pair] = lineno
+            yield rec, line
     if tail.strip():
         print(f"warning: {path}: dropped a torn last line ({len(tail)} bytes)", file=sys.stderr)
         os.truncate(path, path.stat().st_size - len(tail))
-    return rows
 
 
 def read_records(path) -> list:
-    """Read a JSONL record file.
+    """Read a JSONL record file, one line at a time.
 
     Bytes after the last newline are an interrupted append: they are dropped
     with a warning and cut from the file, so the next append starts a fresh
     line.  A malformed complete line, or one whose (algorithm, problem)
     pair an earlier line already holds, raises RecordFileError and leaves
-    the file as it was.
+    the file as it was.  Each record's d_trace and final are float64 arrays.
     """
     path = Path(path)
     if not path.exists():
         return []
     with _locked(path):
-        return [rec for _, rec, _ in _read(path).values()]
+        return [rec for rec, _ in _read(path)]
 
 
 def write_records(path) -> list:
@@ -243,17 +270,17 @@ def write_records(path) -> list:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     with _locked(path):
-        ordered = [row for _, row in sorted(_read(path).items())]  # no two rows share a pair
+        ordered = sorted(_read(path), key=lambda row: (row[0].algorithm, row[0].problem_id))
         try:
             with open(tmp, "wb") as fh:
-                fh.writelines(line + b"\n" for _, _, line in ordered)
+                fh.writelines(line for _, line in ordered)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-    return [rec for _, rec, _ in ordered]
+    return [rec for rec, _ in ordered]
 
 
 def _csv_field(value) -> str:

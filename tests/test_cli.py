@@ -273,6 +273,18 @@ def test_repeated_record_pair_exits_1_and_leaves_the_file(tmp_path, capsys):
             "record final does not fit its problem's profile: CycP/p0001",
         ),
         (lambda rec: rec.update(d_trace=[]), "line 2: malformed record (empty d_trace)"),
+        (
+            lambda rec: rec["final"].__setitem__(3, None),
+            "line 2: malformed record (final is not a list of numbers)",
+        ),
+        (
+            lambda rec: rec["d_trace"].__setitem__(-1, None),
+            "line 2: malformed record (d_trace is not a list of numbers)",
+        ),
+        (
+            lambda rec: rec.update(final=[[x] for x in rec["final"]]),
+            "line 2: malformed record (final is not a list of numbers)",
+        ),
     ],
 )
 def test_record_that_does_not_fit_its_problem_exits_1(tmp_path, capsys, edit, message):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from vertipy import metrics
@@ -177,6 +178,58 @@ def test_curve_exact_zero_is_minus_infinity():
     assert beta["A"][1] == -np.inf
 
 
+def _padded_curve(records):
+    """The curve as first written: every padded trace stacked, then one mean per algorithm."""
+    length = max(len(r.d_trace) for r in records)
+    by_alg: dict = {}
+    for rec in records:
+        trace = np.asarray(rec.d_trace, dtype=float)
+        padded = np.concatenate([trace, np.full(length - trace.size, trace[-1])])
+        by_alg.setdefault(rec.algorithm, []).append(padded)
+    beta = {}
+    for a, traces in by_alg.items():
+        with np.errstate(divide="ignore"):
+            beta[a] = 10.0 * np.log10(np.mean(np.square(traces), axis=0))
+    return np.arange(length), beta
+
+
+_TRACE_VALUES = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-300, 5e-3, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from(["CycP", "ParP", "D-R", "sSaP"]),
+            st.lists(_TRACE_VALUES, min_size=1, max_size=12),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+@example(runs=[("A", [0.3], False), ("A", [0.7], True), ("B", [0.1], False)], order=None)
+def test_curve_equals_the_padded_formula_bitwise(runs, order):
+    # unequal lengths, length-1 traces, several algorithms, shuffled record order;
+    # traces come as lists (from run) and float64 arrays (from a record file)
+    records = [
+        _rec(f"p{i}", alg, len(trace) - 1, True, trace=trace)
+        for i, (alg, trace, _) in enumerate(runs)
+    ]
+    for rec, (_, _, as_array) in zip(records, runs):
+        if as_array:
+            rec.d_trace = np.asarray(rec.d_trace, dtype=float)
+    if order is not None:
+        order.shuffle(records)
+    ks, beta = relative_proximity_curve(records)
+    want_ks, want = _padded_curve(records)
+    assert ks.tolist() == want_ks.tolist()
+    assert list(beta) == list(want)
+    for a in want:
+        assert beta[a].tobytes() == want[a].tobytes(), a
+
+
 # -------------------------------------------------------- distance stats
 
 def test_distance_stats_five_point_summary():
@@ -235,3 +288,21 @@ def test_distance_stats_zero_anchor_excluded():
 def test_distance_stats_requires_records():
     with pytest.raises(InvalidSpecError):
         distance_stats([], {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False).map(lambda x: x or 0.0)
+        | st.sampled_from([0.0, 0.5, 1.0, 3.0, math.nan]),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_quartiles_equal_np_percentile_bitwise(values):
+    # -0.0 becomes 0.0, as numpy's partial sort may order a tie of -0.0 and 0.0 either
+    # way; the one NaN is the one JSON decodes, as a NaN's payload may move the same way
+    values = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        want = np.percentile(values, [25, 50, 75], method="linear")
+    assert np.asarray(metrics._quartiles(values)).tobytes() == want.tobytes()

@@ -209,6 +209,47 @@ def test_malformed_line_before_the_last_raises(tmp_path):
         storage.read_records(path)
 
 
+def test_malformed_line_raises_before_a_torn_last_line_is_cut(tmp_path, capsys):
+    # every complete line is checked first; the file is cut only once all of them pass
+    path = tmp_path / "records.jsonl"
+    _two_records(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0][:20] + b"\n" + lines[1] + lines[0][:30])
+    body = path.read_bytes()
+    for read in (storage.read_records, storage.write_records):
+        with pytest.raises(storage.RecordFileError, match="line 1: malformed record"):
+            read(path)
+        assert path.read_bytes() == body
+    assert "torn" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["d_trace", "final"])
+@pytest.mark.parametrize("entry", [None, "0.5", True, [0.5], {"x": 0.5}, 10**400])
+def test_a_trace_or_final_entry_that_is_not_a_number_is_malformed(tmp_path, key, entry):
+    # float() took strings and booleans, and numpy read null as NaN
+    path = tmp_path / "records.jsonl"
+    _two_records(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key][-1] = entry
+    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(storage.RecordFileError, match=f"line 2: malformed record \\({key} "):
+        storage.read_records(path)
+
+
+def test_read_records_hold_float64_arrays(tmp_path):
+    path = tmp_path / "records.jsonl"
+    _two_records(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["final"] = [1, 2]  # a JSON int is a number
+    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+    for rec in storage.read_records(path):
+        for values in (rec.d_trace, rec.final):
+            assert isinstance(values, np.ndarray) and values.dtype == float and values.ndim == 1
+    assert rec.final.tolist() == [1.0, 2.0]
+
+
 def test_profile_csv(tmp_path):
     path = tmp_path / "profile.csv"
     kappa = np.array([0.0, 0.05, 0.1])

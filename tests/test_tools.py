@@ -49,6 +49,14 @@ def test_record_digests_prints_one_digest_per_benchmark_record():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
-    assert len(rows) == 230 and proc.stderr.endswith("230 record(s)\n")
-    assert len({(workload, algorithm, pid) for workload, algorithm, pid, _ in rows}) == 230
+    assert proc.stderr.endswith("230 record(s), 16 report file(s)\n")
+    records = [row for row in rows if row[1] != "report"]
+    reports = [row for row in rows if row[1] == "report"]
+    assert len(records) == 230 and len(rows) == 246
+    assert len({(workload, algorithm, pid) for workload, algorithm, pid, _ in records}) == 230
+    files = ["profiles.csv", "proximity.csv", "delta.csv", "summary.txt"]
+    workloads = list(dict.fromkeys(workload for workload, *_ in rows))
+    assert [(workload, name) for workload, _, name, _ in reports] == [
+        (workload, name) for workload in workloads for name in files
+    ]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in rows)

@@ -1,11 +1,12 @@
-"""Print one sha256 per record of the benchmark workloads, to show that results did not move.
+"""Print one sha256 per record and per report file of the benchmark workloads.
 
 Every workload in ``perfbench.workloads.WORKLOADS`` runs through
 ``vertipy.cli.main`` in a temporary directory: its ``generate_args`` (seed 0),
-then its ``run_args``.  Each (algorithm, problem) record then prints as one
-line: workload, algorithm, problem id, and the sha256 of the record's JSON
-text without ``wall_time``.  Every digit of every float counts, and so does
-the sign of a zero.
+its ``run_args``, then its ``report_args``.  Each (algorithm, problem) record
+then prints as one line: workload, algorithm, problem id, and the sha256 of
+the record's JSON text without ``wall_time``.  Every digit of every float
+counts, and so does the sign of a zero.  Each report file follows as one
+line: workload, ``report``, file name, and the sha256 of the file's bytes.
 
 A change that must not move results is checked by diffing the output for
 the code before and after it:
@@ -15,7 +16,7 @@ the code before and after it:
     diff before.txt after.txt
 
 A vertipy on PYTHONPATH wins; without one, this checkout's ``src`` is used.
-The vertipy in use and the record count go to stderr.
+The vertipy in use and the record and report file counts go to stderr.
 """
 
 from __future__ import annotations
@@ -43,8 +44,12 @@ def _call(args) -> None:
         raise SystemExit(f"vertipy {' '.join(args)} exited {code}:\n{out.getvalue()}")
 
 
+REPORT_FILES = ("profiles.csv", "proximity.csv", "delta.csv", "summary.txt")
+
+
 def digests(workload, directory):
-    """Yield (algorithm, problem id, sha256) for each record of one workload run in `directory`."""
+    """Yield (algorithm, problem id, sha256) for each record of one workload run in `directory`,
+    then ("report", file name, sha256) for each report file."""
     _call(workload.generate_args(directory))
     _call(workload.run_args(directory))
     for line in (Path(directory) / "records.jsonl").read_text().splitlines():
@@ -52,17 +57,21 @@ def digests(workload, directory):
         del record["wall_time"]
         text = json.dumps(record)  # Python floats round-trip through JSON text exactly
         yield record["algorithm"], record["problem_id"], hashlib.sha256(text.encode()).hexdigest()
+    _call(workload.report_args(directory))
+    for name in REPORT_FILES:
+        yield "report", name, hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
 
 
 def main() -> int:
     print(f"vertipy from {Path(cli.__file__).parent}", file=sys.stderr)
-    count = 0
+    records = reports = 0
     for name, workload in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            for algorithm, problem_id, digest in digests(workload, tmp):
-                print(name, algorithm, problem_id, digest)
-                count += 1
-    print(f"{count} record(s)", file=sys.stderr)
+            for kind, item, digest in digests(workload, tmp):
+                print(name, kind, item, digest)
+                reports += kind == "report"
+                records += kind != "report"
+    print(f"{records} record(s), {reports} report file(s)", file=sys.stderr)
     return 0
 
 
