@@ -41,9 +41,10 @@ from .feasibility import (
     FEASIBILITY_ALGORITHMS,
     SUPERIORIZED_ALGORITHMS,
     run as run_algorithm,
+    run_batch,
     start_proximity2,
 )
-from .geometry import InvalidSpecError
+from .geometry import InvalidSpecError, kernel_of
 from .metrics import (
     StopRule,
     distance_stats,
@@ -232,6 +233,18 @@ def _run_pair(algorithm, problem, stop, options):
     return run_algorithm(algorithm, problem, stop=stop, **options)
 
 
+def _batches(pairs) -> list:
+    """The pairs grouped by algorithm and slope kind, each group one batch profile.
+
+    Convex and band problems never share a batch: their intrepid maps are
+    not interchangeable bitwise.
+    """
+    groups = {}
+    for a, p in pairs:
+        groups.setdefault((a, kernel_of(p.sets).slope.convex), []).append((a, p))
+    return list(groups.values())
+
+
 def _check_starts(problems) -> None:
     """Raise before any pair runs, naming every problem whose start cannot normalize a run."""
     bad = []
@@ -278,12 +291,13 @@ def cmd_run(opts) -> int:
             for future in as_completed(futures):  # append each pair as soon as it finishes
                 storage.append_record(future.result(), record_path)
     else:
-        for a, p in pairs:
-            storage.append_record(_run_pair(a, p, stop, options), record_path)
-    records = storage.write_records(record_path)  # holds lines other processes appended too
+        for batch in _batches(pairs):
+            for record in run_batch(batch[0][0], [p for _, p in batch], stop, **options):
+                storage.append_record(record, record_path)  # each pair as soon as it stops
+    summary = storage.write_records(record_path)  # holds lines other processes appended too
 
     for a in algorithms:
-        mine = [r for r in records if r.algorithm == a]
+        mine = [r for r in summary if r.algorithm == a]
         solved = sum(r.converged for r in mine)
         iters = sorted(r.iterations for r in mine)
         median_k = iters[len(iters) // 2] if iters else 0

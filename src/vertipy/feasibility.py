@@ -26,7 +26,15 @@ from functools import cached_property
 import numpy as np
 
 from . import bestapprox, product
-from .geometry import Breakpoints, InvalidSpecError, _norm, _SetList, kernel_of
+from .geometry import (
+    Breakpoints,
+    InvalidSpecError,
+    ProfileKernel,
+    _norm,
+    _SetList,
+    kernel_of,
+    lay_end_to_end,
+)
 from .metrics import RunRecord, StopRule, _Algorithm, proximity_squared_sum
 from .superior import Superiorized, check_direction
 
@@ -49,6 +57,7 @@ __all__ = [
     "make_algorithm",
     "start_proximity2",
     "run",
+    "run_batch",
     "HalpernWittmann",
     "CyclicDykstra",
     "ParallelDykstra",
@@ -145,17 +154,28 @@ def sap_step(x, sets):
 
 def _exparp_from(x, rows, sets):
     x = np.asarray(x, dtype=float)
+    kernel = kernel_of(sets)
+    moves = rows - x
     disp = np.zeros_like(x)
-    num = 0.0
-    for r in rows - x:
+    for r in moves:
         disp += r
-        num += float(np.dot(r, r))
-    if num == 0.0:
-        return x.copy()
-    den = float(np.dot(disp, disp))
-    if den < 1e-30:  # residual displacements cancelled; nothing sensible to extrapolate
-        return x.copy()
-    return x + (num / den) * disp
+    ratios, still = [], []
+    for sl in kernel.segments:
+        num = 0.0
+        for r in moves[:, sl]:
+            num += float(np.dot(r, r))
+        den = float(np.dot(disp[sl], disp[sl])) if num != 0.0 else 0.0
+        # num = 0: x is on every set; den < 1e-30: the residual displacements
+        # cancelled, and there is nothing sensible to extrapolate
+        if num == 0.0 or den < 1e-30:
+            still.append(sl)
+            ratios.append(0.0)
+        else:
+            ratios.append(num / den)
+    out = x + kernel.columns(ratios) * disp
+    for sl in still:
+        out[sl] = x[sl]
+    return out
 
 
 def exparp_step(x, sets):
@@ -169,19 +189,25 @@ def exparp_step(x, sets):
 
 
 def _exaltp_at(z, rows, sets):
-    # the ExAltP step from z = P_1 x and the rows of project_each(z, sets)
+    # the ExAltP step from z = P_1 x and the rows of project_each(z, sets),
+    # with mu from each segment's own slices
     if len(sets) == 1:
         return z
-    num = 0.0
+    kernel = kernel_of(sets)
     acc = np.zeros_like(z)
     for p in rows[1:]:
         acc += p
-        num += float(np.dot(p - z, p - z))
     others = len(sets) - 1
     p = sets[0].project(acc / others)
-    den = others * float(np.dot(p - z, p - z))
-    mu = 1.0 if (num == 0.0 or den < 1e-30) else num / den
-    return z + mu * (p - z)
+    mus = []
+    for sl in kernel.segments:
+        zs, ps = z[sl], p[sl]
+        num = 0.0
+        for q in rows[1:, sl]:
+            num += float(np.dot(q - zs, q - zs))
+        den = others * float(np.dot(ps - zs, ps - zs))
+        mus.append(1.0 if (num == 0.0 or den < 1e-30) else num / den)
+    return z + kernel.columns(mus) * (p - z)
 
 
 def _exaltp_from(x, rows, sets):
@@ -231,17 +257,17 @@ def admm_two_set_step(b, u, set_a, set_b):
 # driver-facing algorithm wrappers
 #
 # Every algorithm is a `metrics._Algorithm`: it holds its sets resolved to
-# their kernel once, and has kind, step(), monitor() and proximity2(x).
+# their kernel once, and has kind, step(), monitor() and segment_proximity2(x).
 
 
 class _Surveyed(_Algorithm):
     """An iterate x whose squared proximity and projections come from one survey.
 
     A step starts from the rows `_rows` of x and passes its new x through
-    `_surveyed`, which keeps its squared proximity `_d2` for `proximity2`
-    and its rows for the next step.  The start is not surveyed: the first
-    step projects it, and its squared proximity is computed when `run` asks
-    for it as its normalizer.
+    `_surveyed`, which keeps its squared proximity per segment `_d2` for
+    `segment_proximity2` and its rows for the next step.  The start is not
+    surveyed: the first step projects it, and its squared proximity is
+    computed when `run_batch` asks for it as its normalizer.
     """
 
     @cached_property
@@ -250,13 +276,13 @@ class _Surveyed(_Algorithm):
 
     @cached_property
     def _d2(self):
-        return self.sets.kernel.proximity2(self.x)
+        return self.sets.kernel.segment_proximity2(self.x)
 
     def _surveyed(self, x):
         self._d2, self._rows = self.sets.kernel.survey(x)
         return x
 
-    def proximity2(self, x) -> float:
+    def segment_proximity2(self, x) -> list:
         return self._d2
 
 
@@ -270,7 +296,7 @@ class _SweepAlgo(_Algorithm):
     def step(self):
         self.x = self._step_fn(self.x, self.sets)
 
-    def memoryless(self) -> bool:
+    def memoryless(self, segment) -> bool:
         """Always true: a sweep's next x is a function of x alone."""
         return True
 
@@ -351,12 +377,36 @@ class CyclicDykstra(_Anchored):
         self.k += 1
 
 
+def _q_each(segments, x, y, z):
+    """Haugazeau's Q(x, y, z) on each segment's columns, and the segments that signal.
+
+    `bestapprox.q_operator` runs on each segment's slices (raveled, for the
+    rows of a product point), so its dots are the ones that problem alone
+    takes.  A segment whose Q finds the halfspaces disjoint keeps y, and
+    the second value maps it to the message.
+    """
+    out, signals = None, {}
+    for j, sl in enumerate(segments):
+        ys = y[..., sl]
+        try:
+            q = bestapprox.q_operator(x[..., sl].ravel(), ys.ravel(), z[..., sl].ravel())
+        except bestapprox.InfeasibleIntersectionError as exc:
+            signals[j] = str(exc)
+            q = ys
+        if len(segments) == 1:
+            return q.reshape(ys.shape), signals
+        out = y.copy() if out is None else out
+        out[..., sl] = q.reshape(ys.shape)
+    return out, signals
+
+
 class HaugazeauCyclic(_Anchored):
     """Cyclic projections made strongly convergent: x <- Q(v, x, P_[k] x)."""
 
     def step(self):
         c = self.sets[self.k % len(self.sets)]
-        self.x = bestapprox.q_operator(self.v, self.x, c.project(self.x))
+        segments = self.sets.kernel.segments
+        self.x, self.signals = _q_each(segments, self.v, self.x, c.project(self.x))
         self.k += 1
 
 
@@ -365,7 +415,8 @@ class HaugazeauParallel(_Surveyed, _Anchored):
 
     def step(self):
         parp = _parp_from(self.x, self._rows, self.sets)
-        self.x = self._surveyed(bestapprox.q_operator(self.v, self.x, parp))
+        x, self.signals = _q_each(self.sets.kernel.segments, self.v, self.x, parp)
+        self.x = self._surveyed(x)
 
 
 class ParallelDykstra(_ProductDR):
@@ -394,8 +445,8 @@ class HaugazeauDouglasRachford(_ProductDR):
 
     def step(self):
         target = dr_two_set_step(self.parts, self.product_set, self.diagonal)
-        flat = bestapprox.q_operator(self._anchor.ravel(), self.parts.ravel(), target.ravel())
-        self.parts = flat.reshape(self.parts.shape)
+        segments = self.sets.kernel.segments
+        self.parts, self.signals = _q_each(segments, self._anchor, self.parts, target)
 
 
 class AnchoredDouglasRachford(_ProductDR):
@@ -485,9 +536,7 @@ def make_algorithm(name: str, sets, v, **options):
     return factory(sets, v)
 
 
-def _normalizer(problem, proximity2) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        denom = proximity2(problem.v)
+def _normalizer(problem, denom) -> float:
     if not math.isfinite(denom):
         raise InvalidSpecError(
             f"{problem.problem_id}: the start's squared proximity is {denom}, not a finite number"
@@ -501,7 +550,175 @@ def start_proximity2(problem: FeasibilityProblem) -> float:
     Raises InvalidSpecError if it is not a finite number: every d would then
     be NaN, which records.jsonl cannot hold.
     """
-    return _normalizer(problem, lambda x: proximity_squared_sum(x, problem.sets))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by _normalizer
+        return _normalizer(problem, proximity_squared_sum(problem.v, problem.sets))
+
+
+def _lay_out(problems):
+    """The sets and start of one profile holding `problems` end to end; one problem's own."""
+    if len(problems) == 1:
+        return problems[0].sets, problems[0].v
+    kernels = [kernel_of(p.sets) for p in problems]
+    if not all(isinstance(k, ProfileKernel) and len(k.spans) == 1 for k in kernels):
+        raise AlgorithmConfigError("only profile problems, each with its six sets, share a batch")
+    kernel = lay_end_to_end(kernels)
+    v = np.zeros(kernel.n)
+    for sl, p in zip(kernel.segments, problems):
+        v[sl] = p.v
+    return kernel.constraint_sets(), v
+
+
+def _carried(algo, kept, algorithm, problems, options):
+    """`algorithm` on a profile of `problems`, the segments `kept` of algo's, in algo's state.
+
+    Arrays over algo's columns move column by column (0.0 between
+    segments), per-segment lists keep the entries of `kept`, and numbers
+    carry over; the sets, the steps built on them and their caches are the
+    new algorithm's own.
+    """
+    sets, v = _lay_out(problems)
+    new = make_algorithm(algorithm, sets, v, **options)
+    moves = list(zip([algo.sets.kernel.segments[j] for j in kept], new.sets.kernel.segments))
+    width = algo.x.shape[-1]
+    for name, value in vars(algo).items():
+        if isinstance(value, np.ndarray) and value.ndim and value.shape[-1] == width:
+            moved = np.zeros(value.shape[:-1] + v.shape)
+            for old, now in moves:
+                moved[..., now] = value[..., old]
+            value = moved
+        elif isinstance(value, list):
+            value = [value[j] for j in kept]
+        elif not isinstance(value, (int, float)):
+            continue
+        setattr(new, name, value)
+    return new
+
+
+class _Segment:
+    """One problem's run inside a batch: its trace so far and how it ended."""
+
+    __slots__ = (
+        "problem", "denom", "trace", "converged", "prev", "back1", "back2", "final", "flags",
+        "wall_time",
+    )
+
+    def __init__(self, problem, denom, eps):
+        self.problem = problem
+        self.denom = denom
+        # a feasible start (denom 0) is converged as it stands
+        self.trace = [1.0 if denom else 0.0]
+        self.converged = self.trace[-1] < eps
+        # the monitored point one iteration back; back1, back2: the bytes one and two back
+        self.prev = problem.v
+        self.back1, self.back2 = problem.v.tobytes(), None
+        self.final = None if denom else problem.v.copy()
+        self.flags = {}
+        self.wall_time = 0.0
+
+    def record(self, algorithm) -> RunRecord:
+        return RunRecord(
+            problem_id=self.problem.problem_id,
+            algorithm=algorithm,
+            iterations=len(self.trace) - 1,  # one entry per iteration after the start
+            converged=self.converged,
+            d_trace=self.trace,
+            final=np.array(self.final, dtype=float),
+            wall_time=self.wall_time,
+            flags=self.flags,
+        )
+
+
+def run_batch(algorithm: str, problems, stop: StopRule | None = None, **options):
+    """Run one algorithm on problems laid end to end; yield each record as its problem stops.
+
+    More than one problem must all be profile problems of one slope kind:
+    they are laid in one profile (`geometry.lay_end_to_end`), each as a
+    segment of its columns, and one algorithm steps them all.  Each
+    segment stops by `run`'s rules on its own: its normalizer, trace, exact
+    exit, step-length test, infeasibility signal and final are its own,
+    and every scalar a step takes over a whole vector (a dot, a norm, a
+    sum) is taken on the segment's own slices, so its record is bitwise
+    the one `run` gives on that problem alone (up to the sign of a zero in
+    a segment's first or last two columns, which a pair or triple across
+    its edge adds +0.0 to).  Once segments stop, the survivors are laid out
+    afresh and the algorithm's state is carried over by column.  Each
+    record's wall_time is its share of the batch: the time of every
+    iteration is split evenly among the segments it stepped.  A start whose
+    squared proximity is not finite raises InvalidSpecError before any step.
+    """
+    stop = stop or StopRule()
+    eps, k_max = stop.eps, stop.k_max
+    problems = list(problems)
+    since = time.perf_counter()  # the start of the iterations that the live segments share
+    sets, v = _lay_out(problems)
+    algo = make_algorithm(algorithm, sets, v, **options)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        denoms = list(algo.segment_proximity2(v))
+    live = [_Segment(p, _normalizer(p, d), eps) for p, d in zip(problems, denoms)]
+    segments = algo.sets.kernel.segments
+    small_step = algo.kind == "ba"
+    ended = [j for j, seg in enumerate(live) if seg.converged]
+    for j in ended:
+        if live[j].final is None:
+            # with no step taken this is v, or for a product-space method the mean
+            # of m copies of v, which can differ from v in the last bit
+            live[j].final = algo.monitor()[segments[j]]
+    k = 0
+    while True:
+        if ended:
+            share = (time.perf_counter() - since) / len(live)
+            for seg in live:
+                seg.wall_time += share
+            for j in ended:
+                yield live[j].record(algorithm)
+            since = time.perf_counter()
+            kept = [j for j in range(len(live)) if j not in ended]
+            if not kept:
+                return
+            live = [live[j] for j in kept]
+            algo = _carried(algo, kept, algorithm, [seg.problem for seg in live], options)
+            segments = algo.sets.kernel.segments
+        k += 1
+        algo.step()
+        # each segment's monitored point, scored from its bytes alone: one with
+        # the bytes of its previous point (hCycP and CycDyk often repeat one)
+        # repeats its d, and if every segment does, no proximity is computed
+        x = algo.monitor()
+        signals = algo.signals
+        d2 = None
+        ended = []
+        for j, seg in enumerate(live):
+            xj = x[segments[j]]
+            if j in signals:  # the segment's columns were left as they were
+                seg.flags["infeasible_signal"] = signals[j]
+                seg.final = xj
+                ended.append(j)
+                continue
+            x_bytes = xj.tobytes()
+            period = 1 if x_bytes == seg.back1 else 2 if x_bytes == seg.back2 else 0
+            if period == 1:
+                d = seg.trace[-1]
+            else:
+                d2 = algo.segment_proximity2(x) if d2 is None else d2
+                d = math.sqrt(d2[j] / seg.denom)
+            seg.trace.append(d)
+            if d < eps and (not small_step or _norm(xj - seg.prev) < eps):
+                seg.converged = True
+                seg.final = xj
+            elif period and hasattr(algo, "memoryless") and algo.memoryless(j):
+                # every later iteration repeats the last `period` ones: record what the cap gives
+                remaining = k_max - k
+                seg.trace.extend((seg.trace[-period:] * (remaining // period + 1))[:remaining])
+                seg.final = seg.prev if remaining % period else xj
+                seg.flags["stalled_at"] = k
+                if period > 1:
+                    seg.flags["period"] = period
+            elif k == k_max:
+                seg.final = xj
+            else:
+                seg.prev, seg.back1, seg.back2 = xj, x_bytes, seg.back1
+                continue
+            ended.append(j)
 
 
 def run(
@@ -510,93 +727,35 @@ def run(
     stop: StopRule | None = None,
     **options,
 ) -> RunRecord:
-    """Run one algorithm on one problem and record the proximity trace.
+    """Run one algorithm on one problem and record the proximity trace: `run_batch` of one.
 
     The trace starts at d(x_0) = 1 and gains one entry per iteration.  Every
     d is normalized by the start's squared proximity, which the algorithm
-    computes once it is built (so a bad name or option raises first), as
-    ``algo.proximity2(v)``; it raises InvalidSpecError if that is not a
-    finite number (see `start_proximity2`).  A start that is already
-    feasible (zero normalizer) takes no step: its record is converged, with
-    trace [0.0] and final v.  An infeasibility signal from the Q-based
-    methods ends the run with converged=False and a flag.
+    computes once it is built (so a bad name or option raises first); it
+    raises InvalidSpecError if that is not a finite number (see
+    `start_proximity2`).  A start that is already feasible (zero
+    normalizer) takes no step: its record is converged, with trace [0.0]
+    and final v.  An infeasibility signal from the Q-based methods ends the
+    run with converged=False and a flag.
 
     A run ends early when its monitored point has the bytes of the monitored
     point one or two iterations back and the algorithm's optional
-    ``memoryless()`` says its next step depends on that point alone: every
-    later iteration then repeats the last one or two.  That always holds for
-    the six sweeps and, for a superiorized method, after a pass that
-    perturbed x to itself and rejected T(x); the product-space and
+    ``memoryless(segment)`` says its next step depends on that point alone:
+    every later iteration then repeats the last one or two.  That always
+    holds for the six sweeps and, for a superiorized method, after a pass
+    that perturbed x to itself and rejected T(x); the product-space and
     best-approximation methods have no ``memoryless`` and never end early.
     The record is exactly the one that running to the cap would give, plus
     ``flags["stalled_at"]`` (and ``flags["period"] = 2`` for a 2-cycle).
 
-    Each iteration steps the algorithm, takes the monitored point
-    x = ``algo.monitor()`` and its squared proximity ``algo.proximity2(x)``,
-    a function of x's bytes alone: an x with the bytes of the previous
-    monitored point (hCycP and CycDyk often repeat one) repeats its d
-    without asking.  An algorithm that has already computed that sum in its step returns it
-    from there: the superiorized family keeps it from its acceptance test,
-    and ParP, ExParP, ExAltP and hParP from the survey that also gives
-    their next step's projections.
+    Each iteration steps the algorithm and scores its monitored point, x =
+    ``algo.monitor()``, from ``algo.segment_proximity2(x)``, a function of
+    x's bytes alone: an x with the bytes of the previous monitored point
+    (hCycP and CycDyk often repeat one) repeats its d without asking.  An
+    algorithm that has already computed that sum in its step returns it
+    from there: the superiorized family keeps it from its
+    acceptance test, and ParP, ExParP, ExAltP and hParP from the survey
+    that also gives their next step's projections.
     """
-    stop = stop or StopRule()
-    v = problem.v
-    start = time.perf_counter()
-    algo = make_algorithm(algorithm, problem.sets, v, **options)
-    denom = _normalizer(problem, algo.proximity2)
-    needs_small_step = algo.kind == "ba"
-    memoryless = getattr(algo, "memoryless", None)
-    trace = [1.0 if denom else 0.0]  # a feasible start (denom 0) is converged as it stands
-    converged = trace[-1] < stop.eps
-    iterations = 0
-    prev = v  # the monitored point one iteration back; back1, back2: the bytes one and two back
-    back1, back2 = v.tobytes(), None
-    final = None if denom else v.copy()
-    flags = {}
-    if not converged:
-        for k in range(1, stop.k_max + 1):
-            try:
-                algo.step()
-            except bestapprox.InfeasibleIntersectionError as exc:
-                iterations = k - 1
-                flags["infeasible_signal"] = str(exc)
-                break
-            x = algo.monitor()
-            x_bytes = x.tobytes()
-            period = 1 if x_bytes == back1 else 2 if x_bytes == back2 else 0
-            d = trace[-1] if period == 1 else math.sqrt(algo.proximity2(x) / denom)
-            trace.append(d)
-            iterations = k
-            if d < stop.eps and (not needs_small_step or _norm(x - prev) < stop.eps):
-                converged = True
-                break
-            if not (period and memoryless is not None and memoryless()):
-                prev, back1, back2 = x, x_bytes, back1
-                continue
-            # every later iteration repeats the last `period` ones: record what the cap would give
-            remaining = stop.k_max - k
-            tail = trace[-period:]
-            trace.extend(tail[j % period] for j in range(remaining))
-            if remaining % period:
-                final = prev
-            iterations = stop.k_max
-            flags["stalled_at"] = k
-            if period > 1:
-                flags["period"] = period
-            break
-
-    if final is None:
-        # with no step taken this is v, or for a product-space method the mean
-        # of m copies of v, which can differ from v in the last bit
-        final = algo.monitor()
-    return RunRecord(
-        problem_id=problem.problem_id,
-        algorithm=algorithm,
-        iterations=iterations,
-        converged=converged,
-        d_trace=trace,
-        final=np.asarray(final, dtype=float),
-        wall_time=time.perf_counter() - start,
-        flags=flags,
-    )
+    (record,) = run_batch(algorithm, [problem], stop, **options)
+    return record

@@ -58,6 +58,11 @@ the gaps come from value minus clip and the moves from clip minus value.
 `project_rows` projects a (6, n) product point row i onto set i with the
 same pass, run on the differences and triples gathered from the rows
 through the same scatter positions the moves go back through.
+
+Problems of one slope kind can share one long profile, laid end to end
+(`lay_end_to_end`): the fused passes run on it unchanged, since every move
+is elementwise, and the monitor takes each problem's sums on its own
+slices, so a batch gives each problem the numbers it gets alone.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ __all__ = [
     "project_interpolation",
     "ProfileKernel",
     "kernel_of",
+    "lay_end_to_end",
 ]
 
 
@@ -329,13 +335,18 @@ class ProfileKernel:
     then the odd; `slope_interval` holds the interval of every difference,
     and `weights` the curvature weights and intervals of all triples.
     `survey` computes the differences, the inner products and their clips
-    once and returns both the fused monitor `proximity2` and the six
-    projections `project_each` of one point; each of those two is one half
-    of that pass.  The parallel steps survey each new iterate, so the
+    once and returns both the fused monitor `segment_proximity2` and the
+    six projections `project_each` of one point; each of those two is one
+    half of that pass.  The parallel steps survey each new iterate, so the
     monitor and the next step share one pass.  `project_rows` runs the
     projection half on a product point, row i onto set i, for
     `product.ProductSet`.  `kernel_of` resolves a set list to its kernel,
-    or to a per-set stand-in with the same four methods.
+    or to a per-set stand-in with the same methods.
+
+    A kernel from `lay_end_to_end` holds several problems, each a segment
+    of columns (`spans`, `segments`): the monitor gives one sum per
+    segment, taken on that segment's own slices, and `proximity2` adds
+    them up.  A problem's own kernel has one segment.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and the kernel pickles as its specs
@@ -345,19 +356,55 @@ class ProfileKernel:
     collector, and memory would grow from run to run.
     """
 
-    def __init__(self, n, interp, slope, curvature, bp):
+    def __init__(self, n, interp, slope, curvature, bp, spans=None):
         self.n = n
         self.interp = interp
         self.slope = slope
         self.curvature = curvature
         self.bp = bp
+        self.spans = ((0, n),) if spans is None else tuple(spans)
 
     def __reduce__(self):
-        return ProfileKernel, (self.n, self.interp, self.slope, self.curvature, self.bp)
+        specs = (self.n, self.interp, self.slope, self.curvature, self.bp, self.spans)
+        return ProfileKernel, specs
+
+    @cached_property
+    def segments(self):
+        """The columns of each problem in this profile, as slices (one for one problem)."""
+        return [slice(o, o + m) for o, m in self.spans]
 
     @cached_property
     def perm(self):
-        return np.concatenate([np.arange(1, self.n - 1, 2), np.arange(0, self.n - 1, 2)])
+        """Each segment's even-parity differences, then its odd ones."""
+        return np.concatenate(
+            [np.arange(o + first, o + m - 1, 2) for o, m in self.spans for first in (1, 0)]
+        )
+
+    @cached_property
+    def _bounds(self):
+        # per segment: its pinned entries [i0, i1), its even and odd gaps [e0, e1) and
+        # [e1, e2) in perm order, and its triples [c0, c1)
+        bounds, e0 = [], 0
+        for o, m in self.spans:
+            i0, i1 = np.searchsorted(self.interp.indices, (o, o + m)).tolist()
+            e1, e2 = e0 + (m - 1) // 2, e0 + m - 1
+            bounds.append((i0, i1, e0, e1, e2, o, o + m - 2))
+            e0 = e2
+        return bounds
+
+    @cached_property
+    def _owner(self):
+        # the segment of each column; pads between segments belong to none (len(spans))
+        owner = np.full(self.n, len(self.spans))
+        for j, sl in enumerate(self.segments):
+            owner[sl] = j
+        return owner
+
+    def columns(self, values):
+        """Each segment's value on its columns, 0.0 between segments; one segment's, as is."""
+        if len(self.spans) == 1:
+            return values[0]
+        return np.append(values, 0.0)[self._owner]
 
     @cached_property
     def slope_interval(self):
@@ -411,20 +458,25 @@ class ProfileKernel:
         s = _inner(w, first, middle, last)
         return d, dd, _clip(dd, *self.slope_interval), s, _clip(s, *w[3:5])
 
-    def _proximity2_from(self, x, dd, a, s, c) -> float:
-        # each distance is rounded to a float as the set's `residual` rounds it
+    def _proximity2_from(self, x, dd, a, s, c) -> list:
+        # one sum per segment, from its own slices: each distance is rounded to
+        # a float as the set's `residual` rounds it, and each dot and sum runs
+        # on what it runs on for that problem alone
         gap = (dd - a)[self.perm]
         terms = _curvature_terms(s - c, self.weights[5])
-        k = (self.n - 1) // 2  # even-parity differences
-        r = (
-            _interp_residual(x, self.interp),
-            _slope_residual(gap[:k]),
-            _slope_residual(gap[k:]),
-            _curvature_residual(terms[0::3]),
-            _curvature_residual(terms[1::3]),
-            _curvature_residual(terms[2::3]),
-        )
-        return float(sum(ri ** 2 for ri in r))
+        pinned = x[self.interp.indices] - self.interp.values
+        d2 = []
+        for i0, i1, e0, e1, e2, c0, c1 in self._bounds:
+            r = (
+                _norm(pinned[i0:i1]),
+                _slope_residual(gap[e0:e1]),
+                _slope_residual(gap[e1:e2]),
+                _curvature_residual(terms[c0:c1:3]),
+                _curvature_residual(terms[c0 + 1 : c1 : 3]),
+                _curvature_residual(terms[c0 + 2 : c1 : 3]),
+            )
+            d2.append(float(sum(ri ** 2 for ri in r)))
+        return d2
 
     def _project_each_from(self, x, d, a, s, c) -> np.ndarray:
         out = np.empty((len(_CANONICAL_TAGS), self.n))
@@ -445,7 +497,7 @@ class ProfileKernel:
         return out
 
     def survey(self, x):
-        """(proximity2(x), project_each(x)) from one pass over x.
+        """(segment_proximity2(x), project_each(x)) from one pass over x.
 
         The differences, the inner products and their clips are computed
         once; the gaps dd - a and s - c give the distances, and the targets
@@ -454,17 +506,22 @@ class ProfileKernel:
         x, d, dd, a, s, c = self._pass(x)
         return self._proximity2_from(x, dd, a, s, c), self._project_each_from(x, d, a, s, c)
 
-    def proximity2(self, x) -> float:
-        """Sum of squared distances from x to the six sets.
+    def segment_proximity2(self, x) -> list:
+        """The sum of squared distances from each segment of x to the six sets.
 
-        The first half of `survey`.  Bitwise equal to summing
-        `c.residual(x) ** 2` over the six sets in canonical order: each
-        distance is rounded to a float as the constraint's `residual` rounds
-        it, slope dots run on contiguous slices, and a curvature block sums
-        its every-third-triple slice.
+        The first half of `survey`.  For one problem, bitwise equal
+        to summing `c.residual(x) ** 2` over the six sets in canonical
+        order: each distance is rounded to a float as the constraint's
+        `residual` rounds it, slope dots run on contiguous slices, and a
+        curvature block sums its every-third-triple slice.  Each segment of
+        a batch takes those same steps on its own slices.
         """
         x, _, dd, a, s, c = self._pass(x)
         return self._proximity2_from(x, dd, a, s, c)
+
+    def proximity2(self, x) -> float:
+        """Sum of squared distances from x to the six sets: `segment_proximity2`, summed."""
+        return float(sum(self.segment_proximity2(x)))
 
     @cached_property
     def scatter(self):
@@ -511,19 +568,27 @@ class ProfileKernel:
 
 
 class _PerSet:
-    """`ProfileKernel`'s four methods on any set list, computed set by set."""
+    """`ProfileKernel`'s methods on any set list, computed set by set, as one segment."""
+
+    segments = [slice(None)]
 
     def __init__(self, sets):
         self.sets = sets
 
+    def columns(self, values):
+        return values[0]
+
     def proximity2(self, x) -> float:
         return float(sum(c.residual(x) ** 2 for c in self.sets))
+
+    def segment_proximity2(self, x) -> list:
+        return [self.proximity2(x)]
 
     def project_each(self, x) -> np.ndarray:
         return np.array([c.project(x) for c in self.sets])
 
     def survey(self, x):
-        return self.proximity2(x), self.project_each(x)
+        return [self.proximity2(x)], self.project_each(x)
 
     def project_rows(self, parts) -> np.ndarray:
         parts = _product_point(parts, len(self.sets))
@@ -534,8 +599,9 @@ class _SetList(tuple):
     """A fixed set list and its `kernel`, resolved once; `_SetList` of one returns it.
 
     `kernel` is the `ProfileKernel` that owns the list (see
-    `ProfileKernel.owns`), else a per-set stand-in.  Either has
-    `proximity2`, `project_each`, `survey` and `project_rows`, and both give
+    `ProfileKernel.owns`), else a per-set stand-in (one segment).  Either
+    has `segments`, `columns`, `proximity2`, `segment_proximity2`,
+    `project_each`, `survey` and `project_rows`, and both give
     the same numbers bitwise: the kernel's fused passes are exactly the
     per-set sums and stacks.  An algorithm holds its sets as one, so the
     steps and monitors it hands them to never ask `owns` again.
@@ -553,6 +619,57 @@ class _SetList(tuple):
 def kernel_of(sets):
     """The kernel of `sets` (see `_SetList`): resolved now, or kept from a `_SetList`."""
     return _SetList(sets).kernel
+
+
+@dataclass(frozen=True)
+class _Intervals:
+    """Interval lengths tau of a batch profile, given rather than derived from stations."""
+
+    tau: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.tau.size + 1
+
+
+def lay_end_to_end(kernels) -> ProfileKernel:
+    """One profile kernel holding the problems of `kernels` end to end, in order.
+
+    Each problem's columns start at a multiple of 6, so its slope pairs keep
+    their parity and its triples their curvature block.  Every pair and
+    triple that is not wholly inside one problem gets infinite bounds and so
+    never binds: its moves are zeros, and a pad column between two problems
+    keeps its value.  Each problem's tau is copied as given (differencing
+    shifted stations would round it), and 1.0 is taken between problems.
+    The last column is the last problem's last, so it is pinned.  All the
+    problems must be of one slope kind: convex and band maps are not
+    interchangeable.
+    """
+    kernels = list(kernels)
+    if len({k.slope.convex for k in kernels}) != 1:
+        raise InvalidSpecError("a batch profile needs problems of one slope kind")
+    spans, o = [], 0
+    for k in kernels:
+        spans.append((o, k.n))
+        o = -(-(o + k.n) // 6) * 6
+    n = sum(spans[-1])
+    tau = np.ones(n - 1)
+    alpha = np.full(n - 1, np.inf)
+    beta = None if kernels[0].slope.convex else np.zeros(n - 1)
+    gamma, delta = np.full(n - 2, np.inf), np.full(n - 2, -np.inf)
+    for (o, m), k in zip(spans, kernels):
+        tau[o : o + m - 1] = k.bp.tau
+        alpha[o : o + m - 1] = k.slope.alpha
+        if beta is not None:
+            beta[o : o + m - 1] = k.slope.beta
+        gamma[o : o + m - 2] = k.curvature.gamma
+        delta[o : o + m - 2] = k.curvature.delta
+    interp = InterpolationSpec(
+        np.concatenate([o + k.interp.indices for (o, _), k in zip(spans, kernels)]),
+        np.concatenate([k.interp.values for k in kernels]),
+    )
+    bounds = (SlopeBounds(alpha, beta), CurvatureBounds(gamma, delta))
+    return ProfileKernel(n, interp, *bounds, _Intervals(tau), spans)
 
 
 # ---------------------------------------------------------------------------

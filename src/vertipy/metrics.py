@@ -79,17 +79,28 @@ class RunRecord:
 
 
 class _Algorithm:
-    """What `feasibility.run` drives: the sets, the anchor v and the iterate x.
+    """What `feasibility.run_batch` drives: the sets, the anchor v and the iterate x.
 
     The sets are resolved to their kernel once (`geometry._SetList`) and
     must not be empty; x starts as a copy of v.  Every algorithm has kind,
-    step(), monitor() and proximity2(x), which `run` calls with
-    x = monitor() and which equals proximity_squared_sum(x, sets) bitwise.
-    An algorithm whose next step depends on its monitored point alone once
-    that point repeats also has `memoryless()` (see `feasibility.run`).
+    step(), monitor() and segment_proximity2(x), which the driver calls with
+    x = monitor() and which equals the kernel's `segment_proximity2(x)`
+    bitwise (for one problem, [proximity_squared_sum(x, sets)]).  An
+    algorithm whose next step depends on its monitored point alone once
+    that point repeats also has `memoryless(segment)` (see
+    `feasibility.run`).  `signals` maps a segment whose last step found an
+    empty intersection to the message; its columns were left as they were.
+
+    On a batch profile (`geometry.lay_end_to_end`) every step is elementwise
+    over all segments, or takes each segment's scalars from its own slices.
+    The state is held in arrays whose last axis runs over the profile's
+    columns, lists with one entry per segment, and numbers that every
+    segment shares, so `feasibility.run_batch` can carry it over, column by
+    column, to a profile of the segments that are still running.
     """
 
     kind = "feas"
+    signals: dict = {}  # never changed in place: a step that signals sets its own
 
     def __init__(self, sets, v):
         self.sets = _SetList(sets)
@@ -98,9 +109,9 @@ class _Algorithm:
         self.v = np.asarray(v, dtype=float)
         self.x = self.v.copy()
 
-    def proximity2(self, x) -> float:
-        """The squared proximity of the monitored point x."""
-        return self.sets.kernel.proximity2(x)
+    def segment_proximity2(self, x) -> list:
+        """The squared proximity of each segment of the monitored point x."""
+        return self.sets.kernel.segment_proximity2(x)
 
     def monitor(self):
         return self.x

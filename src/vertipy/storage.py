@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .probgen import build_constraint_sets
 
 __all__ = [
     "RecordFileError",
+    "RecordSummary",
     "problem_to_dict",
     "problem_from_dict",
     "save_problem",
@@ -58,6 +60,15 @@ _FMT = "{:.12g}".format
 
 class RecordFileError(ValueError):
     """A complete line of a record file does not hold a run record, or repeats a pair."""
+
+
+class RecordSummary(NamedTuple):
+    """What the close of a run (`write_records`) keeps of each record."""
+
+    algorithm: str
+    problem_id: str
+    converged: bool
+    iterations: int
 
 
 def _floats(values):
@@ -211,7 +222,7 @@ def append_record(rec: RunRecord, path) -> None:
 
 
 def _read(path):
-    """Yield (record, line bytes with the newline) for each complete line of a record file.
+    """Yield (record, offset, line bytes with its newline) for each complete line of a record file.
 
     The file is read one line at a time.  A malformed line, or a second line
     for one (algorithm, problem) pair, raises RecordFileError.  Once every
@@ -221,8 +232,10 @@ def _read(path):
     """
     first = {}  # (algorithm, problem) -> number of the line that holds it
     tail = b""
+    offset = 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
+            start, offset = offset, offset + len(line)
             if not line.endswith(b"\n"):
                 tail = line
                 break
@@ -238,7 +251,7 @@ def _read(path):
                     f"{path}, lines {first[pair]} and {lineno}: two records for {' on '.join(pair)}"
                 )
             first[pair] = lineno
-            yield rec, line
+            yield rec, start, line
     if tail.strip():
         print(f"warning: {path}: dropped a torn last line ({len(tail)} bytes)", file=sys.stderr)
         os.truncate(path, path.stat().st_size - len(tail))
@@ -257,30 +270,37 @@ def read_records(path) -> list:
     if not path.exists():
         return []
     with _locked(path):
-        return [rec for rec, _ in _read(path)]
+        return [rec for rec, _, _ in _read(path)]
 
 
 def write_records(path) -> list:
-    """Sort a record file's own lines by (algorithm, problem); return the sorted records.
+    """Sort a record file's own lines by (algorithm, problem); return each one's `RecordSummary`.
 
-    The lines are checked as `read_records` checks them and keep their bytes.
-    They go to a temporary file in the same directory, fsync'd and renamed over
-    `path`; if anything fails first, the old file is left as it was, with no temporary file.
+    The lines are checked as `read_records` checks them, one at a time, and
+    keep their bytes: only each pair's offset and length are kept, and the
+    sorted byte ranges are copied to a temporary file in the same directory,
+    fsync'd and renamed over `path`.  If anything fails first, the old file
+    is left as it was, with no temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     with _locked(path):
-        ordered = sorted(_read(path), key=lambda row: (row[0].algorithm, row[0].problem_id))
+        rows = sorted(
+            (rec.algorithm, rec.problem_id, rec.converged, rec.iterations, start, len(line))
+            for rec, start, line in _read(path)
+        )
         try:
-            with open(tmp, "wb") as fh:
-                fh.writelines(line for _, line in ordered)
+            with open(path, "rb") as src, open(tmp, "wb") as fh:
+                for *_, start, size in rows:
+                    src.seek(start)
+                    fh.write(src.read(size))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-    return [rec for rec, _ in ordered]
+    return [RecordSummary(*row[:4]) for row in rows]
 
 
 def _csv_field(value) -> str:

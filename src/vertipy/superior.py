@@ -26,7 +26,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .geometry import InvalidSpecError, _norm
-from .metrics import _Algorithm, proximity_squared_sum
+# the benchmark's tracer wraps superior.proximity_squared_sum, so the name stays
+from .metrics import _Algorithm, proximity_squared_sum  # noqa: F401
 
 __all__ = ["Superiorized", "check_direction"]
 
@@ -40,11 +41,14 @@ def check_direction(direction) -> None:
 class Superiorized(_Algorithm):
     """Driver-compatible superiorized wrapper around a step operator.
 
-    `_d2` is always the squared proximity of the kept iterate x: that of v,
-    computed when first asked for, until the acceptance test keeps a
-    candidate and replaces it with the candidate's.
-    `proximity2` returns it, so `run` scores each iterate without computing
-    the sum again.
+    Each segment of the profile (one, for one problem) is perturbed, tested
+    and kept or not on its own, with its own norms, as that problem alone
+    would be; theta is shared, since every segment has taken as many passes.
+    `_d2` holds the squared proximity of each segment of the kept iterate
+    x: that of v, computed when first asked for, until the acceptance test
+    keeps a candidate segment and replaces its entry with the candidate's.
+    `segment_proximity2` returns it, so `run` scores each iterate without
+    computing the sum again.
     """
 
     kind = "super"
@@ -55,35 +59,60 @@ class Superiorized(_Algorithm):
         self.base_step = base_step
         self.sign = 1.0 if direction == "away" else -1.0
         self.theta = 1.0
-        self._fixed = False  # the last pass perturbed x to itself and rejected T(x)
+        # per segment: the last pass perturbed x to itself and rejected T(x)
+        self._fixed = [False] * len(self.sets.kernel.segments)
 
     @cached_property
     def _d2(self):
-        return proximity_squared_sum(self.x, self.sets)
+        return self.sets.kernel.segment_proximity2(self.x)
+
+    def _perturbed(self, x, v):
+        # one segment's perturbed point xt, and whether it passes the norm test
+        offset = x - v
+        norm = _norm(offset)
+        xt = x + (self.sign * self.theta / norm) * offset if norm > 0.0 else x
+        return xt, _norm(xt - v) <= norm
 
     def step(self):
-        x = self.x
-        offset = x - self.v
-        norm = _norm(offset)
-        if norm > 0.0:
-            xt = x + (self.sign * self.theta / norm) * offset
+        x, v, kernel = self.x, self.v, self.sets.kernel
+        segments = kernel.segments
+        if len(segments) == 1:  # a problem alone: its whole arrays, not a copy
+            xt, passed = self._perturbed(x, v)
+            tried = [0] if passed else []
         else:
-            xt = x
+            xt, tried = x.copy(), []
+            for j, sl in enumerate(segments):
+                xt[sl], passed = self._perturbed(x[sl], v[sl])
+                if passed:
+                    tried.append(j)
         self.theta *= 0.5
-        self._fixed = False
-        if _norm(xt - self.v) <= norm:
-            candidate = self.base_step(xt)
-            d2 = proximity_squared_sum(candidate, self.sets)
-            if d2 < self._d2:
-                self.x = candidate
-                self._d2 = d2
+        self._fixed = [False] * len(segments)
+        if not tried:
+            return
+        # T(xt) replaces x on each tried segment whose proximity it lowers
+        candidate = self.base_step(xt)
+        d2 = kernel.segment_proximity2(candidate)
+        kept = []
+        for j in tried:
+            if d2[j] < self._d2[j]:
+                kept.append(j)
             else:
-                self._fixed = xt.tobytes() == x.tobytes()
+                self._fixed[j] = xt[segments[j]].tobytes() == x[segments[j]].tobytes()
+        if len(kept) == len(segments):
+            self.x, self._d2 = candidate, d2
+        elif kept:
+            self.x, self._d2 = x.copy(), list(self._d2)
+            for j in kept:
+                self.x[segments[j]] = candidate[segments[j]]
+                self._d2[j] = d2[j]
 
-    def proximity2(self, x) -> float:
-        """The squared proximity of x = monitor(), kept from the acceptance test."""
+    def segment_proximity2(self, x) -> list:
+        """The squared proximity of each segment of x = monitor(), kept from the last test."""
         return self._d2
 
-    def memoryless(self) -> bool:
-        """True if the last pass perturbed x to itself and rejected T(x), as all later ones will."""
-        return self._fixed
+    def memoryless(self, segment) -> bool:
+        """True if the segment's last pass perturbed x to itself and rejected T(x).
+
+        Every later pass then does the same.
+        """
+        return self._fixed[segment]

@@ -14,6 +14,7 @@ import pytest
 
 import vertipy
 from vertipy import cli, storage, verify
+from vertipy import feasibility as F
 from vertipy.feasibility import BEST_APPROXIMATION_ALGORITHMS, SUPERIORIZED_ALGORITHMS
 from vertipy.geometry import ProfileKernel
 from vertipy.verify import CheckResult
@@ -135,40 +136,45 @@ def _records_without_wall_time(path):
 
 
 def test_parallel_jobs_match_sequential(tmp_path):
-    # sExParP stalls early on these problems, so flags.stalled_at is compared too
+    # --jobs 1 runs each algorithm's problems as one batch profile, the pool
+    # one pair per task: the records must be the same, flags.stalled_at too
     recs = {}
+    algorithms = ",".join(sorted(F.ALGORITHMS))
     for jobs, sub in (("1", "seq"), ("2", "par")):
-        out = _generate(tmp_path / sub, count=2, seed=3)
-        rc = cli.main(
-            ["run", "--out", str(out), "--algorithms", "CycP,sExParP", "--jobs", jobs]
-        )
-        assert rc == 0
+        out = _generate(tmp_path / sub, count=3, seed=3, extra=["--nonconvex"])
+        args = ["run", "--out", str(out), "--algorithms", algorithms, "--jobs", jobs]
+        assert cli.main(args + ["--k-max", "150"]) == 0
         recs[sub] = _records_without_wall_time(out / "records.jsonl")
-    assert len(recs["seq"]) == 4
+    assert len(recs["seq"]) == 3 * len(F.ALGORITHMS)
     assert any("stalled_at" in r["flags"] for r in recs["seq"])
+    assert len({r["iterations"] for r in recs["seq"] if r["algorithm"] == "CycP"}) > 1
     assert recs["seq"] == recs["par"]
 
 
 def test_run_computes_each_start_proximity_once(tmp_path, monkeypatch):
     # the batch-wide start check computes each start's squared proximity once,
-    # and each pair's algorithm once more as its normalizer; nothing computes
-    # it again (the surveyed ones project the start without surveying it)
+    # and each algorithm's batch profile (one per algorithm: both problems are
+    # convex) once more, as the normalizer of all its segments; nothing
+    # computes it again (the surveyed ones project the start without surveying it)
     out = _generate(tmp_path / "once", count=2, seed=3)
-    starts = {p.v.tobytes() for p in storage.load_problem_dir(out / "problems")}
+    problems = storage.load_problem_dir(out / "problems")
+    starts = {p.v.tobytes(): "problem" for p in problems}
+    starts[F._lay_out(problems)[1].tobytes()] = "batch"
     at_start = []
 
     def counted(method):
         def wrapped(self, x):
-            at_start.append(np.asarray(x).tobytes() in starts)
+            at_start.append(starts.get(np.asarray(x).tobytes()))
             return method(self, x)
         return wrapped
 
-    for name in ("proximity2", "survey"):
+    for name in ("segment_proximity2", "survey"):
         monkeypatch.setattr(ProfileKernel, name, counted(getattr(ProfileKernel, name)))
     algorithms = "CycP,ParP,ExAltP,sParP,sExAltP,hParP,ParDyk,baD-R"
     args = ["run", "--out", str(out), "--algorithms", algorithms, "--jobs", "1", "--k-max", "50"]
     assert cli.main(args) == 0
-    assert sum(at_start) == 2 + 8 * 2 and len(at_start) > 18
+    assert at_start.count("problem") == 2 and at_start.count("batch") == 8
+    assert len(at_start) > 18
 
 
 def test_resume_after_torn_append_matches_clean_run(tmp_path, capsys):

@@ -245,16 +245,16 @@ def test_run_unknown_algorithm():
 
 def test_run_scores_a_repeated_monitored_point_once(monkeypatch):
     # hCycP and CycDyk often monitor the same point twice in a row; run then
-    # repeats its d instead of asking proximity2, and the trace does not change
+    # repeats its d instead of asking segment_proximity2, and the trace does not change
     problem = make_batch(0, count=1)[0]
     monitored, scored = [], []
     make = F.make_algorithm
 
     def instrumented(*args, **options):
         algo = make(*args, **options)
-        monitor, proximity2 = algo.monitor, algo.proximity2
+        monitor, proximity2 = algo.monitor, algo.segment_proximity2
         algo.monitor = lambda: monitored.append(monitor()) or monitored[-1]
-        algo.proximity2 = lambda x: scored.append(x) or proximity2(x)
+        algo.segment_proximity2 = lambda x: scored.append(x) or proximity2(x)
         return algo
 
     monkeypatch.setattr(F, "make_algorithm", instrumented)
@@ -266,8 +266,8 @@ def test_run_scores_a_repeated_monitored_point_once(monkeypatch):
         fresh = sum(a.tobytes() != b.tobytes() for a, b in zip(points, points[1:]))
         assert len(scored) == 1 + fresh < 1 + rec.iterations, name  # 1: the normalizer
         algo = make(name, problem.sets, problem.v)
-        denom = algo.proximity2(problem.v)
-        want = [math.sqrt(algo.proximity2(x) / denom) for x in points]
+        (denom,) = algo.segment_proximity2(problem.v)
+        want = [math.sqrt(algo.segment_proximity2(x)[0] / denom) for x in points]
         assert [d.hex() for d in rec.d_trace] == [d.hex() for d in want], name
 
 

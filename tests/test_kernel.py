@@ -7,8 +7,8 @@ update back.  The sets must reproduce them exactly (==), the fused
 monitor of `geometry.ProfileKernel` must reproduce the per-set residual sum
 exactly, and its fused projections each set's `project`, as must the ParP,
 ExParP and ExAltP steps built on them.  Its `survey` must return both from
-one pass, and every algorithm's `proximity2` of its monitored point must be
-the per-set sum `run` would otherwise compute.
+one pass, and every algorithm's `segment_proximity2` of its monitored point
+must be the per-set sum `run` would otherwise compute.
 """
 
 import math
@@ -262,7 +262,7 @@ def test_other_set_lists_take_the_generic_sum():
         assert proximity_squared_sum(x, others) == float(sum(c.residual(x) ** 2 for c in others))
         stacked = np.array([c.project(x) for c in others])
         assert F.project_each(x, others).tobytes() == stacked.tobytes()
-        d2, rows = kernel_of(others).survey(x)
+        (d2,), rows = kernel_of(others).survey(x)
         assert d2 == proximity_squared_sum(x, others) and rows.tobytes() == stacked.tobytes()
         # the product set takes the row-wise stack, row i onto others[i]
         parts = x + np.arange(len(others))[:, None]
@@ -408,12 +408,12 @@ def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_al
             assert row.tobytes() == c.project(point).tobytes(), c.tag
         assert F.project_each(point, sets).tobytes() == rows.tobytes()
         # the survey's two halves: the per-set residual sum and the same rows
-        d2, surveyed = kernel.survey(point)
+        (d2,), surveyed = kernel.survey(point)
         assert d2.hex() == float(sum(c.residual(point) ** 2 for c in sets)).hex()
         assert d2.hex() == kernel.proximity2(point).hex()
         assert surveyed.tobytes() == rows.tobytes()
-        fused = kernel_of(sets).survey(point)
-        assert fused[0].hex() == d2.hex() and fused[1].tobytes() == rows.tobytes()
+        (fused_d2,), fused_rows = kernel_of(sets).survey(point)
+        assert fused_d2.hex() == d2.hex() and fused_rows.tobytes() == rows.tobytes()
 
 
 def _stacked_rows(parts, sets):
@@ -548,7 +548,7 @@ def test_fused_steps_equal_the_per_set_steps_on_generated_problems(length, speed
 @pytest.mark.parametrize("nonconvex", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_every_algorithm_scores_its_monitor_as_the_per_set_sum(seed, nonconvex):
-    # `run` takes d from algo.proximity2(algo.monitor()); that must be the
+    # `run` takes d from algo.segment_proximity2(algo.monitor()); that must be the
     # sum run would compute itself, bitwise, after every step: on the
     # kernel's sets (fused survey) and on standalone sets (generic sums)
     problem = generate(
@@ -560,7 +560,7 @@ def test_every_algorithm_scores_its_monitor_as_the_per_set_sum(seed, nonconvex):
             for k in range(25):
                 x = algo.monitor()
                 want = proximity_squared_sum(x, sets)
-                assert algo.proximity2(x).hex() == want.hex(), (name, k)
+                assert [d.hex() for d in algo.segment_proximity2(x)] == [want.hex()], (name, k)
                 try:
                     algo.step()
                 except InfeasibleIntersectionError:

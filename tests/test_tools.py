@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import vertipy
+from vertipy import cli
 from vertipy.feasibility import ALGORITHMS, FEASIBILITY_ALGORITHMS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,5 +59,28 @@ def test_record_digests_prints_one_digest_per_benchmark_record():
     workloads = list(dict.fromkeys(workload for workload, *_ in rows))
     assert [(workload, name) for workload, _, name, _ in reports] == [
         (workload, name) for workload in workloads for name in files
+    ]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in rows)
+
+
+def test_record_digests_out_digests_a_run_directory(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["generate", "--out", str(out), "--seed", "0", "--count", "2"]) == 0
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP,SaP", "--jobs", "1"]) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "record_digests.py"), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(vertipy.__file__).parents[1])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("4 record(s), 4 report file(s)\n")
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[:2] for row in rows] == [
+        ["CycP", "p0000"], ["CycP", "p0001"], ["SaP", "p0000"], ["SaP", "p0001"],
+        ["report", "profiles.csv"], ["report", "proximity.csv"], ["report", "delta.csv"],
+        ["report", "summary.txt"],
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in rows)

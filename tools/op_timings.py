@@ -102,7 +102,7 @@ def operations(problem):
 
         def iteration(algo=algo):
             algo.step()
-            return algo.proximity2(algo.monitor())
+            return algo.segment_proximity2(algo.monitor())
 
         ops.append((f"iter.{name}", iteration))
     return ops

@@ -15,12 +15,22 @@ the code before and after it:
     PYTHONPATH=/path/to/parent/src python tools/record_digests.py > before.txt
     diff before.txt after.txt
 
+With ``--out DIR`` it runs nothing: it digests the records and the report
+files already in the run directory DIR, one line each, without the
+workload column.  Two runs of one batch, say with ``--jobs 1`` and
+``--jobs 2``, are checked the same way:
+
+    python tools/record_digests.py --out seq > seq.txt
+    python tools/record_digests.py --out par > par.txt
+    diff seq.txt par.txt
+
 A vertipy on PYTHONPATH wins; without one, this checkout's ``src`` is used.
 The vertipy in use and the record and report file counts go to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -47,30 +57,46 @@ def _call(args) -> None:
 REPORT_FILES = ("profiles.csv", "proximity.csv", "delta.csv", "summary.txt")
 
 
-def digests(workload, directory):
-    """Yield (algorithm, problem id, sha256) for each record of one workload run in `directory`,
-    then ("report", file name, sha256) for each report file."""
-    _call(workload.generate_args(directory))
-    _call(workload.run_args(directory))
+def directory_digests(directory):
+    """Yield (algorithm, problem id, sha256) for each record in `directory`'s records.jsonl,
+    then ("report", file name, sha256) for each report file there."""
     for line in (Path(directory) / "records.jsonl").read_text().splitlines():
         record = json.loads(line)
         del record["wall_time"]
         text = json.dumps(record)  # Python floats round-trip through JSON text exactly
         yield record["algorithm"], record["problem_id"], hashlib.sha256(text.encode()).hexdigest()
-    _call(workload.report_args(directory))
     for name in REPORT_FILES:
-        yield "report", name, hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
+        path = Path(directory) / name
+        if path.exists():
+            yield "report", name, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def main() -> int:
-    print(f"vertipy from {Path(cli.__file__).parent}", file=sys.stderr)
-    records = reports = 0
+def digests(workload, directory):
+    """`directory_digests` of one workload run, with its report, in `directory`."""
+    _call(workload.generate_args(directory))
+    _call(workload.run_args(directory))
+    _call(workload.report_args(directory))
+    yield from directory_digests(directory)
+
+
+def _workload_digests():
+    """(workload, kind, item, sha256) of every workload, each run in a temporary directory."""
     for name, workload in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            for kind, item, digest in digests(workload, tmp):
-                print(name, kind, item, digest)
-                reports += kind == "report"
-                records += kind != "report"
+            for row in digests(workload, tmp):
+                yield (name, *row)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="digest this run directory instead of running the workloads")
+    args = parser.parse_args(argv)
+    print(f"vertipy from {Path(cli.__file__).parent}", file=sys.stderr)
+    records = reports = 0
+    for row in directory_digests(args.out) if args.out else _workload_digests():
+        print(*row)
+        reports += row[-3] == "report"
+        records += row[-3] != "report"
     print(f"{records} record(s), {reports} report file(s)", file=sys.stderr)
     return 0
 
