@@ -385,19 +385,22 @@ def _q_each(segments, x, y, z):
     takes.  A segment whose Q finds the halfspaces disjoint keeps y, and
     the second value maps it to the message.
     """
-    out, signals = None, {}
+    signals = {}
+    if len(segments) == 1:  # a problem alone: its whole arrays, not a copy
+        return _q_or_keep(x, y, z, 0, signals), signals
+    out = y.copy()
     for j, sl in enumerate(segments):
-        ys = y[..., sl]
-        try:
-            q = bestapprox.q_operator(x[..., sl].ravel(), ys.ravel(), z[..., sl].ravel())
-        except bestapprox.InfeasibleIntersectionError as exc:
-            signals[j] = str(exc)
-            q = ys
-        if len(segments) == 1:
-            return q.reshape(ys.shape), signals
-        out = y.copy() if out is None else out
-        out[..., sl] = q.reshape(ys.shape)
+        out[..., sl] = _q_or_keep(x[..., sl], y[..., sl], z[..., sl], j, signals)
     return out, signals
+
+
+def _q_or_keep(x, y, z, segment, signals):
+    # Q of one segment's columns, or y if its Q signals (noted in `signals`)
+    try:
+        return bestapprox.q_operator(x.ravel(), y.ravel(), z.ravel()).reshape(y.shape)
+    except bestapprox.InfeasibleIntersectionError as exc:
+        signals[segment] = str(exc)
+        return y
 
 
 class HaugazeauCyclic(_Anchored):

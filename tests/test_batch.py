@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from vertipy import bestapprox
 from vertipy import feasibility as F
 from vertipy.geometry import InterpolationSpec, InvalidSpecError, kernel_of, lay_end_to_end
 from vertipy.metrics import StopRule
@@ -103,6 +104,35 @@ def test_a_batch_stops_its_segments_one_by_one():
         stops = [_stopped_at(r) for r in batch]
         assert stops == sorted(stops), name  # yielded as each segment stops
     assert stalled > 0
+
+
+@pytest.mark.parametrize("name", ["hCycP", "hParP", "hD-R"])
+def test_a_segment_whose_q_signals_stops_alone(monkeypatch, name):
+    # Q signals on the middle problem's fifth call; that segment stops with
+    # the flag and its last iterate, and the others run on as they do alone
+    problems = make_batch(0, count=3)
+    anchor = problems[1].v
+    anchors = {anchor.tobytes(), np.tile(anchor, (6, 1)).tobytes()}  # hD-R's is a product point
+    calls = []
+    q_operator = bestapprox.q_operator
+
+    def signals_on_the_fifth_call(x, y, z):
+        if np.asarray(x).tobytes() in anchors:
+            calls.append(1)
+            if len(calls) == 5:
+                raise bestapprox.InfeasibleIntersectionError("injected")
+        return q_operator(x, y, z)
+
+    monkeypatch.setattr(bestapprox, "q_operator", signals_on_the_fifth_call)
+    stop = StopRule(k_max=40)
+    batch = list(F.run_batch(name, problems, stop))
+    alone = {}
+    for p in problems:
+        calls.clear()
+        alone[p.problem_id] = F.run(name, p, stop)
+    assert batch[0].problem_id == "p0001" and batch[0].flags == {"infeasible_signal": "injected"}
+    assert batch[0].iterations == 4 and not batch[0].converged
+    assert sorted(_key(r) for r in batch) == sorted(_key(r) for r in alone.values()), name
 
 
 def test_wall_time_is_the_share_of_the_batch():
