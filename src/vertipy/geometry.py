@@ -641,11 +641,13 @@ def lay_end_to_end(kernels) -> ProfileKernel:
     never binds: its moves are zeros, and a pad column between two problems
     keeps its value.  Each problem's tau is copied as given (differencing
     shifted stations would round it), and 1.0 is taken between problems.
-    The last column is the last problem's last, so it is pinned.  All the
-    problems must be of one slope kind: convex and band maps are not
-    interchangeable.
+    The last column is the last problem's last, so it is pinned.  There
+    must be at least one problem, and all of one slope kind: convex and
+    band maps are not interchangeable.
     """
     kernels = list(kernels)
+    if not kernels:
+        raise InvalidSpecError("a batch profile needs at least one problem")
     if len({k.slope.convex for k in kernels}) != 1:
         raise InvalidSpecError("a batch profile needs problems of one slope kind")
     spans, o = [], 0

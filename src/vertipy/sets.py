@@ -22,32 +22,6 @@ from .geometry import (
 __all__ = ["HalfspaceSet", "SlabSet", "BallSet", "SpanSet"]
 
 
-class HalfspaceSet(Constraint):
-    """{x : <a, x> <= b}."""
-
-    tag = "Halfspace"
-
-    def __init__(self, a, b: float):
-        a = np.asarray(a, dtype=float)
-        if np.linalg.norm(a) == 0:
-            raise InvalidSpecError("halfspace normal must be nonzero")
-        super().__init__(a.size)
-        self.a = a
-        self.b = float(b)
-        self._nn = float(np.dot(a, a))
-
-    def project(self, x):
-        x = self._check(x)
-        g = np.dot(self.a, x) - self.b
-        if g <= 0:
-            return x.copy()
-        return x - (g / self._nn) * self.a
-
-    def residual(self, x):
-        x = self._check(x)
-        return max(np.dot(self.a, x) - self.b, 0.0) / np.sqrt(self._nn)
-
-
 class SlabSet(Constraint):
     """{x : lo <= <a, x> <= hi}, with the reflect-or-midline intrepid rule."""
 
@@ -56,7 +30,7 @@ class SlabSet(Constraint):
     def __init__(self, a, lo: float, hi: float):
         a = np.asarray(a, dtype=float)
         if np.linalg.norm(a) == 0:
-            raise InvalidSpecError("slab normal must be nonzero")
+            raise InvalidSpecError(f"{self.tag.lower()} normal must be nonzero")
         if not lo <= hi:
             raise InvalidSpecError("need lo <= hi")
         super().__init__(a.size)
@@ -82,6 +56,21 @@ class SlabSet(Constraint):
 
     def residual(self, x):
         return abs(_gap(np.dot(self.a, self._check(x)), self.lo, self.hi)) / np.sqrt(self._nn)
+
+
+class HalfspaceSet(SlabSet):
+    """{x : <a, x> <= b}, the slab with lo = -inf and hi = b.
+
+    Its intrepid operator is its projection (the `Constraint` default), not
+    the slab's reflect rule.
+    """
+
+    tag = "Halfspace"
+    intrepid = Constraint.intrepid
+
+    def __init__(self, a, b: float):
+        super().__init__(a, -np.inf, b)
+        self.b = self.hi
 
 
 class BallSet(Constraint):

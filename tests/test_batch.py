@@ -163,3 +163,10 @@ def test_a_batch_takes_problems_of_one_slope_kind():
     problems = [make_batch(0, count=1)[0], make_batch(0, count=1, nonconvex=True)[0]]
     with pytest.raises(InvalidSpecError, match="one slope kind"):
         list(F.run_batch("CycP", problems))
+
+
+def test_a_batch_needs_at_least_one_problem():
+    with pytest.raises(InvalidSpecError, match="at least one problem"):
+        lay_end_to_end([])
+    with pytest.raises(InvalidSpecError, match="at least one problem"):
+        list(F.run_batch("CycP", []))

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from vertipy.geometry import InvalidSpecError
@@ -19,8 +20,50 @@ def test_halfspace_projection():
     h2 = HalfspaceSet([3.0, 4.0], 5.0)
     assert_allclose(h2.residual([3.0, 4.0]), 4.0, atol=1e-14)
     assert_allclose(h2.project([3.0, 4.0]), [3.0 - 12.0 / 5, 4.0 - 16.0 / 5], atol=1e-14)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match="halfspace normal"):
         HalfspaceSet([0.0, 0.0], 1.0)
+    with pytest.raises(InvalidSpecError):  # a NaN offset, as the slab's lo <= hi check finds it
+        HalfspaceSet([1.0, 0.0], float("nan"))
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _halfspace_and_point(draw):
+    """A normal, an offset and a point at one scale; b may be +-0.0 and x all signed zeros."""
+    n = draw(st.integers(1, 5))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+
+    def vectors(entries):
+        return st.lists(entries, min_size=n, max_size=n).map(lambda v: scale * np.array(v))
+
+    unit = st.floats(-1.0, 1.0)
+    # entries of a are 0 or at least 1e-3 in size, so that <a, a> cannot underflow
+    a = draw(vectors(unit.filter(lambda t: t == 0.0 or abs(t) >= 1e-3)).filter(np.any))
+    b = draw(st.one_of(SIGNED_ZEROS, unit.map(lambda t: scale * t)))
+    x = draw(st.one_of(vectors(unit), vectors(SIGNED_ZEROS)))
+    if draw(st.booleans()):  # a point on the boundary, up to rounding
+        x = _closed_form_projection(a, b, x)
+    return a, b, x
+
+
+def _closed_form_projection(a, b, x):
+    s = np.dot(a, x)
+    return x.copy() if s <= b else x - ((s - b) / np.dot(a, a)) * a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_halfspace_and_point())
+@example((np.array([1.0, 0.0]), -0.0, np.array([0.0, -0.0])))
+@example((np.array([-2.0]), 0.0, np.array([-0.0])))
+def test_halfspace_is_the_closed_form(case):
+    a, b, x = case
+    h = HalfspaceSet(a, b)
+    want = _closed_form_projection(a, b, x)
+    assert h.project(x).tobytes() == want.tobytes()
+    assert h.intrepid(x).tobytes() == want.tobytes()
+    assert h.residual(x) == max(np.dot(a, x) - b, 0.0) / np.sqrt(np.dot(a, a))
 
 
 def test_slab_projection_and_intrepid():
