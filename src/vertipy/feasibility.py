@@ -201,11 +201,12 @@ def _exaltp_at(z, rows, sets):
     p = sets[0].project(acc / others)
     mus = []
     for sl in kernel.segments:
-        zs, ps = z[sl], p[sl]
+        zs = z[sl]
         num = 0.0
-        for q in rows[1:, sl]:
-            num += float(np.dot(q - zs, q - zs))
-        den = others * float(np.dot(ps - zs, ps - zs))
+        for q in rows[1:, sl] - zs:
+            num += float(np.dot(q, q))
+        move = p[sl] - zs
+        den = others * float(np.dot(move, move))
         mus.append(1.0 if (num == 0.0 or den < 1e-30) else num / den)
     return z + kernel.columns(mus) * (p - z)
 
@@ -471,10 +472,14 @@ def _sweep(step_fn, order=list, cls=_SweepAlgo):
     return lambda sets, v: cls(step_fn, order(sets), v)
 
 
-def _superiorized(step_fn, order=list):
+def _superiorized(step_fn, order=list, from_rows=None):
+    # from_rows: the step's combine of the rows of project_each, for a parallel step
     def factory(sets, v, direction="away"):
         ordered = _SetList(order(sets))
-        return Superiorized(lambda x: step_fn(x, ordered), ordered, v, direction=direction)
+        combine = None if from_rows is None else lambda x, rows: from_rows(x, rows, ordered)
+        return Superiorized(
+            lambda x: step_fn(x, ordered), ordered, v, direction=direction, from_rows=combine
+        )
 
     return factory
 
@@ -492,10 +497,10 @@ FEASIBILITY_ALGORITHMS = {
 SUPERIORIZED_ALGORITHMS = {
     "sCycP": _superiorized(cycp_step),
     "sCycP+": _superiorized(cycp_plus_step),
-    "sParP": _superiorized(parp_step),
+    "sParP": _superiorized(parp_step, from_rows=_parp_from),
     "sSaP": _superiorized(sap_step),
-    "sExParP": _superiorized(exparp_step),
-    "sExAltP": _superiorized(exaltp_step, _affine_first),
+    "sExParP": _superiorized(exparp_step, from_rows=_exparp_from),
+    "sExAltP": _superiorized(exaltp_step, _affine_first, _exaltp_from),
 }
 
 BEST_APPROXIMATION_ALGORITHMS = {
@@ -576,8 +581,8 @@ def _carried(algo, kept, algorithm, problems, options):
 
     Arrays over algo's columns move column by column (0.0 between
     segments), per-segment lists keep the entries of `kept`, and numbers
-    carry over; the sets, the steps built on them and their caches are the
-    new algorithm's own.
+    carry over; the sets, the steps built on them and their caches (a
+    superiorized method's kept pass too) are the new algorithm's own.
     """
     sets, v = _lay_out(problems)
     new = make_algorithm(algorithm, sets, v, **options)

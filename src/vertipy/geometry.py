@@ -55,9 +55,11 @@ row.  All of that arithmetic is elementwise, so each row is bitwise the
 set's `project`.  `survey` returns both from one pass: the differences d
 (and |d| for the band), the inner products s and their clips are shared,
 the gaps come from value minus clip and the moves from clip minus value.
-`project_rows` projects a (6, n) product point row i onto set i with the
-same pass, run on the differences and triples gathered from the rows
-through the same scatter positions the moves go back through.
+`score` returns the monitor at once and the moves on request, for a point
+that may or may not be stepped from.  `project_rows` projects a (6, n)
+product point row i onto set i with the same pass, run on the differences
+and triples gathered from the rows through the same scatter positions the
+moves go back through.
 
 Problems of one slope kind can share one long profile, laid end to end
 (`lay_end_to_end`): the fused passes run on it unchanged, since every move
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -338,10 +340,13 @@ class ProfileKernel:
     once and returns both the fused monitor `segment_proximity2` and the
     six projections `project_each` of one point; each of those two is one
     half of that pass.  The parallel steps survey each new iterate, so the
-    monitor and the next step share one pass.  `project_rows` runs the
-    projection half on a product point, row i onto set i, for
-    `product.ProductSet`.  `kernel_of` resolves a set list to its kernel,
-    or to a per-set stand-in with the same methods.
+    monitor and the next step share one pass.  `score` returns the monitor
+    and defers the projection half, for the superiorized parallel steps,
+    which step from a scored candidate only if they keep it and perturb it
+    to itself.  `project_rows` runs the projection half on a product
+    point, row i onto set i, for `product.ProductSet`.  `kernel_of`
+    resolves a set list to its kernel, or to a per-set stand-in with the
+    same methods.
 
     A kernel from `lay_end_to_end` holds several problems, each a segment
     of columns (`spans`, `segments`): the monitor gives one sum per
@@ -496,13 +501,22 @@ class ProfileKernel:
         flat[triples] += _triple_moves(c - s, self.weights).ravel()
         return out
 
-    def survey(self, x):
-        """(segment_proximity2(x), project_each(x)) from one pass over x.
+    def score(self, x):
+        """(segment_proximity2(x), rows) from one pass over x; rows() is project_each(x).
 
         The differences, the inner products and their clips are computed
         once; the gaps dd - a and s - c give the distances, and the targets
         (a, put back on d's side for the band) and c - s give the moves.
+        The moves wait until rows is called, so a caller that scores a point
+        and may step from it later keeps rows instead of passing x again.
+        x must not change while rows is kept.
         """
+        x, d, dd, a, s, c = self._pass(x)
+        rows = partial(self._project_each_from, x, d, a, s, c)
+        return self._proximity2_from(x, dd, a, s, c), rows
+
+    def survey(self, x):
+        """(segment_proximity2(x), project_each(x)) from one pass over x: `score`, its rows now."""
         x, d, dd, a, s, c = self._pass(x)
         return self._proximity2_from(x, dd, a, s, c), self._project_each_from(x, d, a, s, c)
 
@@ -587,6 +601,9 @@ class _PerSet:
     def project_each(self, x) -> np.ndarray:
         return np.array([c.project(x) for c in self.sets])
 
+    def score(self, x):
+        return [self.proximity2(x)], partial(self.project_each, x)
+
     def survey(self, x):
         return [self.proximity2(x)], self.project_each(x)
 
@@ -601,7 +618,7 @@ class _SetList(tuple):
     `kernel` is the `ProfileKernel` that owns the list (see
     `ProfileKernel.owns`), else a per-set stand-in (one segment).  Either
     has `segments`, `columns`, `proximity2`, `segment_proximity2`,
-    `project_each`, `survey` and `project_rows`, and both give
+    `project_each`, `score`, `survey` and `project_rows`, and both give
     the same numbers bitwise: the kernel's fused passes are exactly the
     per-set sums and stacks.  An algorithm holds its sets as one, so the
     steps and monitors it hands them to never ask `owns` again.

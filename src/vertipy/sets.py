@@ -29,15 +29,23 @@ class SlabSet(Constraint):
 
     def __init__(self, a, lo: float, hi: float):
         a = np.asarray(a, dtype=float)
-        if np.linalg.norm(a) == 0:
+        nn = float(np.dot(a, a))
+        if not np.any(a):
             raise InvalidSpecError(f"{self.tag.lower()} normal must be nonzero")
+        if nn < np.finfo(float).tiny:
+            # a subnormal <a, a> has lost the digits that the projection divides by
+            raise InvalidSpecError(
+                f"{self.tag.lower()} normal is too small: <a, a> = {nn!r} is below the "
+                f"smallest normal float, so its projection would be inexact; scale a and "
+                f"the bounds up"
+            )
         if not lo <= hi:
             raise InvalidSpecError("need lo <= hi")
         super().__init__(a.size)
         self.a = a
         self.lo = float(lo)
         self.hi = float(hi)
-        self._nn = float(np.dot(a, a))
+        self._nn = nn
         self._table = _intrepid_table(self.lo, self.hi)
 
     def _move(self, x, interval_map, *args):

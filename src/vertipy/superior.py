@@ -7,10 +7,14 @@ perturbed point only if the perturbation did not move away from v and T
 improved the proximity measure; otherwise the iterate is left unchanged.
 
 Two perturbation directions are available.  ``"away"`` uses
-x~ = x + theta (x - v)/||x - v||, the scheme's defining recursion: its
-norm-acceptance test ||x~ - v|| <= ||x - v|| can then only pass at x = v
-itself, so the method performs a single accepted T step from the anchor and
-afterwards leaves the iterate unchanged while theta decays.  ``"toward"``
+x~ = x + theta (x - v)/||x - v||, the scheme's defining recursion: in exact
+arithmetic its norm-acceptance test ||x~ - v|| <= ||x - v|| passes only at
+x = v itself, so the method takes one T step from the anchor and then
+leaves the iterate unchanged while theta decays -- but only until theta is
+so small that ||x~ - v|| rounds to ||x - v|| (and later x~ to x itself).
+From then on the test passes and every pass is a plain T step gated on
+proximity: on the two-set plane problem of the tests, sParP's trace is
+flat from pass 1 to pass 53 and falls again from pass 54.  ``"toward"``
 flips the sign, so perturbations reduce ||x - v|| and acceptance depends
 only on T improving proximity -- the behavior to use when the goal is
 actually steering toward the anchor.  The default is ``"away"``.
@@ -49,40 +53,54 @@ class Superiorized(_Algorithm):
     keeps a candidate segment and replaces its entry with the candidate's.
     `segment_proximity2` returns it, so `run` scores each iterate without
     computing the sum again.
+
+    `base_step(x)` is T(x).  A parallel step also passes `from_rows(x,
+    rows)`, T(x) from rows = project_each(x).  Each candidate is scored by
+    the kernel's `score`, and when every segment keeps it, its deferred
+    projections `_x_rows` stay with it: a later x~ with the bytes of x
+    steps from them, with no second pass on the same point.  Any other x~
+    takes `base_step`.  A partial acceptance drops them, and `_carried`
+    rebuilds the algorithm without them, since they are no array.
     """
 
     kind = "super"
 
-    def __init__(self, base_step, sets, v, direction: str = "away"):
+    def __init__(self, base_step, sets, v, direction: str = "away", from_rows=None):
         check_direction(direction)
         super().__init__(sets, v)
         self.base_step = base_step
+        self.from_rows = from_rows
         self.sign = 1.0 if direction == "away" else -1.0
         self.theta = 1.0
         # per segment: the last pass perturbed x to itself and rejected T(x)
         self._fixed = [False] * len(self.sets.kernel.segments)
+        self._x_rows = None  # project_each(x), deferred, if x is a candidate kept whole
 
     @cached_property
     def _d2(self):
         return self.sets.kernel.segment_proximity2(self.x)
 
     def _perturbed(self, x, v):
-        # one segment's perturbed point xt, and whether it passes the norm test
+        # one segment's perturbed point xt, whether it passes the norm test, and
+        # whether it has the bytes of x: then ||xt - v|| is ||x - v||, and the
+        # test is that norm against itself (false only for a NaN norm, as in full)
         offset = x - v
         norm = _norm(offset)
         xt = x + (self.sign * self.theta / norm) * offset if norm > 0.0 else x
-        return xt, _norm(xt - v) <= norm
+        same = xt.tobytes() == x.tobytes()
+        return xt, (norm <= norm if same else _norm(xt - v) <= norm), same
 
     def step(self):
         x, v, kernel = self.x, self.v, self.sets.kernel
         segments = kernel.segments
         if len(segments) == 1:  # a problem alone: its whole arrays, not a copy
-            xt, passed = self._perturbed(x, v)
-            tried = [0] if passed else []
+            xt, passed, same = self._perturbed(x, v)
+            tried, unmoved = [0] if passed else [], [same]
         else:
-            xt, tried = x.copy(), []
+            xt, tried, unmoved = x.copy(), [], []
             for j, sl in enumerate(segments):
-                xt[sl], passed = self._perturbed(x[sl], v[sl])
+                xt[sl], passed, same = self._perturbed(x[sl], v[sl])
+                unmoved.append(same)
                 if passed:
                     tried.append(j)
         self.theta *= 0.5
@@ -90,18 +108,21 @@ class Superiorized(_Algorithm):
         if not tried:
             return
         # T(xt) replaces x on each tried segment whose proximity it lowers
-        candidate = self.base_step(xt)
-        d2 = kernel.segment_proximity2(candidate)
+        if self.from_rows is not None and self._x_rows is not None and all(unmoved):
+            candidate = self.from_rows(xt, self._x_rows())
+        else:
+            candidate = self.base_step(xt)
+        d2, rows = kernel.score(candidate)
         kept = []
         for j in tried:
             if d2[j] < self._d2[j]:
                 kept.append(j)
             else:
-                self._fixed[j] = xt[segments[j]].tobytes() == x[segments[j]].tobytes()
+                self._fixed[j] = unmoved[j]
         if len(kept) == len(segments):
-            self.x, self._d2 = candidate, d2
+            self.x, self._d2, self._x_rows = candidate, d2, rows
         elif kept:
-            self.x, self._d2 = x.copy(), list(self._d2)
+            self.x, self._d2, self._x_rows = x.copy(), list(self._d2), None
             for j in kept:
                 self.x[segments[j]] = candidate[segments[j]]
                 self._d2[j] = d2[j]

@@ -27,23 +27,48 @@ def test_halfspace_projection():
 
 
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("cls, args", [(HalfspaceSet, (0.0,)), (SlabSet, (-1.0, 0.0))])
+@pytest.mark.parametrize("a", [[1e-160], [1e-170], [3e-155, -4e-155]])
+def test_subnormal_normal_is_rejected(cls, args, a):
+    # <a, a> = 1e-320 is subnormal: the projection of 1 onto <1e-160, x> <= 0
+    # once came out as -1.113e-05; one that underflows to 0.0 is nonzero all the same
+    message = "normal is too small: <a, a> = .* below the smallest normal float"
+    with pytest.raises(InvalidSpecError, match=message):
+        cls(a, *args)
+
+
+def test_smallest_normal_squared_norm_projects_exactly():
+    # <a, a> at the smallest normal float or just above is accepted, and exact here
+    a = np.sqrt(TINY)
+    assert HalfspaceSet([a], 0.0).project([1.0]).tolist() == [0.0]
+    assert HalfspaceSet([2.0 * a], 0.0).residual([-1.0]) == 0.0
 
 
 @st.composite
 def _halfspace_and_point(draw):
-    """A normal, an offset and a point at one scale; b may be +-0.0 and x all signed zeros."""
+    """A normal, an offset and a point at one scale; b may be +-0.0 and x all signed zeros.
+
+    a and b share a factor `shrink` down to 1e-170, so <a, a> may be subnormal
+    or underflow to 0.0, while (<a, x> - b) / <a, a> stays finite.
+    """
     n = draw(st.integers(1, 5))
     scale = 10.0 ** draw(st.integers(-3, 3))
+    small = st.sampled_from([2.0**-500, 1e-150, 1e-154, 1e-156, 1e-160, 1e-170])
+    shrink = draw(st.one_of(st.just(1.0), small))
 
-    def vectors(entries):
-        return st.lists(entries, min_size=n, max_size=n).map(lambda v: scale * np.array(v))
+    def vectors(entries, factor=1.0):
+        return st.lists(entries, min_size=n, max_size=n).map(lambda v: factor * np.array(v))
 
     unit = st.floats(-1.0, 1.0)
-    # entries of a are 0 or at least 1e-3 in size, so that <a, a> cannot underflow
-    a = draw(vectors(unit.filter(lambda t: t == 0.0 or abs(t) >= 1e-3)).filter(np.any))
-    b = draw(st.one_of(SIGNED_ZEROS, unit.map(lambda t: scale * t)))
-    x = draw(st.one_of(vectors(unit), vectors(SIGNED_ZEROS)))
-    if draw(st.booleans()):  # a point on the boundary, up to rounding
+    # entries of a are 0 or at least 1e-3 in size: below that, only shrink makes a small
+    entries = unit.filter(lambda t: t == 0.0 or abs(t) >= 1e-3)
+    a = draw(vectors(entries, shrink * scale).filter(np.any))
+    b = draw(st.one_of(SIGNED_ZEROS, unit.map(lambda t: shrink * scale * t)))
+    x = draw(st.one_of(vectors(unit, scale), vectors(SIGNED_ZEROS)))
+    if draw(st.booleans()) and np.dot(a, a) >= TINY:  # a point on the boundary, up to rounding
         x = _closed_form_projection(a, b, x)
     return a, b, x
 
@@ -59,6 +84,10 @@ def _closed_form_projection(a, b, x):
 @example((np.array([-2.0]), 0.0, np.array([-0.0])))
 def test_halfspace_is_the_closed_form(case):
     a, b, x = case
+    if np.dot(a, a) < TINY:  # the closed form would divide by a subnormal or by 0.0
+        with pytest.raises(InvalidSpecError, match="normal is too small"):
+            HalfspaceSet(a, b)
+        return
     h = HalfspaceSet(a, b)
     want = _closed_form_projection(a, b, x)
     assert h.project(x).tobytes() == want.tobytes()
