@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .geometry import (
     kernel_of,
     lay_end_to_end,
 )
-from .metrics import RunRecord, StopRule, _Algorithm, proximity_squared_sum
+from .metrics import RunRecord, StopRule, _Algorithm, _Scored, proximity_squared_sum
 from .superior import Superiorized, check_direction
 
 __all__ = [
@@ -126,7 +125,7 @@ def project_each(x, sets):
 
 
 # Each parallel step below is a combine of the rows of project_each, so that
-# a sweep that already holds those rows (see `_Surveyed`) can step from them.
+# a sweep that already holds those rows (see `metrics._Scored`) can step from them.
 
 
 def _parp_from(x, rows, sets):
@@ -261,32 +260,6 @@ def admm_two_set_step(b, u, set_a, set_b):
 # their kernel once, and has kind, step(), monitor() and segment_proximity2(x).
 
 
-class _Surveyed(_Algorithm):
-    """An iterate x whose squared proximity and projections come from one survey.
-
-    A step starts from the rows `_rows` of x and passes its new x through
-    `_surveyed`, which keeps its squared proximity per segment `_d2` for
-    `segment_proximity2` and its rows for the next step.  The start is not
-    surveyed: the first step projects it, and its squared proximity is
-    computed when `run_batch` asks for it as its normalizer.
-    """
-
-    @cached_property
-    def _rows(self):
-        return self.sets.kernel.project_each(self.x)
-
-    @cached_property
-    def _d2(self):
-        return self.sets.kernel.segment_proximity2(self.x)
-
-    def _surveyed(self, x):
-        self._d2, self._rows = self.sets.kernel.survey(x)
-        return x
-
-    def segment_proximity2(self, x) -> list:
-        return self._d2
-
-
 class _SweepAlgo(_Algorithm):
     """x <- T(x) for a step function T of x and the sets."""
 
@@ -302,11 +275,11 @@ class _SweepAlgo(_Algorithm):
         return True
 
 
-class _SurveyedSweep(_Surveyed, _SweepAlgo):
-    """ParP, ExParP or ExAltP: the step combines the rows of x and surveys the result."""
+class _ScoredSweep(_Scored, _SweepAlgo):
+    """ParP, ExParP or ExAltP: the step combines the rows of the pass that scored x."""
 
     def step(self):
-        self.x = self._surveyed(self._step_fn(self.x, self._rows, self.sets))
+        self._keep(self._step_fn(self.x, self._projections(), self.sets))
 
 
 def _affine_first(sets):
@@ -321,6 +294,8 @@ def _affine_first(sets):
 
 class _ProductDR(_Algorithm):
     """D-R on the product set and the diagonal, from rows v; monitors their mean."""
+
+    carried_columns = ("parts",)  # x stays v
 
     def __init__(self, sets, v):
         super().__init__(sets, v)
@@ -346,6 +321,7 @@ class _Anchored(_Algorithm):
     """The single-iterate methods: x starts at the anchor v, and k counts the passes."""
 
     kind = "ba"
+    carried_numbers = ("k",)
     k = 0
 
 
@@ -364,6 +340,8 @@ class CyclicDykstra(_Anchored):
     Each set keeps the correction produced at its previous visit; iteration
     k projects x + q_set onto set k mod m and stores the new correction.
     """
+
+    carried_columns = ("x", "q")
 
     def __init__(self, sets, v):
         super().__init__(sets, v)
@@ -414,19 +392,20 @@ class HaugazeauCyclic(_Anchored):
         self.k += 1
 
 
-class HaugazeauParallel(_Surveyed, _Anchored):
+class HaugazeauParallel(_Scored, _Anchored):
     """Averaged projections wrapped in Q: x <- Q(v, x, ParP(x))."""
 
     def step(self):
-        parp = _parp_from(self.x, self._rows, self.sets)
+        parp = _parp_from(self.x, self._projections(), self.sets)
         x, self.signals = _q_each(self.sets.kernel.segments, self.v, self.x, parp)
-        self.x = self._surveyed(x)
+        self._keep(x)
 
 
 class ParallelDykstra(_ProductDR):
     """Dykstra in the product space: project corrections in parallel, average."""
 
     kind = "ba"
+    carried_columns = ("parts", "z")
 
     def __init__(self, sets, v):
         super().__init__(sets, v)
@@ -487,10 +466,10 @@ def _superiorized(step_fn, order=list, from_rows=None):
 FEASIBILITY_ALGORITHMS = {
     "CycP": _sweep(cycp_step),
     "CycP+": _sweep(cycp_plus_step),
-    "ParP": _sweep(_parp_from, cls=_SurveyedSweep),
+    "ParP": _sweep(_parp_from, cls=_ScoredSweep),
     "SaP": _sweep(sap_step),
-    "ExParP": _sweep(_exparp_from, cls=_SurveyedSweep),
-    "ExAltP": _sweep(_exaltp_from, _affine_first, _SurveyedSweep),
+    "ExParP": _sweep(_exparp_from, cls=_ScoredSweep),
+    "ExAltP": _sweep(_exaltp_from, _affine_first, _ScoredSweep),
     "D-R": _ProductDR,
 }
 
@@ -579,26 +558,24 @@ def _lay_out(problems):
 def _carried(algo, kept, algorithm, problems, options):
     """`algorithm` on a profile of `problems`, the segments `kept` of algo's, in algo's state.
 
-    Arrays over algo's columns move column by column (0.0 between
-    segments), per-segment lists keep the entries of `kept`, and numbers
-    carry over; the sets, the steps built on them and their caches (a
-    superiorized method's kept pass too) are the new algorithm's own.
+    The state is what the class names: its `carried_columns` move column
+    by column (0.0 between segments), and its `carried_numbers` carry
+    over.  Everything else is the new algorithm's own: its sets, the steps
+    built on them and their caches, and a scored iterate's proximity and
+    projections, which the new kernel computes from x again, bitwise per
+    segment.
     """
     sets, v = _lay_out(problems)
     new = make_algorithm(algorithm, sets, v, **options)
     moves = list(zip([algo.sets.kernel.segments[j] for j in kept], new.sets.kernel.segments))
-    width = algo.x.shape[-1]
-    for name, value in vars(algo).items():
-        if isinstance(value, np.ndarray) and value.ndim and value.shape[-1] == width:
-            moved = np.zeros(value.shape[:-1] + v.shape)
-            for old, now in moves:
-                moved[..., now] = value[..., old]
-            value = moved
-        elif isinstance(value, list):
-            value = [value[j] for j in kept]
-        elif not isinstance(value, (int, float)):
-            continue
-        setattr(new, name, value)
+    for name in new.carried_columns:
+        value = getattr(algo, name)
+        moved = np.zeros(value.shape[:-1] + v.shape)
+        for old, now in moves:
+            moved[..., now] = value[..., old]
+        setattr(new, name, moved)
+    for name in new.carried_numbers:
+        setattr(new, name, getattr(algo, name))
     return new
 
 
@@ -649,7 +626,7 @@ def run_batch(algorithm: str, problems, stop: StopRule | None = None, **options)
     the one `run` gives on that problem alone (up to the sign of a zero in
     a segment's first or last two columns, which a pair or triple across
     its edge adds +0.0 to).  Once segments stop, the survivors are laid out
-    afresh and the algorithm's state is carried over by column.  Each
+    afresh and the state the algorithm names is carried over (`_carried`).  Each
     record's wall_time is its share of the batch: the time of every
     iteration is split evenly among the segments it stepped.  A start whose
     squared proximity is not finite raises InvalidSpecError before any step.
@@ -761,9 +738,9 @@ def run(
     x's bytes alone: an x with the bytes of the previous monitored point
     (hCycP and CycDyk often repeat one) repeats its d without asking.  An
     algorithm that has already computed that sum in its step returns it
-    from there: the superiorized family keeps it from its
-    acceptance test, and ParP, ExParP, ExAltP and hParP from the survey
-    that also gives their next step's projections.
+    from there: ParP, ExParP, ExAltP, hParP and the superiorized family
+    score each iterate they keep in the one kernel pass whose projections
+    their next step takes (`metrics._Scored`), the start included.
     """
     (record,) = run_batch(algorithm, [problem], stop, **options)
     return record

@@ -52,10 +52,10 @@ the six projections of one point as the rows of a (6, n) array: it
 computes every pair's shift h and every triple's move coef * u once, with
 the helpers the sets' own operators use, and scatters each into its set's
 row.  All of that arithmetic is elementwise, so each row is bitwise the
-set's `project`.  `survey` returns both from one pass: the differences d
+set's `project`.  `score` returns both from one pass: the differences d
 (and |d| for the band), the inner products s and their clips are shared,
 the gaps come from value minus clip and the moves from clip minus value.
-`score` returns the monitor at once and the moves on request, for a point
+It returns the monitor at once and the moves on request, for a point
 that may or may not be stepped from.  `project_rows` projects a (6, n)
 product point row i onto set i with the same pass, run on the differences
 and triples gathered from the rows through the same scatter positions the
@@ -336,15 +336,13 @@ class ProfileKernel:
     sets a constraint's `kernel`.  `perm` lists the even-parity differences,
     then the odd; `slope_interval` holds the interval of every difference,
     and `weights` the curvature weights and intervals of all triples.
-    `survey` computes the differences, the inner products and their clips
-    once and returns both the fused monitor `segment_proximity2` and the
-    six projections `project_each` of one point; each of those two is one
-    half of that pass.  The parallel steps survey each new iterate, so the
-    monitor and the next step share one pass.  `score` returns the monitor
-    and defers the projection half, for the superiorized parallel steps,
-    which step from a scored candidate only if they keep it and perturb it
-    to itself.  `project_rows` runs the projection half on a product
-    point, row i onto set i, for `product.ProductSet`.  `kernel_of`
+    `score` computes the differences, the inner products and their clips
+    once, and returns the fused monitor `segment_proximity2` of one point
+    at once and its six projections `project_each` on request; each of
+    those two is one half of that pass.  The parallel steps score each
+    iterate they keep, so the monitor and the next step share one pass
+    (`metrics._Scored`).  `project_rows` runs the projection half on a
+    product point, row i onto set i, for `product.ProductSet`.  `kernel_of`
     resolves a set list to its kernel, or to a per-set stand-in with the
     same methods.
 
@@ -448,7 +446,7 @@ class ProfileKernel:
         return x
 
     def _pass(self, x):
-        """The arithmetic both halves of `survey` share, done once.
+        """The arithmetic both halves of `score` share, done once.
 
         x, its n-1 differences d, dd = d (|d| for the band), the clip a of dd
         onto its interval, the n-2 inner products s and their clip c.
@@ -515,15 +513,10 @@ class ProfileKernel:
         rows = partial(self._project_each_from, x, d, a, s, c)
         return self._proximity2_from(x, dd, a, s, c), rows
 
-    def survey(self, x):
-        """(segment_proximity2(x), project_each(x)) from one pass over x: `score`, its rows now."""
-        x, d, dd, a, s, c = self._pass(x)
-        return self._proximity2_from(x, dd, a, s, c), self._project_each_from(x, d, a, s, c)
-
     def segment_proximity2(self, x) -> list:
         """The sum of squared distances from each segment of x to the six sets.
 
-        The first half of `survey`.  For one problem, bitwise equal
+        The first half of `score`.  For one problem, bitwise equal
         to summing `c.residual(x) ** 2` over the six sets in canonical
         order: each distance is rounded to a float as the constraint's
         `residual` rounds it, slope dots run on contiguous slices, and a
@@ -557,7 +550,7 @@ class ProfileKernel:
     def project_each(self, x) -> np.ndarray:
         """The projections of x onto the six sets, as the rows of a (6, n) array.
 
-        The second half of `survey`.  Every pair move and every triple move
+        The second half of `score`.  Every pair move and every triple move
         is computed once, over all n-1 differences and all n-2 triples, and
         scattered into its set's row through `scatter`.  The moves are the
         sets' own (the same helpers on the same numbers), so each row equals
@@ -604,9 +597,6 @@ class _PerSet:
     def score(self, x):
         return [self.proximity2(x)], partial(self.project_each, x)
 
-    def survey(self, x):
-        return [self.proximity2(x)], self.project_each(x)
-
     def project_rows(self, parts) -> np.ndarray:
         parts = _product_point(parts, len(self.sets))
         return np.array([c.project(row) for c, row in zip(self.sets, parts)])
@@ -618,7 +608,7 @@ class _SetList(tuple):
     `kernel` is the `ProfileKernel` that owns the list (see
     `ProfileKernel.owns`), else a per-set stand-in (one segment).  Either
     has `segments`, `columns`, `proximity2`, `segment_proximity2`,
-    `project_each`, `score`, `survey` and `project_rows`, and both give
+    `project_each`, `score` and `project_rows`, and both give
     the same numbers bitwise: the kernel's fused passes are exactly the
     per-set sums and stacks.  An algorithm holds its sets as one, so the
     steps and monitors it hands them to never ask `owns` again.

@@ -93,14 +93,16 @@ class _Algorithm:
 
     On a batch profile (`geometry.lay_end_to_end`) every step is elementwise
     over all segments, or takes each segment's scalars from its own slices.
-    The state is held in arrays whose last axis runs over the profile's
-    columns, lists with one entry per segment, and numbers that every
-    segment shares, so `feasibility.run_batch` can carry it over, column by
-    column, to a profile of the segments that are still running.
+    A class names the state that `feasibility._carried` moves to a profile
+    of the segments that are still running: `carried_columns`, arrays whose
+    last axis runs over the profile's columns, and `carried_numbers`,
+    numbers that every segment shares.  The constructor rebuilds the rest.
     """
 
     kind = "feas"
     signals: dict = {}  # never changed in place: a step that signals sets its own
+    carried_columns = ("x",)
+    carried_numbers = ()
 
     def __init__(self, sets, v):
         self.sets = _SetList(sets)
@@ -115,6 +117,39 @@ class _Algorithm:
 
     def monitor(self):
         return self.x
+
+
+class _Scored(_Algorithm):
+    """An algorithm that scores the iterate x it keeps and steps from that pass's projections.
+
+    `_score` gives `_d2`, the squared proximity of each segment of x, from
+    the kernel's `score` the first time it is asked for, and that pass
+    leaves `_rows`, which gives project_each(x) on request.
+    `segment_proximity2` returns `_d2`, so `run` scores each iterate (the
+    start too, as its normalizer) in the pass whose projections the next
+    step takes from `_projections`; an x that was never scored is
+    projected there.  `_keep` makes x the iterate, with the score and the
+    deferred rows a step already has of it.
+    """
+
+    _d2 = None  # segment_proximity2(x), once a pass has scored x
+    _rows = None  # project_each(x), deferred, from that pass
+
+    def _score(self) -> list:
+        if self._d2 is None:
+            self._d2, self._rows = self.sets.kernel.score(self.x)
+        return self._d2
+
+    def _keep(self, x, d2=None, rows=None):
+        self.x, self._d2, self._rows = x, d2, rows
+
+    def _projections(self):
+        rows = self._rows
+        return self.sets.kernel.project_each(self.x) if rows is None else rows()
+
+    def segment_proximity2(self, x) -> list:
+        """The squared proximity of each segment of x = monitor(), from the pass that scored it."""
+        return self._score()
 
 
 def proximity_squared_sum(x, sets) -> float:

@@ -146,9 +146,13 @@ def load_problem(path) -> FeasibilityProblem:
 
 
 def load_problem_dir(directory) -> list:
-    """Load every problems/*.json file, sorted by problem id."""
-    paths = sorted(Path(directory).glob("*.json"))
-    problems = [load_problem(p) for p in paths if p.name != "manifest.json"]
+    """Load every problems/*.json file, sorted by problem id; no two may hold one id."""
+    paths = [p for p in sorted(Path(directory).glob("*.json")) if p.name != "manifest.json"]
+    problems, first = [load_problem(p) for p in paths], {}
+    for path, problem in zip(paths, problems):
+        seen = first.setdefault(problem.problem_id, path)
+        if seen != path:
+            raise InvalidSpecError(f"{seen} and {path} both hold problem {problem.problem_id}")
     return sorted(problems, key=lambda pb: pb.problem_id)
 
 

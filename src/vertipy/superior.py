@@ -27,11 +27,9 @@ so, and `feasibility.run` records the run as reaching the cap, with
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .geometry import InvalidSpecError, _norm
 # the benchmark's tracer wraps superior.proximity_squared_sum, so the name stays
-from .metrics import _Algorithm, proximity_squared_sum  # noqa: F401
+from .metrics import _Scored, proximity_squared_sum  # noqa: F401
 
 __all__ = ["Superiorized", "check_direction"]
 
@@ -42,28 +40,26 @@ def check_direction(direction) -> None:
         raise InvalidSpecError(f"direction must be 'away' or 'toward', got {direction!r}")
 
 
-class Superiorized(_Algorithm):
+class Superiorized(_Scored):
     """Driver-compatible superiorized wrapper around a step operator.
 
     Each segment of the profile (one, for one problem) is perturbed, tested
     and kept or not on its own, with its own norms, as that problem alone
     would be; theta is shared, since every segment has taken as many passes.
-    `_d2` holds the squared proximity of each segment of the kept iterate
-    x: that of v, computed when first asked for, until the acceptance test
-    keeps a candidate segment and replaces its entry with the candidate's.
-    `segment_proximity2` returns it, so `run` scores each iterate without
-    computing the sum again.
+    The acceptance test compares a candidate's squared proximity with that
+    of the kept iterate x (`_score`, see `metrics._Scored`): that of v when
+    the run starts, and a kept candidate's own from then on.
 
     `base_step(x)` is T(x).  A parallel step also passes `from_rows(x,
     rows)`, T(x) from rows = project_each(x).  Each candidate is scored by
-    the kernel's `score`, and when every segment keeps it, its deferred
-    projections `_x_rows` stay with it: a later x~ with the bytes of x
-    steps from them, with no second pass on the same point.  Any other x~
-    takes `base_step`.  A partial acceptance drops them, and `_carried`
-    rebuilds the algorithm without them, since they are no array.
+    the kernel's `score`, and when every segment keeps it, the pass's
+    deferred projections stay with it as `_rows`: a later x~ with the bytes
+    of x steps from them, with no second pass on the same point.  Any other
+    x~ takes `base_step`.  A partial acceptance keeps no rows.
     """
 
     kind = "super"
+    carried_numbers = ("theta",)
 
     def __init__(self, base_step, sets, v, direction: str = "away", from_rows=None):
         check_direction(direction)
@@ -74,11 +70,6 @@ class Superiorized(_Algorithm):
         self.theta = 1.0
         # per segment: the last pass perturbed x to itself and rejected T(x)
         self._fixed = [False] * len(self.sets.kernel.segments)
-        self._x_rows = None  # project_each(x), deferred, if x is a candidate kept whole
-
-    @cached_property
-    def _d2(self):
-        return self.sets.kernel.segment_proximity2(self.x)
 
     def _perturbed(self, x, v):
         # one segment's perturbed point xt, whether it passes the norm test, and
@@ -108,28 +99,25 @@ class Superiorized(_Algorithm):
         if not tried:
             return
         # T(xt) replaces x on each tried segment whose proximity it lowers
-        if self.from_rows is not None and self._x_rows is not None and all(unmoved):
-            candidate = self.from_rows(xt, self._x_rows())
+        if self.from_rows is not None and self._rows is not None and all(unmoved):
+            candidate = self.from_rows(xt, self._rows())
         else:
             candidate = self.base_step(xt)
         d2, rows = kernel.score(candidate)
-        kept = []
+        own, kept = self._score(), []
         for j in tried:
-            if d2[j] < self._d2[j]:
+            if d2[j] < own[j]:
                 kept.append(j)
             else:
                 self._fixed[j] = unmoved[j]
         if len(kept) == len(segments):
-            self.x, self._d2, self._x_rows = candidate, d2, rows
+            self._keep(candidate, d2, rows)
         elif kept:
-            self.x, self._d2, self._x_rows = x.copy(), list(self._d2), None
+            x, mixed = x.copy(), list(own)
             for j in kept:
-                self.x[segments[j]] = candidate[segments[j]]
-                self._d2[j] = d2[j]
-
-    def segment_proximity2(self, x) -> list:
-        """The squared proximity of each segment of x = monitor(), kept from the last test."""
-        return self._d2
+                x[segments[j]] = candidate[segments[j]]
+                mixed[j] = d2[j]
+            self._keep(x, mixed)
 
     def memoryless(self, segment) -> bool:
         """True if the segment's last pass perturbed x to itself and rejected T(x).

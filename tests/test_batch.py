@@ -135,6 +135,32 @@ def test_a_segment_whose_q_signals_stops_alone(monkeypatch, name):
     assert sorted(_key(r) for r in batch) == sorted(_key(r) for r in alone.values()), name
 
 
+@pytest.mark.parametrize("nonconvex", [False, True])
+@pytest.mark.parametrize("name", sorted(F.ALGORITHMS))
+def test_carried_state_steps_on_as_the_algorithm_it_came_from(name, nonconvex):
+    # `_carried` moves only the state a class names and builds the rest again;
+    # carried onto the same three segments after k steps, the algorithm must
+    # step on exactly as the one it came from
+    problems = make_batch(0, count=3, nonconvex=nonconvex)
+    sets, v = F._lay_out(problems)
+    options = {"direction": "away"}
+    for k in (0, 1, 7, 60):
+        algo = F.make_algorithm(name, sets, v, **options)
+        for _ in range(k):
+            algo.step()
+        carried = F._carried(algo, [0, 1, 2], name, problems, options)
+        for i in range(30):
+            algo.step()
+            carried.step()
+            x, y = algo.monitor(), carried.monitor()
+            assert y.tobytes() == x.tobytes(), (k, i)
+            want = [d.hex() for d in algo.segment_proximity2(x)]
+            assert [d.hex() for d in carried.segment_proximity2(y)] == want, (k, i)
+            if hasattr(algo, "memoryless"):
+                want = [algo.memoryless(j) for j in range(3)]
+                assert [carried.memoryless(j) for j in range(3)] == want, (k, i)
+
+
 def test_wall_time_is_the_share_of_the_batch():
     problems = make_batch(0, count=3)
     batch = list(F.run_batch("CycP", problems, StopRule(k_max=100)))

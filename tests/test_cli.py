@@ -17,6 +17,8 @@ from vertipy import cli, storage, verify
 from vertipy import feasibility as F
 from vertipy.feasibility import BEST_APPROXIMATION_ALGORITHMS, SUPERIORIZED_ALGORITHMS
 from vertipy.geometry import ProfileKernel
+from vertipy.metrics import StopRule
+from vertipy.probgen import make_batch
 from vertipy.verify import CheckResult
 
 
@@ -155,7 +157,7 @@ def test_run_computes_each_start_proximity_once(tmp_path, monkeypatch):
     # the batch-wide start check computes each start's squared proximity once,
     # and each algorithm's batch profile (one per algorithm: both problems are
     # convex) once more, as the normalizer of all its segments; nothing
-    # computes it again (the surveyed ones project the start without surveying it)
+    # scores or projects it again (the scored ones step from their normalizer's pass)
     out = _generate(tmp_path / "once", count=2, seed=3)
     problems = storage.load_problem_dir(out / "problems")
     starts = {p.v.tobytes(): "problem" for p in problems}
@@ -168,13 +170,32 @@ def test_run_computes_each_start_proximity_once(tmp_path, monkeypatch):
             return method(self, x)
         return wrapped
 
-    for name in ("segment_proximity2", "survey"):
+    for name in ("segment_proximity2", "score", "project_each"):
         monkeypatch.setattr(ProfileKernel, name, counted(getattr(ProfileKernel, name)))
     algorithms = "CycP,ParP,ExAltP,sParP,sExAltP,hParP,ParDyk,baD-R"
     args = ["run", "--out", str(out), "--algorithms", algorithms, "--jobs", "1", "--k-max", "50"]
     assert cli.main(args) == 0
     assert at_start.count("problem") == 2 and at_start.count("batch") == 8
     assert len(at_start) > 18
+
+
+def test_a_scored_run_makes_one_kernel_pass_per_iterate(monkeypatch):
+    # ParP, ExParP and hParP step from the pass that scored the iterate they
+    # keep, the start's too: one pass per monitored point, none twice
+    passes = []
+    kernel_pass = ProfileKernel._pass
+
+    def counted(self, x):
+        passes.append(1)
+        return kernel_pass(self, x)
+
+    monkeypatch.setattr(ProfileKernel, "_pass", counted)
+    problem = make_batch(0, count=1)[0]
+    for name in ("ParP", "ExParP", "hParP"):
+        passes.clear()
+        rec = F.run(name, problem, StopRule(k_max=300))
+        assert "stalled_at" not in rec.flags and rec.iterations > 20, name
+        assert len(passes) == rec.iterations + 1, name
 
 
 def test_resume_after_torn_append_matches_clean_run(tmp_path, capsys):
@@ -351,6 +372,22 @@ def test_malformed_problem_file_exits_1(tmp_path, capsys, text, cause):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and cause in err
         assert "Traceback" not in err
+
+
+def test_two_problem_files_with_one_id_exit_1_before_running(tmp_path, capsys):
+    # a copied problem file would give each of its pairs two records, and the
+    # record file would then fail every later run and report
+    out = _generate(tmp_path, count=2, seed=3)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
+    records = (out / "records.jsonl").read_bytes()
+    original, copy = out / "problems" / "p0000.json", out / "problems" / "zcopy.json"
+    shutil.copy(original, copy)
+    capsys.readouterr()
+    for args in (["run", "--algorithms", "CycP,SaP", "--jobs", "1"], ["report"]):
+        assert cli.main([args[0], "--out", str(out), *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {original} and {copy} both hold problem p0000\n", args[0]
+    assert (out / "records.jsonl").read_bytes() == records
 
 
 def test_mode_selects_family(tmp_path):

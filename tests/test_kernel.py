@@ -6,7 +6,7 @@ with an index array, map them with np.clip / np.select, and scatter the
 update back.  The sets must reproduce them exactly (==), the fused
 monitor of `geometry.ProfileKernel` must reproduce the per-set residual sum
 exactly, and its fused projections each set's `project`, as must the ParP,
-ExParP and ExAltP steps built on them.  Its `survey` must return both from
+ExParP and ExAltP steps built on them.  Its `score` must return both from
 one pass, and every algorithm's `segment_proximity2` of its monitored point
 must be the per-set sum `run` would otherwise compute.
 """
@@ -262,8 +262,8 @@ def test_other_set_lists_take_the_generic_sum():
         assert proximity_squared_sum(x, others) == float(sum(c.residual(x) ** 2 for c in others))
         stacked = np.array([c.project(x) for c in others])
         assert F.project_each(x, others).tobytes() == stacked.tobytes()
-        (d2,), rows = kernel_of(others).survey(x)
-        assert d2 == proximity_squared_sum(x, others) and rows.tobytes() == stacked.tobytes()
+        (d2,), rows = kernel_of(others).score(x)
+        assert d2 == proximity_squared_sum(x, others) and rows().tobytes() == stacked.tobytes()
         # the product set takes the row-wise stack, row i onto others[i]
         parts = x + np.arange(len(others))[:, None]
         stacked = np.array([c.project(row) for c, row in zip(others, parts)])
@@ -281,7 +281,7 @@ def test_fused_monitor_checks_shape():
     with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
         F.project_each(x[:-1], sets)
     with pytest.raises(InvalidSpecError, match="Interp: expected shape"):
-        kernel_of(sets).survey(x[:-1])
+        kernel_of(sets).score(x[:-1])
 
 
 def test_product_projection_checks_shape():
@@ -314,7 +314,7 @@ def test_a_problem_pickles_as_its_specs_after_its_kernel_has_run():
     problem = make_batch(0, count=1, nonconvex=True)[0]
     kernel = problem.sets[0].kernel
     fresh = pickle.dumps(problem)
-    kernel.survey(problem.v)
+    kernel.score(problem.v)[1]()
     kernel.project_rows(np.tile(problem.v, (6, 1)))
     assert len(pickle.dumps(problem)) == len(fresh)
     back = pickle.loads(fresh)
@@ -407,13 +407,13 @@ def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_al
         for row, c in zip(rows, sets):
             assert row.tobytes() == c.project(point).tobytes(), c.tag
         assert F.project_each(point, sets).tobytes() == rows.tobytes()
-        # the survey's two halves: the per-set residual sum and the same rows
-        (d2,), surveyed = kernel.survey(point)
+        # the score's two halves: the per-set residual sum and the same rows
+        (d2,), scored = kernel.score(point)
         assert d2.hex() == float(sum(c.residual(point) ** 2 for c in sets)).hex()
         assert d2.hex() == kernel.proximity2(point).hex()
-        assert surveyed.tobytes() == rows.tobytes()
-        (fused_d2,), fused_rows = kernel_of(sets).survey(point)
-        assert fused_d2.hex() == d2.hex() and fused_rows.tobytes() == rows.tobytes()
+        assert scored().tobytes() == rows.tobytes()
+        (fused_d2,), fused_rows = kernel_of(sets).score(point)
+        assert fused_d2.hex() == d2.hex() and fused_rows().tobytes() == rows.tobytes()
 
 
 def _stacked_rows(parts, sets):
@@ -550,7 +550,7 @@ def test_fused_steps_equal_the_per_set_steps_on_generated_problems(length, speed
 def test_every_algorithm_scores_its_monitor_as_the_per_set_sum(seed, nonconvex):
     # `run` takes d from algo.segment_proximity2(algo.monitor()); that must be the
     # sum run would compute itself, bitwise, after every step: on the
-    # kernel's sets (fused survey) and on standalone sets (generic sums)
+    # kernel's sets (fused score) and on standalone sets (generic sums)
     problem = generate(
         ProblemSpec(length=2000.0, speed=80.0, xi_max=30.0, seed=seed, nonconvex=nonconvex)
     )
@@ -578,7 +578,7 @@ def _pinned_negative_zero(problem):
 
 
 def test_exaltp_run_equals_its_steps_with_a_pinned_negative_zero():
-    # ExAltP takes z = P_1 x from the rows of x's survey, and reuses those
+    # ExAltP takes z = P_1 x from the rows of x's score, and reuses those
     # rows for z only if z is x bitwise.  With a pinned -0.0, x_{k+1}[0] is
     # z + mu (p - z) = -0.0 + 0.0 = +0.0, so z is never x: every step must
     # project z afresh, as `exaltp_step` does

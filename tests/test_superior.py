@@ -150,7 +150,7 @@ def test_a_kept_candidate_steps_from_its_scoring_pass(monkeypatch, name, directi
         algo = F.make_algorithm(name, sets, v, direction=direction)
         reference = _on_whole_step(name, sets, v, direction)
         for k in range(200):
-            kept = algo._x_rows is not None
+            kept = algo._rows is not None
             passes.clear()
             unmoved.clear()
             algo.step()

@@ -5,12 +5,13 @@ nonconvex, it times:
 
 * each of the six sets' ``project``, ``intrepid`` and ``residual``;
 * the profile kernel's fused ``project_each`` and ``proximity2``, and its
-  ``survey``, which returns both from one pass;
+  ``score`` with both halves (``score(x)[1]()``), which gives both from one
+  pass;
 * ``ProductSet.project`` of the six sets (the kernel's fused
   ``project_rows``) on six copies of the start profile;
 * one step of each feasibility algorithm, averaged over the first steps of
-  a run from the problem's start profile (for ParP, ExParP and ExAltP the
-  step includes the survey of the new iterate);
+  a run from the problem's start profile (ParP, ExParP and ExAltP, whose
+  iterates nothing scores here, project each one in the step);
 * one iteration of every algorithm as ``run`` drives it: the step (one
   pass for the superiorized family) plus the squared proximity of the
   monitored point.
@@ -91,7 +92,7 @@ def operations(problem):
     ops += [
         ("kernel.project_each", lambda: kernel.project_each(x)),
         ("kernel.proximity2", lambda: kernel.proximity2(x)),
-        ("kernel.survey", lambda: kernel.survey(x)),
+        ("kernel.score", lambda: kernel.score(x)[1]()),
         ("ProductSet.project", lambda: product_set.project(parts)),
     ]
     for name in feasibility.FEASIBILITY_ALGORITHMS:
