@@ -1,14 +1,15 @@
 """Feasibility-seeking and best-approximation algorithms and the run driver.
 
 All methods consume a list of sets exposing project()/intrepid()/residual().
-The feasibility methods drive an iterate toward the intersection; the
-best-approximation methods seek the intersection point nearest the anchor
-v, and are built from the same steps: H-W sweeps with `cycp_step`, hParP
-wraps `parp_step` in Haugazeau's Q (:func:`vertipy.bestapprox.q_operator`),
-and D-R, hD-R (Q around D-R) and baD-R run the two-set recursions on the
-product set and the diagonal of :mod:`vertipy.product`.  One iteration is
-one sweep (or one product-space update); CycDyk and hCycP take one
-projection per iteration.
+The feasibility methods drive an iterate toward the intersection: the six
+sweeps, each defined once in `_SWEEPS` and run plain or superiorized, and
+D-R.  The best-approximation methods seek the intersection point nearest
+the anchor v, and are built from the same steps: H-W sweeps with
+`cycp_step`, hParP wraps `parp_step` in Haugazeau's Q
+(:func:`vertipy.bestapprox.q_operator`), and D-R, hD-R (Q around D-R) and
+baD-R run the two-set recursions on the product set and the diagonal of
+:mod:`vertipy.product`.  One iteration is one sweep (or one product-space
+update); CycDyk and hCycP take one projection per iteration.
 
 `run` executes any registered algorithm on a `FeasibilityProblem` under a
 `StopRule`, recording the normalized proximity trace of the monitored
@@ -30,7 +31,6 @@ from .geometry import (
     InvalidSpecError,
     ProfileKernel,
     _norm,
-    _SetList,
     kernel_of,
     lay_end_to_end,
 )
@@ -124,21 +124,17 @@ def project_each(x, sets):
     return kernel_of(sets).project_each(x)
 
 
-# Each parallel step below is a combine of the rows of project_each, so that
-# a sweep that already holds those rows (see `metrics._Scored`) can step from them.
+# The parallel steps take `rows`, the rows of project_each(x, sets), if the
+# caller has them (those of the pass that scored x, `metrics._Scored`).
 
 
-def _parp_from(x, rows, sets):
-    return product.diagonal_part(rows)
-
-
-def parp_step(x, sets):
+def parp_step(x, sets, rows=None):
     """Average of the projections onto every set: P_D P_C (x, ..., x).
 
     The diagonal part of the stacked projections, i.e. their np.mean(axis=0)
     (whose reduction starts at +0.0).
     """
-    return _parp_from(x, project_each(x, sets), sets)
+    return product.diagonal_part(project_each(x, sets) if rows is None else rows)
 
 
 def sap_step(x, sets):
@@ -151,10 +147,16 @@ def sap_step(x, sets):
     return acc / len(sets)
 
 
-def _exparp_from(x, rows, sets):
+def exparp_step(x, sets, rows=None):
+    """Extrapolated parallel projections.
+
+    Steps past the averaged projection by the ratio of the summed squared
+    residuals to the squared norm of the summed displacement; identity on
+    the intersection.
+    """
     x = np.asarray(x, dtype=float)
     kernel = kernel_of(sets)
-    moves = rows - x
+    moves = (kernel.project_each(x) if rows is None else rows) - x
     disp = np.zeros_like(x)
     for r in moves:
         disp += r
@@ -177,22 +179,25 @@ def _exparp_from(x, rows, sets):
     return out
 
 
-def exparp_step(x, sets):
-    """Extrapolated parallel projections.
+def exaltp_step(x, sets, rows=None):
+    """Extrapolated alternating projections; sets[0] must be affine.
 
-    Steps past the averaged projection by the ratio of the summed squared
-    residuals to the squared norm of the summed displacement; identity on
-    the intersection.
+    z = P_1 x; the remaining sets are averaged at z, pulled back through
+    P_1, and the move z -> p is extrapolated by
+    mu = sum_i ||z - P_i z||^2 / ((m-1) ||p - z||^2) (mu = 1 if z is already
+    feasible for the others), with mu from each segment's own slices.
     """
-    return _exparp_from(x, project_each(x, sets), sets)
-
-
-def _exaltp_at(z, rows, sets):
-    # the ExAltP step from z = P_1 x and the rows of project_each(z, sets),
-    # with mu from each segment's own slices
+    if not getattr(sets[0], "is_affine", False):
+        raise AlgorithmConfigError("exaltp_step needs an affine set first")
+    z = sets[0].project(x) if rows is None else rows[0]
     if len(sets) == 1:
         return z
     kernel = kernel_of(sets)
+    # the rows of x serve as z's only if z is x bitwise: not at the start,
+    # which Interp moves, nor where x holds a pinned -0.0 as +0.0
+    # (z + mu (p - z) turns -0.0 into +0.0)
+    if rows is None or z.tobytes() != x.tobytes():
+        rows = kernel.project_each(z)
     acc = np.zeros_like(z)
     for p in rows[1:]:
         acc += p
@@ -208,30 +213,6 @@ def _exaltp_at(z, rows, sets):
         den = others * float(np.dot(move, move))
         mus.append(1.0 if (num == 0.0 or den < 1e-30) else num / den)
     return z + kernel.columns(mus) * (p - z)
-
-
-def _exaltp_from(x, rows, sets):
-    # rows[0] is z = P_1 x.  The rows of x serve as z's only if z is x
-    # bitwise: not at the start, which Interp moves, nor where x holds a
-    # pinned -0.0 as +0.0 (z + mu (p - z) turns -0.0 into +0.0)
-    z = rows[0]
-    if z.tobytes() != x.tobytes():
-        rows = project_each(z, sets)
-    return _exaltp_at(z, rows, sets)
-
-
-def exaltp_step(x, sets):
-    """Extrapolated alternating projections; sets[0] must be affine.
-
-    z = P_1 x; the remaining sets are averaged at z, pulled back through
-    P_1, and the move z -> p is extrapolated by
-    mu = sum_i ||z - P_i z||^2 / ((m-1) ||p - z||^2) (mu = 1 if z is already
-    feasible for the others).
-    """
-    if not getattr(sets[0], "is_affine", False):
-        raise AlgorithmConfigError("exaltp_step needs an affine set first")
-    z = sets[0].project(x)
-    return _exaltp_at(z, project_each(z, sets), sets)
 
 
 def dr_two_set_step(x, set_a, set_b):
@@ -260,26 +241,19 @@ def admm_two_set_step(b, u, set_a, set_b):
 # their kernel once, and has kind, step(), monitor() and segment_proximity2(x).
 
 
-class _SweepAlgo(_Algorithm):
-    """x <- T(x) for a step function T of x and the sets."""
+class _SweepAlgo(_Scored):
+    """x <- T(x, sets, rows) for a sweep T of `_SWEEPS`."""
 
     def __init__(self, step_fn, sets, v):
         super().__init__(sets, v)
         self._step_fn = step_fn
 
     def step(self):
-        self.x = self._step_fn(self.x, self.sets)
+        self._keep(self._step_fn(self.x, self.sets, self._rows))
 
     def memoryless(self, segment) -> bool:
         """Always true: a sweep's next x is a function of x alone."""
         return True
-
-
-class _ScoredSweep(_Scored, _SweepAlgo):
-    """ParP, ExParP or ExAltP: the step combines the rows of the pass that scored x."""
-
-    def step(self):
-        self._keep(self._step_fn(self.x, self._projections(), self.sets))
 
 
 def _affine_first(sets):
@@ -396,7 +370,8 @@ class HaugazeauParallel(_Scored, _Anchored):
     """Averaged projections wrapped in Q: x <- Q(v, x, ParP(x))."""
 
     def step(self):
-        parp = _parp_from(self.x, self._projections(), self.sets)
+        rows = None if self._rows is None else self._rows()
+        parp = parp_step(self.x, self.sets, rows)
         x, self.signals = _q_each(self.sets.kernel.segments, self.v, self.x, parp)
         self._keep(x)
 
@@ -447,40 +422,38 @@ class AnchoredDouglasRachford(_ProductDR):
         )
 
 
-def _sweep(step_fn, order=list, cls=_SweepAlgo):
-    return lambda sets, v: cls(step_fn, order(sets), v)
+def _of_x(step):
+    # T of a step of x alone: the rows of x's scoring pass go unused
+    return lambda x, sets, rows: step(x, sets)
 
 
-def _superiorized(step_fn, order=list, from_rows=None):
-    # from_rows: the step's combine of the rows of project_each, for a parallel step
-    def factory(sets, v, direction="away"):
-        ordered = _SetList(order(sets))
-        combine = None if from_rows is None else lambda x, rows: from_rows(x, rows, ordered)
-        return Superiorized(
-            lambda x: step_fn(x, ordered), ordered, v, direction=direction, from_rows=combine
-        )
-
-    return factory
+def _of_rows(step):
+    # T of a parallel step: from the rows of x's scoring pass, if there is one
+    return lambda x, sets, rows: step(x, sets, None if rows is None else rows())
 
 
-FEASIBILITY_ALGORITHMS = {
-    "CycP": _sweep(cycp_step),
-    "CycP+": _sweep(cycp_plus_step),
-    "ParP": _sweep(_parp_from, cls=_ScoredSweep),
-    "SaP": _sweep(sap_step),
-    "ExParP": _sweep(_exparp_from, cls=_ScoredSweep),
-    "ExAltP": _sweep(_exaltp_from, _affine_first, _ScoredSweep),
-    "D-R": _ProductDR,
+# The six sweeps, each once: name -> (T, set order).  T(x, sets, rows) is one
+# sweep from x, where rows is the deferred project_each(x) of the pass that
+# scored x (`metrics._Scored`), or None.
+_SWEEPS = {
+    "CycP": (_of_x(cycp_step), list),
+    "CycP+": (_of_x(cycp_plus_step), list),
+    "ParP": (_of_rows(parp_step), list),
+    "SaP": (_of_x(sap_step), list),
+    "ExParP": (_of_rows(exparp_step), list),
+    "ExAltP": (_of_rows(exaltp_step), _affine_first),
 }
 
-SUPERIORIZED_ALGORITHMS = {
-    "sCycP": _superiorized(cycp_step),
-    "sCycP+": _superiorized(cycp_plus_step),
-    "sParP": _superiorized(parp_step, from_rows=_parp_from),
-    "sSaP": _superiorized(sap_step),
-    "sExParP": _superiorized(exparp_step, from_rows=_exparp_from),
-    "sExAltP": _superiorized(exaltp_step, _affine_first, _exaltp_from),
-}
+
+def _on_sweep(cls, step_fn, order):
+    # cls on a sweep and the sets in its order; Superiorized also takes direction
+    return lambda sets, v, **options: cls(step_fn, order(sets), v, **options)
+
+
+FEASIBILITY_ALGORITHMS = {name: _on_sweep(_SweepAlgo, *sw) for name, sw in _SWEEPS.items()}
+FEASIBILITY_ALGORITHMS["D-R"] = _ProductDR
+
+SUPERIORIZED_ALGORITHMS = {"s" + name: _on_sweep(Superiorized, *sw) for name, sw in _SWEEPS.items()}
 
 BEST_APPROXIMATION_ALGORITHMS = {
     "H-W": HalpernWittmann,
@@ -736,11 +709,10 @@ def run(
     Each iteration steps the algorithm and scores its monitored point, x =
     ``algo.monitor()``, from ``algo.segment_proximity2(x)``, a function of
     x's bytes alone: an x with the bytes of the previous monitored point
-    (hCycP and CycDyk often repeat one) repeats its d without asking.  An
-    algorithm that has already computed that sum in its step returns it
-    from there: ParP, ExParP, ExAltP, hParP and the superiorized family
-    score each iterate they keep in the one kernel pass whose projections
-    their next step takes (`metrics._Scored`), the start included.
+    (hCycP and CycDyk often repeat one) repeats its d without asking.  The
+    six sweeps, hParP and the superiorized family score each iterate they
+    keep, the start included, in the one kernel pass whose projections
+    their next step may take (`metrics._Scored`).
     """
     (record,) = run_batch(algorithm, [problem], stop, **options)
     return record

@@ -122,14 +122,15 @@ class _Algorithm:
 class _Scored(_Algorithm):
     """An algorithm that scores the iterate x it keeps and steps from that pass's projections.
 
-    `_score` gives `_d2`, the squared proximity of each segment of x, from
-    the kernel's `score` the first time it is asked for, and that pass
-    leaves `_rows`, which gives project_each(x) on request.
-    `segment_proximity2` returns `_d2`, so `run` scores each iterate (the
-    start too, as its normalizer) in the pass whose projections the next
-    step takes from `_projections`; an x that was never scored is
-    projected there.  `_keep` makes x the iterate, with the score and the
-    deferred rows a step already has of it.
+    The six sweeps (`feasibility._SWEEPS`), hParP and the superiorized
+    family.  `_score` gives `_d2`, the squared proximity of each segment of
+    x, from the kernel's `score` the first time it is asked for; that pass
+    leaves `_rows`, the deferred project_each(x), for the next step (None
+    while x is unscored: the step then projects x itself).
+    `segment_proximity2` returns `_d2`, so `run` scores each iterate, the
+    start too, in that one pass.  Every change of x goes through `_keep`,
+    with the score and rows a step already has of it, or a stale `_d2` is
+    scored.
     """
 
     _d2 = None  # segment_proximity2(x), once a pass has scored x
@@ -142,10 +143,6 @@ class _Scored(_Algorithm):
 
     def _keep(self, x, d2=None, rows=None):
         self.x, self._d2, self._rows = x, d2, rows
-
-    def _projections(self):
-        rows = self._rows
-        return self.sets.kernel.project_each(self.x) if rows is None else rows()
 
     def segment_proximity2(self, x) -> list:
         """The squared proximity of each segment of x = monitor(), from the pass that scored it."""

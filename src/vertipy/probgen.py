@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -129,11 +130,27 @@ def build_constraint_sets(bp, interp, slope, curvature):
     return ProfileKernel(bp.n, interp, slope, curvature, bp).constraint_sets()
 
 
+def _curvature_table(k_table) -> dict:
+    """k_table as {speed: K}; InvalidSpecError unless it maps numbers to positive, finite K."""
+    if not isinstance(k_table, dict):
+        raise InvalidSpecError(f"k_table must map design speeds to K values, got {k_table!r}")
+    table = {}
+    for speed, k in k_table.items():
+        try:
+            speed = float(speed)  # a JSON key is a string
+        except (TypeError, ValueError):
+            raise InvalidSpecError(f"k_table: design speed {speed!r} is not a number") from None
+        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not 0 < k < math.inf:
+            raise InvalidSpecError(
+                f"k_table: K for speed {speed:g} is {k!r}, not a positive, finite number"
+            )
+        table[speed] = float(k)
+    return table
+
+
 def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProblem:
-    """Generate one problem deterministically from its spec."""
-    table = default_curvature_table() if k_table is None else {
-        float(k): float(v) for k, v in k_table.items()
-    }
+    """Generate one problem deterministically from its spec (and `k_table`, if given)."""
+    table = default_curvature_table() if k_table is None else _curvature_table(k_table)
     if float(spec.speed) not in table:
         raise InvalidSpecError(
             f"no curvature K value for design speed {spec.speed}; "
@@ -179,7 +196,10 @@ def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProbl
 
     alpha = _SIGMA_MAX * bp.tau
     beta = _MIN_GRADE * bp.tau if spec.nonconvex else None
-    gamma = np.minimum(bp.tau[:-1], bp.tau[1:]) / (100.0 * k_value)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        gamma = np.minimum(bp.tau[:-1], bp.tau[1:]) / (100.0 * k_value)
+    if not np.all(np.isfinite(gamma)):
+        raise InvalidSpecError(f"K value {k_value} is too small: a curvature bound is infinite")
     sets = build_constraint_sets(
         bp,
         InterpolationSpec([0, n - 1], [v[0], v[-1]]),

@@ -184,19 +184,33 @@ def _vector(data: dict, key: str) -> np.ndarray:
         raise ValueError(f"{key} holds a number too large for a float") from None
 
 
+_FIELD_TYPES = dict(problem_id=str, algorithm=str, converged=bool, iterations=int, flags=dict)
+
+
 def record_from_dict(data: dict) -> RunRecord:
+    """The record of one line of a record file; ValueError unless it is one `run` writes.
+
+    Each field has the JSON type `record_to_dict` gives it (a bool is no
+    int here; flags may be absent), and iterations is len(d_trace) - 1.
+    """
     d_trace = _vector(data, "d_trace")
     if not d_trace.size:
         raise ValueError("empty d_trace")
+    data = {"flags": {}, **data}  # a line of an older format has no flags
+    for key, kind in _FIELD_TYPES.items():
+        if type(data[key]) is not kind:
+            raise ValueError(f"{key} is not a JSON {kind.__name__}: {data[key]!r}")
+    if data["iterations"] != d_trace.size - 1:
+        raise ValueError(f"iterations is {data['iterations']}, d_trace has {d_trace.size} entries")
     return RunRecord(
         problem_id=data["problem_id"],
         algorithm=data["algorithm"],
-        iterations=int(data["iterations"]),
-        converged=bool(data["converged"]),
+        iterations=data["iterations"],
+        converged=data["converged"],
         d_trace=d_trace,
         final=_vector(data, "final"),
         wall_time=float(data.get("wall_time", 0.0)),
-        flags=data.get("flags", {}),
+        flags=data["flags"],
     )
 
 

@@ -5,6 +5,8 @@ perturbs the current iterate by a step of size theta (halved every pass,
 accepted or not) along the ray through the anchor v, and keeps T of the
 perturbed point only if the perturbation did not move away from v and T
 improved the proximity measure; otherwise the iterate is left unchanged.
+The six superiorized algorithms are `Superiorized` on the six sweeps of
+`feasibility._SWEEPS`, one step path for all of them.
 
 Two perturbation directions are available.  ``"away"`` uses
 x~ = x + theta (x - v)/||x - v||, the scheme's defining recursion: in exact
@@ -41,31 +43,26 @@ def check_direction(direction) -> None:
 
 
 class Superiorized(_Scored):
-    """Driver-compatible superiorized wrapper around a step operator.
+    """The superiorized form of a sweep T = step_fn(x, sets, rows) of `feasibility._SWEEPS`.
 
     Each segment of the profile (one, for one problem) is perturbed, tested
     and kept or not on its own, with its own norms, as that problem alone
     would be; theta is shared, since every segment has taken as many passes.
-    The acceptance test compares a candidate's squared proximity with that
-    of the kept iterate x (`_score`, see `metrics._Scored`): that of v when
-    the run starts, and a kept candidate's own from then on.
-
-    `base_step(x)` is T(x).  A parallel step also passes `from_rows(x,
-    rows)`, T(x) from rows = project_each(x).  Each candidate is scored by
-    the kernel's `score`, and when every segment keeps it, the pass's
-    deferred projections stay with it as `_rows`: a later x~ with the bytes
-    of x steps from them, with no second pass on the same point.  Any other
-    x~ takes `base_step`.  A partial acceptance keeps no rows.
+    A candidate T(x~) is scored by the kernel's `score` and tested against
+    the kept iterate's `_score` (`metrics._Scored`): v's when the run
+    starts, a kept candidate's from then on.  A candidate kept whole keeps
+    that pass's deferred projections as `_rows`, and T takes them when x~
+    has the bytes of x, so no point is projected twice; any other x~ hands
+    T None, as does the pass after a partial acceptance, which keeps no rows.
     """
 
     kind = "super"
     carried_numbers = ("theta",)
 
-    def __init__(self, base_step, sets, v, direction: str = "away", from_rows=None):
+    def __init__(self, step_fn, sets, v, direction: str = "away"):
         check_direction(direction)
         super().__init__(sets, v)
-        self.base_step = base_step
-        self.from_rows = from_rows
+        self._step_fn = step_fn
         self.sign = 1.0 if direction == "away" else -1.0
         self.theta = 1.0
         # per segment: the last pass perturbed x to itself and rejected T(x)
@@ -99,10 +96,7 @@ class Superiorized(_Scored):
         if not tried:
             return
         # T(xt) replaces x on each tried segment whose proximity it lowers
-        if self.from_rows is not None and self._rows is not None and all(unmoved):
-            candidate = self.from_rows(xt, self._rows())
-        else:
-            candidate = self.base_step(xt)
+        candidate = self._step_fn(xt, self.sets, self._rows if all(unmoved) else None)
         d2, rows = kernel.score(candidate)
         own, kept = self._score(), []
         for j in tried:

@@ -180,8 +180,9 @@ def test_run_computes_each_start_proximity_once(tmp_path, monkeypatch):
 
 
 def test_a_scored_run_makes_one_kernel_pass_per_iterate(monkeypatch):
-    # ParP, ExParP and hParP step from the pass that scored the iterate they
-    # keep, the start's too: one pass per monitored point, none twice
+    # the six sweeps and hParP score each iterate they keep, the start's
+    # too, in one pass, and a step from x takes that pass's projections:
+    # one pass per monitored point, none twice, on both slope kinds
     passes = []
     kernel_pass = ProfileKernel._pass
 
@@ -190,12 +191,13 @@ def test_a_scored_run_makes_one_kernel_pass_per_iterate(monkeypatch):
         return kernel_pass(self, x)
 
     monkeypatch.setattr(ProfileKernel, "_pass", counted)
-    problem = make_batch(0, count=1)[0]
-    for name in ("ParP", "ExParP", "hParP"):
-        passes.clear()
-        rec = F.run(name, problem, StopRule(k_max=300))
-        assert "stalled_at" not in rec.flags and rec.iterations > 20, name
-        assert len(passes) == rec.iterations + 1, name
+    for nonconvex in (False, True):
+        problem = make_batch(0, count=1, nonconvex=nonconvex)[0]
+        for name in (*F._SWEEPS, "hParP"):
+            passes.clear()
+            rec = F.run(name, problem, StopRule(k_max=300))
+            assert "stalled_at" not in rec.flags and rec.iterations > 20, (name, nonconvex)
+            assert len(passes) == rec.iterations + 1, (name, nonconvex)
 
 
 def test_resume_after_torn_append_matches_clean_run(tmp_path, capsys):
@@ -300,6 +302,8 @@ def test_repeated_record_pair_exits_1_and_leaves_the_file(tmp_path, capsys):
             "record final does not fit its problem's profile: CycP/p0001",
         ),
         (lambda rec: rec.update(d_trace=[]), "line 2: malformed record (empty d_trace)"),
+        # it used to load, and the close of the next `run` ended in a TypeError
+        (lambda rec: rec.update(problem_id=5), "line 2: malformed record (problem_id "),
         (
             lambda rec: rec["final"].__setitem__(3, None),
             "line 2: malformed record (final is not a list of numbers)",
@@ -453,6 +457,18 @@ def test_bad_config_rejected(tmp_path, capsys):
     listy.write_text("[1, 2]")
     assert cli.main(["generate", "--out", str(tmp_path), "--config", str(listy)]) == 1
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_table", [[1, 2], {"30": "abc"}, {"30": 0}])
+def test_malformed_k_table_exits_1(tmp_path, capsys, k_table):
+    # each used to end in a traceback, or (K = 0) to write unbounded curvature
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"k_table": k_table, "speeds": [30]}))
+    out = tmp_path / "batch"
+    assert cli.main(["generate", "--out", str(out), "--config", str(config), "--count", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k_table") and "Traceback" not in err
+    assert not any(out.glob("problems/*.json"))
 
 
 def test_bad_boolean_env_rejected(tmp_path, monkeypatch, capsys):

@@ -517,8 +517,10 @@ def test_fused_steps_equal_the_per_set_steps(n, seed, nonconvex, inf_alpha, inf_
     for step, ref in steps.items():
         for point in (x, ref(x, sets)):
             want = ref(point, sets).tobytes()
-            assert step(point, sets).tobytes() == want, step.__name__
-            assert step(point, alone).tobytes() == want, step.__name__
+            for on in (sets, alone):  # with and without the rows of project_each(point)
+                assert step(point, on).tobytes() == want, step.__name__
+                rows = kernel_of(on).project_each(point)
+                assert step(point, on, rows).tobytes() == want, step.__name__
 
 
 @settings(max_examples=25, deadline=None)

@@ -125,6 +125,36 @@ def test_generate_unknown_speed_rejected():
     assert prob.meta["curvature_k"] == 15.0
 
 
+@pytest.mark.parametrize(
+    "k_table",
+    [
+        [1, 2],  # not a mapping
+        {"30": "abc"},
+        {"30": "15"},  # a K value is a number, not a string of one
+        {"30": None},
+        {"30": True},
+        {"30": 0},  # gamma = inf: unbounded curvature
+        {"30": -5.0},
+        {"30": float("inf")},
+        {"30": float("nan")},
+        {"fast": 15.0},
+    ],
+)
+def test_malformed_k_table_rejected(k_table):
+    spec = ProblemSpec(length=1000.0, speed=30.0, xi_max=60.0, seed=0)
+    with pytest.raises(InvalidSpecError, match="k_table"):
+        probgen.generate(spec, k_table)
+
+
+def test_k_value_too_small_for_a_finite_curvature_bound_rejected():
+    spec = ProblemSpec(length=1000.0, speed=30.0, xi_max=60.0, seed=0)
+    with pytest.raises(InvalidSpecError, match="curvature bound is infinite"):
+        probgen.generate(spec, {"30": 1e-320})
+    # a JSON key is a string of the speed; a tiny K whose bounds stay finite is taken
+    prob = probgen.generate(spec, {"30": 1e-300})
+    assert np.all(np.isfinite(prob.sets[0].kernel.curvature.gamma))
+
+
 def test_child_seed_injective_prefix():
     seeds = {probgen.child_seed(20260815, i) for i in range(1000)}
     assert len(seeds) == 1000

@@ -69,7 +69,7 @@ def test_record_round_trip(tmp_path):
     rec = RunRecord(
         problem_id="p0003",
         algorithm="CycP+",
-        iterations=41,
+        iterations=2,  # one less than the trace's length, as every record holds
         converged=True,
         d_trace=[1.0, 0.25, 0.003],
         final=np.array([1.5, -2.25, 0.125]),
@@ -84,7 +84,7 @@ def test_record_round_trip(tmp_path):
     r = back[0]
     assert r.problem_id == rec.problem_id
     assert r.algorithm == rec.algorithm
-    assert r.iterations == 41 and r.converged is True
+    assert r.iterations == 2 and r.converged is True
     assert_allclose(r.d_trace, rec.d_trace, atol=1e-12)
     assert_allclose(r.final, rec.final, atol=1e-12)
     assert r.wall_time == pytest.approx(0.0625)
@@ -111,7 +111,7 @@ def test_write_records_overwrites(tmp_path):
 def test_failed_rewrite_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "records.jsonl"
     for i in (2, 0, 1):
-        storage.append_record(RunRecord(f"p{i}", "B", i, True, [1.0, 0.0], np.full(2, i)), path)
+        storage.append_record(RunRecord(f"p{i}", "B", 1, True, [1.0, 0.0], np.full(2, i)), path)
     before = path.read_bytes()
 
     def broken(*args):
@@ -135,7 +135,7 @@ from vertipy import storage
 from vertipy.metrics import RunRecord
 path, count = sys.argv[1], int(sys.argv[2])
 for i in range(count):
-    storage.append_record(RunRecord(f"p{i:04d}", "A", i, True, [1.0, 0.5], np.zeros(3)), path)
+    storage.append_record(RunRecord(f"p{i:04d}", "A", 1, True, [1.0, 0.5], np.zeros(3)), path)
 """
 
 
@@ -235,6 +235,33 @@ def test_a_trace_or_final_entry_that_is_not_a_number_is_malformed(tmp_path, key,
     path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
     with pytest.raises(storage.RecordFileError, match=f"line 2: malformed record \\({key} "):
         storage.read_records(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("problem_id", 5),  # the close's sort then compared an int with a string
+        ("algorithm", None),
+        ("converged", "false"),  # bool() read it as True
+        ("converged", 0),
+        ("iterations", 7),  # d_trace has 3 entries
+        ("iterations", 2.0),
+        ("iterations", True),
+        ("flags", []),
+    ],
+)
+def test_a_field_of_the_wrong_type_or_count_is_malformed(tmp_path, key, value):
+    path = tmp_path / "records.jsonl"
+    _two_records(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key] = value
+    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+    body = path.read_bytes()
+    for read in (storage.read_records, storage.write_records):
+        with pytest.raises(storage.RecordFileError, match=f"line 2: malformed record \\({key} "):
+            read(path)
+        assert path.read_bytes() == body
 
 
 def test_read_records_hold_float64_arrays(tmp_path):

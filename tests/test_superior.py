@@ -41,7 +41,7 @@ def test_feasible_anchor_short_circuits():
 
 
 def test_theta_halves_every_pass_accepted_or_not():
-    s = Superiorized(lambda z: z, _half_and_axis(), np.array([1.0, 1.0]))
+    s = Superiorized(lambda x, sets, rows: x, _half_and_axis(), np.array([1.0, 1.0]))
     assert s.theta == 1.0
     for _ in range(5):
         s.step()
@@ -91,7 +91,9 @@ def test_toward_direction_keeps_making_progress():
 
 def test_direction_validation():
     with pytest.raises(InvalidSpecError):
-        Superiorized(lambda z: z, _half_and_axis(), np.array([1.0, 1.0]), direction="up")
+        Superiorized(
+            lambda x, sets, rows: x, _half_and_axis(), np.array([1.0, 1.0]), direction="up"
+        )
 
 
 def test_superiorized_registry_runs_all():
@@ -103,17 +105,17 @@ def test_superiorized_registry_runs_all():
         assert rec.d_trace[1] < 1.0, name
 
 
-# The registry builds sParP, sExParP and sExAltP from their steps' row
-# combines, so that a candidate kept whole hands its scoring pass's
-# projections to the next pass that perturbs it to itself.  The reference
-# is `Superiorized` on the whole step, which projects every candidate afresh.
+# The registry builds sParP, sExParP and sExAltP on sweeps that take the rows
+# of x's scoring pass, so that a candidate kept whole hands its scoring
+# pass's projections to the next pass that perturbs it to itself.  The
+# reference is a `Superiorized` that projects every candidate afresh.
 PARALLEL_STEPS = {"sParP": F.parp_step, "sExParP": F.exparp_step, "sExAltP": F.exaltp_step}
 
 
 def _on_whole_step(name, sets, v, direction="away"):
     ordered = F.SUPERIORIZED_ALGORITHMS[name](sets, v).sets  # ExAltP's affine set first
     step = PARALLEL_STEPS[name]
-    return Superiorized(lambda x: step(x, ordered), ordered, v, direction=direction)
+    return Superiorized(lambda x, sets, rows: step(x, sets), ordered, v, direction=direction)
 
 
 def _cases():
