@@ -286,7 +286,8 @@ def cmd_run(opts) -> int:
 
     started = time.perf_counter()
     if jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks every worker at its first task: no more than there are pairs or cpus
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_run_pair, a, p, stop, options) for a, p in pairs]
             for future in as_completed(futures):  # append each pair as soon as it finishes
                 storage.append_record(future.result(), record_path)

@@ -40,23 +40,22 @@ triples of curvature block b tile x[b-1 : b-1 + 3k], so the set reads and
 updates its pairs or triples as the rows of a (k, 2) or (k, 3) view.  Each
 set computes the bounds and weights of its rows from its own spec on first
 use.  The six sets of one problem share a :class:`ProfileKernel` that
-holds their fused monitor and their fused projections, each of which takes
-all n-1 differences and n-2 triples in one pass.  `proximity2` returns
-exactly (bitwise) the sum of the six sets' squared residuals in canonical
-order: each residual is rounded to a float as the set's own `residual`
-rounds it, the slope gaps are permuted so each parity's dot product runs
-on a contiguous slice (np.dot on a strided view rounds differently), and
-each curvature block sums its every-third-triple slice, which
-np.add.reduce adds as it adds a contiguous copy.  `project_each` returns
-the six projections of one point as the rows of a (6, n) array: it
-computes every pair's shift h and every triple's move coef * u once, with
-the helpers the sets' own operators use, and scatters each into its set's
-row.  All of that arithmetic is elementwise, so each row is bitwise the
-set's `project`.  `score` returns both from one pass: the differences d
-(and |d| for the band), the inner products s and their clips are shared,
-the gaps come from value minus clip and the moves from clip minus value.
-It returns the monitor at once and the moves on request, for a point
-that may or may not be stepped from.  `project_rows` projects a (6, n)
+holds their fused monitor and their fused projections, both from one pass
+over all n-1 differences and n-2 triples.  `score` is that pass: the
+differences d (and |d| for the band), the inner products s and their clips
+are computed once, the gaps come from value minus clip and the moves from
+clip minus value.  It returns the monitor at once, exactly (bitwise) the
+sum of the six sets' squared residuals in canonical order: each residual
+is rounded to a float as the set's own `residual` rounds it, the slope
+gaps are permuted so each parity's dot product runs on a contiguous slice
+(np.dot on a strided view rounds differently), and each curvature block
+sums its every-third-triple slice, which np.add.reduce adds as it adds a
+contiguous copy.  It returns the moves on request, for a point that may or
+may not be stepped from: the six projections as the rows of a (6, n)
+array (`project_each`), every pair's shift h and every triple's move
+coef * u computed once, with the helpers the sets' own operators use, and
+scattered into its set's row.  All of that arithmetic is elementwise, so
+each row is bitwise the set's `project`.  `project_rows` projects a (6, n)
 product point row i onto set i with the same pass, run on the differences
 and triples gathered from the rows through the same scatter positions the
 moves go back through.
@@ -337,19 +336,19 @@ class ProfileKernel:
     then the odd; `slope_interval` holds the interval of every difference,
     and `weights` the curvature weights and intervals of all triples.
     `score` computes the differences, the inner products and their clips
-    once, and returns the fused monitor `segment_proximity2` of one point
-    at once and its six projections `project_each` on request; each of
-    those two is one half of that pass.  The parallel steps score each
-    iterate they keep, so the monitor and the next step share one pass
-    (`metrics._Scored`).  `project_rows` runs the projection half on a
-    product point, row i onto set i, for `product.ProductSet`.  `kernel_of`
-    resolves a set list to its kernel, or to a per-set stand-in with the
-    same methods.
+    once, and returns the fused monitor of one point at once and its six
+    projections `project_each` on request; it is the kernel's only
+    monitor entry.  The sweeps score each iterate they keep, so the
+    monitor and the next step share one pass (`metrics._Scored`).
+    `project_rows` runs the projection half on a product point, row i onto
+    set i, for `product.ProductSet`.  `kernel_of` resolves a set list to
+    its kernel, or to a per-set stand-in with the same methods.  The size
+    n is the stations' (`bp.n`).
 
     A kernel from `lay_end_to_end` holds several problems, each a segment
     of columns (`spans`, `segments`): the monitor gives one sum per
-    segment, taken on that segment's own slices, and `proximity2` adds
-    them up.  A problem's own kernel has one segment.
+    segment, taken on that segment's own slices.  A problem's own kernel
+    has one segment.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and the kernel pickles as its specs
@@ -359,17 +358,16 @@ class ProfileKernel:
     collector, and memory would grow from run to run.
     """
 
-    def __init__(self, n, interp, slope, curvature, bp, spans=None):
-        self.n = n
+    def __init__(self, interp, slope, curvature, bp, spans=None):
+        self.n = bp.n
         self.interp = interp
         self.slope = slope
         self.curvature = curvature
         self.bp = bp
-        self.spans = ((0, n),) if spans is None else tuple(spans)
+        self.spans = ((0, self.n),) if spans is None else tuple(spans)
 
     def __reduce__(self):
-        specs = (self.n, self.interp, self.slope, self.curvature, self.bp, self.spans)
-        return ProfileKernel, specs
+        return ProfileKernel, (self.interp, self.slope, self.curvature, self.bp, self.spans)
 
     @cached_property
     def segments(self):
@@ -500,7 +498,15 @@ class ProfileKernel:
         return out
 
     def score(self, x):
-        """(segment_proximity2(x), rows) from one pass over x; rows() is project_each(x).
+        """(d2, rows) from one pass over x; rows() is project_each(x).
+
+        d2 lists the sum of squared distances from each segment of x to the
+        six sets.  For one problem it is bitwise the sum of
+        `c.residual(x) ** 2` over the six sets in canonical order: each
+        distance is rounded to a float as the constraint's `residual`
+        rounds it, slope dots run on contiguous slices, and a curvature
+        block sums its every-third-triple slice.  Each segment of a batch
+        takes those same steps on its own slices.
 
         The differences, the inner products and their clips are computed
         once; the gaps dd - a and s - c give the distances, and the targets
@@ -512,23 +518,6 @@ class ProfileKernel:
         x, d, dd, a, s, c = self._pass(x)
         rows = partial(self._project_each_from, x, d, a, s, c)
         return self._proximity2_from(x, dd, a, s, c), rows
-
-    def segment_proximity2(self, x) -> list:
-        """The sum of squared distances from each segment of x to the six sets.
-
-        The first half of `score`.  For one problem, bitwise equal
-        to summing `c.residual(x) ** 2` over the six sets in canonical
-        order: each distance is rounded to a float as the constraint's
-        `residual` rounds it, slope dots run on contiguous slices, and a
-        curvature block sums its every-third-triple slice.  Each segment of
-        a batch takes those same steps on its own slices.
-        """
-        x, _, dd, a, s, c = self._pass(x)
-        return self._proximity2_from(x, dd, a, s, c)
-
-    def proximity2(self, x) -> float:
-        """Sum of squared distances from x to the six sets: `segment_proximity2`, summed."""
-        return float(sum(self.segment_proximity2(x)))
 
     @cached_property
     def scatter(self):
@@ -585,17 +574,11 @@ class _PerSet:
     def columns(self, values):
         return values[0]
 
-    def proximity2(self, x) -> float:
-        return float(sum(c.residual(x) ** 2 for c in self.sets))
-
-    def segment_proximity2(self, x) -> list:
-        return [self.proximity2(x)]
-
     def project_each(self, x) -> np.ndarray:
         return np.array([c.project(x) for c in self.sets])
 
     def score(self, x):
-        return [self.proximity2(x)], partial(self.project_each, x)
+        return [float(sum(c.residual(x) ** 2 for c in self.sets))], partial(self.project_each, x)
 
     def project_rows(self, parts) -> np.ndarray:
         parts = _product_point(parts, len(self.sets))
@@ -607,11 +590,10 @@ class _SetList(tuple):
 
     `kernel` is the `ProfileKernel` that owns the list (see
     `ProfileKernel.owns`), else a per-set stand-in (one segment).  Either
-    has `segments`, `columns`, `proximity2`, `segment_proximity2`,
-    `project_each`, `score` and `project_rows`, and both give
-    the same numbers bitwise: the kernel's fused passes are exactly the
-    per-set sums and stacks.  An algorithm holds its sets as one, so the
-    steps and monitors it hands them to never ask `owns` again.
+    has `segments`, `columns`, `project_each`, `score` and `project_rows`,
+    and both give the same numbers bitwise: the kernel's fused passes are
+    exactly the per-set sums and stacks.  An algorithm holds its sets as
+    one, so the steps and monitors it hands them to never ask `owns` again.
     """
 
     def __new__(cls, sets):
@@ -678,7 +660,7 @@ def lay_end_to_end(kernels) -> ProfileKernel:
         np.concatenate([k.interp.values for k in kernels]),
     )
     bounds = (SlopeBounds(alpha, beta), CurvatureBounds(gamma, delta))
-    return ProfileKernel(n, interp, *bounds, _Intervals(tau), spans)
+    return ProfileKernel(interp, *bounds, _Intervals(tau), spans)
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +670,10 @@ def lay_end_to_end(kernels) -> ProfileKernel:
 # closed-form residual; a set without an intrepid operator of its own uses
 # its projector.  The plain algorithms call `project`, the overshooting ones
 # `intrepid`.  The profile constraints check the shape at these public
-# methods.  A slope or curvature set computes the bounds, weights and
-# intrepid table of its pairs or triples from its own spec on first use and
-# keeps them; `_move` applies the interval map it is handed (module docstring).
+# methods.  A slope or curvature set computes the bounds and weights of its
+# pairs or triples from its own spec on first use and keeps them.  Every
+# slope, curvature and slab set is an `_IntervalConstraint`: its one `_move`
+# applies the interval map it is handed (module docstring).
 
 
 class Constraint:
@@ -741,7 +724,28 @@ class InterpolationConstraint(Constraint):
         return _interp_residual(self._check(x), self.spec)
 
 
-class SlopeConstraint(Constraint):
+class _IntervalConstraint(Constraint):
+    """A set whose operators are one interval map on the scalars of x it reads.
+
+    A subclass gives `_interval`, the lo and hi of each scalar, and one
+    `_move(x, up, interval_map, *args)`, which moves x so that each scalar
+    goes to `interval_map(scalar, *args)`; `up` is the band's tie rule,
+    which only the slope sets read.
+    """
+
+    def project(self, x):
+        return self._move(x, True, _clip, *self._interval)
+
+    def intrepid(self, x):
+        return self._move(x, False, _intrepid_map, self._table)
+
+    @cached_property
+    def _table(self):
+        """The intrepid breakpoints of `_interval`."""
+        return _intrepid_table(*self._interval)
+
+
+class SlopeConstraint(_IntervalConstraint):
     """Intersection of the slope pair sets of one parity ("odd" or "even")."""
 
     def __init__(self, bounds: SlopeBounds, parity: str, n: int):
@@ -761,11 +765,6 @@ class SlopeConstraint(Constraint):
         """lo and hi of this parity's pairs (on d if convex, on |d| if not), contiguous."""
         return tuple(b[self._off :: 2].copy() for b in _slope_interval(self.bounds))
 
-    @cached_property
-    def _table(self):
-        """The intrepid breakpoints of `_interval`."""
-        return _intrepid_table(*self._interval)
-
     def _pairs(self, x):
         k = self._interval[1].size
         return x[self._off : self._off + 2 * k].reshape(k, 2)
@@ -781,19 +780,13 @@ class SlopeConstraint(Constraint):
         pairs[:, 1] += h
         return out
 
-    def project(self, x):
-        return self._move(x, True, _clip, *self._interval)
-
-    def intrepid(self, x):
-        return self._move(x, False, _intrepid_map, self._table)
-
     def residual(self, x):
         pairs = self._pairs(self._check(x))
         d = pairs[:, 1] - pairs[:, 0]
         return _slope_residual(_gap(d if self.convex else np.abs(d), *self._interval))
 
 
-class CurvatureConstraint(Constraint):
+class CurvatureConstraint(_IntervalConstraint):
     """Intersection of curvature triples i = block-1, block+2, ... (block 1..3)."""
 
     def __init__(self, bounds: CurvatureBounds, bp: Breakpoints, block: int):
@@ -813,28 +806,21 @@ class CurvatureConstraint(Constraint):
         return tuple(w[self.block - 1 :: 3].copy() for w in _triple_weights(self.bounds, self.bp))
 
     @cached_property
-    def _table(self):
-        """The intrepid breakpoints of this block's intervals [lo, hi]."""
-        return _intrepid_table(*self._weights[3:5])
+    def _interval(self):
+        """lo and hi of this block's inner products."""
+        return self._weights[3:5]
 
     def _triples(self, x):
         k = self._weights[0].size
         return x[self.block - 1 : self.block - 1 + 3 * k].reshape(k, 3)
 
-    def _move(self, x, interval_map, *args):
+    def _move(self, x, up, interval_map, *args):
         out = self._check(x).copy()
         triples = self._triples(out)
         s = _inner(self._weights, *triples.T)
         triples += _triple_moves(interval_map(s, *args) - s, self._weights)
         return out
 
-    def project(self, x):
-        return self._move(x, _clip, *self._weights[3:5])
-
-    def intrepid(self, x):
-        return self._move(x, _intrepid_map, self._table)
-
     def residual(self, x):
         s = _inner(self._weights, *self._triples(self._check(x)).T)
-        lo, hi, unorm2 = self._weights[3:6]
-        return _curvature_residual(_curvature_terms(_gap(s, lo, hi), unorm2))
+        return _curvature_residual(_curvature_terms(_gap(s, *self._interval), self._weights[5]))

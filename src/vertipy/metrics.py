@@ -23,6 +23,7 @@ from .geometry import InvalidSpecError, _SetList, kernel_of
 
 __all__ = [
     "UndefinedNormalizerError",
+    "MAX_ITERATIONS",
     "StopRule",
     "RunRecord",
     "proximity_squared_sum",
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 STAT_FIELDS = ("min", "q1", "median", "q3", "max", "mean", "std")
+
+# the largest k_max: every record holds k_max + 1 trace entries, and a run
+# that stalls writes the whole tail of its trace at once
+MAX_ITERATIONS = 1_000_000
 
 
 class UndefinedNormalizerError(ValueError):
@@ -57,6 +62,8 @@ class StopRule:
             raise InvalidSpecError("eps must be positive")
         if not self.k_max >= 1:
             raise InvalidSpecError("k_max must be at least 1")
+        if self.k_max > MAX_ITERATIONS:
+            raise InvalidSpecError(f"k_max must be at most {MAX_ITERATIONS}, got {self.k_max}")
 
 
 @dataclass
@@ -84,7 +91,7 @@ class _Algorithm:
     The sets are resolved to their kernel once (`geometry._SetList`) and
     must not be empty; x starts as a copy of v.  Every algorithm has kind,
     step(), monitor() and segment_proximity2(x), which the driver calls with
-    x = monitor() and which equals the kernel's `segment_proximity2(x)`
+    x = monitor() and which equals the monitor of the kernel's `score(x)`
     bitwise (for one problem, [proximity_squared_sum(x, sets)]).  An
     algorithm whose next step depends on its monitored point alone once
     that point repeats also has `memoryless(segment)` (see
@@ -113,7 +120,7 @@ class _Algorithm:
 
     def segment_proximity2(self, x) -> list:
         """The squared proximity of each segment of the monitored point x."""
-        return self.sets.kernel.segment_proximity2(x)
+        return self.sets.kernel.score(x)[0]
 
     def monitor(self):
         return self.x
@@ -153,10 +160,10 @@ def proximity_squared_sum(x, sets) -> float:
     """Unnormalized sum of squared distances to the given sets.
 
     The six sets of one profile kernel, in canonical order, take its fused
-    `proximity2`, which returns this same sum bitwise; any other list sums
-    the residuals of its sets in order (`geometry.kernel_of`).
+    monitor (`score`), which returns this same sum bitwise; any other list
+    sums the residuals of its sets in order (`geometry.kernel_of`).
     """
-    return kernel_of(sets).proximity2(x)
+    return float(sum(kernel_of(sets).score(x)[0]))
 
 
 def proximity(x, sets, x0) -> float:

@@ -127,7 +127,7 @@ def build_constraint_sets(bp, interp, slope, curvature):
 
     The six share one `geometry.ProfileKernel`, built here once per problem.
     """
-    return ProfileKernel(bp.n, interp, slope, curvature, bp).constraint_sets()
+    return ProfileKernel(interp, slope, curvature, bp).constraint_sets()
 
 
 def _curvature_table(k_table) -> dict:

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (
-    Constraint,
-    InvalidSpecError,
-    _clip,
-    _gap,
-    _intrepid_map,
-    _intrepid_table,
-)
+from .geometry import Constraint, InvalidSpecError, _gap, _IntervalConstraint
 
 __all__ = ["HalfspaceSet", "SlabSet", "BallSet", "SpanSet"]
 
 
-class SlabSet(Constraint):
+class SlabSet(_IntervalConstraint):
     """{x : lo <= <a, x> <= hi}, with the reflect-or-midline intrepid rule."""
 
     tag = "Slab"
@@ -45,10 +38,10 @@ class SlabSet(Constraint):
         self.a = a
         self.lo = float(lo)
         self.hi = float(hi)
+        self._interval = (self.lo, self.hi)
         self._nn = nn
-        self._table = _intrepid_table(self.lo, self.hi)
 
-    def _move(self, x, interval_map, *args):
+    def _move(self, x, up, interval_map, *args):
         x = self._check(x)
         s = np.dot(self.a, x)
         sstar = float(interval_map(s, *args))
@@ -56,14 +49,8 @@ class SlabSet(Constraint):
             return x.copy()
         return x + ((sstar - s) / self._nn) * self.a
 
-    def project(self, x):
-        return self._move(x, _clip, self.lo, self.hi)
-
-    def intrepid(self, x):
-        return self._move(x, _intrepid_map, self._table)
-
     def residual(self, x):
-        return abs(_gap(np.dot(self.a, self._check(x)), self.lo, self.hi)) / np.sqrt(self._nn)
+        return abs(_gap(np.dot(self.a, self._check(x)), *self._interval)) / np.sqrt(self._nn)
 
 
 class HalfspaceSet(SlabSet):

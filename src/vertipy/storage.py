@@ -192,6 +192,7 @@ def record_from_dict(data: dict) -> RunRecord:
 
     Each field has the JSON type `record_to_dict` gives it (a bool is no
     int here; flags may be absent), and iterations is len(d_trace) - 1.
+    wall_time is a finite number >= 0, or absent (an older line): 0.0.
     """
     d_trace = _vector(data, "d_trace")
     if not d_trace.size:
@@ -202,6 +203,9 @@ def record_from_dict(data: dict) -> RunRecord:
             raise ValueError(f"{key} is not a JSON {kind.__name__}: {data[key]!r}")
     if data["iterations"] != d_trace.size - 1:
         raise ValueError(f"iterations is {data['iterations']}, d_trace has {d_trace.size} entries")
+    wall_time = data.get("wall_time", 0.0)
+    if type(wall_time) not in (int, float) or not 0.0 <= wall_time <= sys.float_info.max:
+        raise ValueError(f"wall_time is not a finite number >= 0: {wall_time!r}")
     return RunRecord(
         problem_id=data["problem_id"],
         algorithm=data["algorithm"],
@@ -209,7 +213,7 @@ def record_from_dict(data: dict) -> RunRecord:
         converged=data["converged"],
         d_trace=d_trace,
         final=_vector(data, "final"),
-        wall_time=float(data.get("wall_time", 0.0)),
+        wall_time=float(wall_time),
         flags=data["flags"],
     )
 

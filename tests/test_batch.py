@@ -181,7 +181,7 @@ def test_a_batch_profile_keeps_each_problem_on_its_parity_and_block():
         assert kernel.bp.tau[sl.start : sl.stop - 1].tobytes() == own.bp.tau.tobytes()
         x = np.zeros(kernel.n)
         x[sl] = p.v
-        assert kernel.segment_proximity2(x)[kernel.segments.index(sl)] == own.proximity2(p.v)
+        assert kernel.score(x)[0][kernel.segments.index(sl)] == own.score(p.v)[0][0]
         assert kernel.project_each(x)[:, sl].tobytes() == own.project_each(p.v).tobytes()
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +171,7 @@ def test_run_computes_each_start_proximity_once(tmp_path, monkeypatch):
             return method(self, x)
         return wrapped
 
-    for name in ("segment_proximity2", "score", "project_each"):
+    for name in ("score", "project_each"):
         monkeypatch.setattr(ProfileKernel, name, counted(getattr(ProfileKernel, name)))
     algorithms = "CycP,ParP,ExAltP,sParP,sExAltP,hParP,ParDyk,baD-R"
     args = ["run", "--out", str(out), "--algorithms", algorithms, "--jobs", "1", "--k-max", "50"]
@@ -590,6 +591,33 @@ def test_overflowing_normalizer_exits_1(tmp_path, monkeypatch, capsys, jobs):
     err = capsys.readouterr().err
     assert err == f"error: p0001: {overflow}; p0003: {overflow}\n"
     assert (out / "records.jsonl").read_bytes() == records
+    assert len(storage.read_records(out / "records.jsonl")) == 2
+
+
+def test_k_max_above_the_ceiling_exits_1(tmp_path, capsys):
+    # a superiorized run that stalled built the whole k_max-entry tail of its
+    # trace at once, and 10**13 entries ended in a MemoryError traceback
+    out = _generate(tmp_path / "o", count=1, seed=0)
+    args = ["run", "--out", str(out), "--algorithms", "sExParP", "--k-max", "10000000000000"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k_max must be at most") and err.count("\n") == 1
+    assert "Traceback" not in err and not (out / "records.jsonl").exists()
+
+
+def test_jobs_asks_for_no_more_workers_than_pairs_or_cpus(tmp_path, monkeypatch):
+    # the pool forks every worker at its first task, so --jobs 5000 forked 5000
+    asked = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    out = _generate(tmp_path / "o", count=2)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "5000"]) == 0
+    assert asked == [min(2, os.cpu_count() or 1)]
     assert len(storage.read_records(out / "records.jsonl")) == 2
 
 

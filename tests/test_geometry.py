@@ -240,9 +240,9 @@ def test_infinite_curvature_bounds_warn_nothing(gamma, delta):
                 got = on_triple(op, x, i, cb, bp)
                 assert got.tobytes() == on_triple(op, x, i, twin, bp).tobytes(), (i, op)
         interp = InterpolationSpec([0, 4], [0.0, -1.0])
-        kernel = G.ProfileKernel(5, interp, SlopeBounds(np.full(4, 2.5)), cb, bp)
+        kernel = G.ProfileKernel(interp, SlopeBounds(np.full(4, 2.5)), cb, bp)
         sets = kernel.constraint_sets()
-        assert kernel.proximity2(x) == float(sum(c.residual(x) ** 2 for c in sets))
+        assert kernel.score(x)[0] == [float(sum(c.residual(x) ** 2 for c in sets))]
     if np.isinf(delta) and np.isinf(gamma):
         assert np.array_equal(on_triple("intrepid", x, 1, cb, bp), x)
 

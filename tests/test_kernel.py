@@ -36,6 +36,7 @@ from vertipy.geometry import (
 )
 from vertipy.metrics import proximity_squared_sum
 from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
+from vertipy.sets import SlabSet
 
 
 # ------------------------------------------------------------ references
@@ -244,11 +245,24 @@ def test_operators_equal_reference_at_exact_edges(seed, nonconvex):
 @given(**PROBLEMS)
 def test_projection_idempotent_and_intrepid_identity_on_set(n, seed, nonconvex):
     sets, x = _problem(n, seed, nonconvex)
+    tol = 1e-12 * max(1.0, np.abs(x).max())
     for c in sets:
         p = c.project(x)
         np.testing.assert_allclose(c.project(p), p, rtol=0.0, atol=1e-12, err_msg=c.tag)
         np.testing.assert_allclose(c.intrepid(p), p, rtol=0.0, atol=1e-12, err_msg=c.tag)
         assert c.residual(p) <= 1e-12, c.tag
+        # intrepid maps every point into the set, not only the points already on it
+        assert c.residual(c.intrepid(x)) <= tol, c.tag
+    # a finite slab of the same seed, with <a, x> inside it, in a reflect zone or far out
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n)
+    width = rng.uniform(0.1, 10.0) * np.linalg.norm(a)
+    lo = np.dot(a, x) + width * rng.uniform(-2.0, 1.0)
+    slab = SlabSet(a, lo, lo + width)
+    for image in (slab.project(x), slab.intrepid(x)):
+        assert slab.residual(image) <= tol
+        np.testing.assert_allclose(slab.project(image), image, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(slab.intrepid(image), image, rtol=0.0, atol=tol)
 
 
 def test_other_set_lists_take_the_generic_sum():
@@ -319,7 +333,7 @@ def test_a_problem_pickles_as_its_specs_after_its_kernel_has_run():
     assert len(pickle.dumps(problem)) == len(fresh)
     back = pickle.loads(fresh)
     assert back.sets[0].kernel.owns(back.sets)
-    assert kernel_of(back.sets).proximity2(problem.v) == kernel.proximity2(problem.v)
+    assert kernel_of(back.sets).score(problem.v)[0] == kernel.score(problem.v)[0]
 
 
 def test_standalone_constraints_have_no_kernel():
@@ -410,7 +424,7 @@ def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_al
         # the score's two halves: the per-set residual sum and the same rows
         (d2,), scored = kernel.score(point)
         assert d2.hex() == float(sum(c.residual(point) ** 2 for c in sets)).hex()
-        assert d2.hex() == kernel.proximity2(point).hex()
+        assert d2.hex() == proximity_squared_sum(point, sets).hex()
         assert scored().tobytes() == rows.tobytes()
         (fused_d2,), fused_rows = kernel_of(sets).score(point)
         assert fused_d2.hex() == d2.hex() and fused_rows().tobytes() == rows.tobytes()

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from vertipy import metrics
 from vertipy.geometry import InvalidSpecError
 from vertipy.metrics import (
+    MAX_ITERATIONS,
     RunRecord,
     StopRule,
     UndefinedNormalizerError,
@@ -56,8 +57,14 @@ def test_stop_rule_validation():
     assert StopRule().k_max == 5000
     with pytest.raises(InvalidSpecError):
         StopRule(eps=0.0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match="k_max must be at least 1"):
         StopRule(k_max=0)
+    # every record holds k_max + 1 trace entries: a stalled run at k_max = 10**13
+    # asked for its whole tail at once
+    assert StopRule(k_max=MAX_ITERATIONS).k_max == MAX_ITERATIONS
+    for k_max in (MAX_ITERATIONS + 1, 10**13):
+        with pytest.raises(InvalidSpecError, match=f"k_max must be at most {MAX_ITERATIONS}"):
+            StopRule(k_max=k_max)
 
 
 # ---------------------------------------------------- performance profile

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -248,6 +249,11 @@ def test_a_trace_or_final_entry_that_is_not_a_number_is_malformed(tmp_path, key,
         ("iterations", 2.0),
         ("iterations", True),
         ("flags", []),
+        ("wall_time", True),  # float() read it as 1.0
+        ("wall_time", "2.5"),  # and this as 2.5
+        ("wall_time", math.nan),  # these three loaded as they were
+        ("wall_time", -1.0),
+        ("wall_time", math.inf),
     ],
 )
 def test_a_field_of_the_wrong_type_or_count_is_malformed(tmp_path, key, value):
@@ -262,6 +268,21 @@ def test_a_field_of_the_wrong_type_or_count_is_malformed(tmp_path, key, value):
         with pytest.raises(storage.RecordFileError, match=f"line 2: malformed record \\({key} "):
             read(path)
         assert path.read_bytes() == body
+
+
+@pytest.mark.parametrize("value, want", [(None, 0.0), (3, 3.0), (2.5, 2.5)])
+def test_wall_time_is_a_finite_number_at_least_0_or_absent(tmp_path, value, want):
+    path = tmp_path / "records.jsonl"
+    _two_records(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    if value is None:
+        del record["wall_time"]  # a line of an older format
+    else:
+        record["wall_time"] = value
+    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+    wall_time = storage.read_records(path)[-1].wall_time
+    assert type(wall_time) is float and wall_time == want
 
 
 def test_read_records_hold_float64_arrays(tmp_path):

@@ -26,7 +26,7 @@ def test_op_timings_runs_with_one_repeat():
     assert header.split() == ["problem", "operation", "median_us", "iqr_us"]
     tags = ("Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3")
     ops = [f"{t}.{m}" for t in tags for m in ("project", "intrepid", "residual")]
-    ops += ["kernel.project_each", "kernel.proximity2", "kernel.score", "ProductSet.project"]
+    ops += ["kernel.project_each", "kernel.monitor", "kernel.score", "ProductSet.project"]
     ops += [f"step.{name}" for name in FEASIBILITY_ALGORITHMS]
     ops += [f"iter.{name}" for name in ALGORITHMS]
     problems = {}

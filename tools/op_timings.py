@@ -4,9 +4,10 @@ For the seed-0 problems nearest n = 10, 90 and 650 stations, convex and
 nonconvex, it times:
 
 * each of the six sets' ``project``, ``intrepid`` and ``residual``;
-* the profile kernel's fused ``project_each`` and ``proximity2``, and its
-  ``score`` with both halves (``score(x)[1]()``), which gives both from one
-  pass;
+* the profile kernel's fused ``project_each``, its monitor alone
+  (``kernel.monitor``: ``score(x)[0]``, whose projections are never asked
+  for), and its ``score`` with both halves (``score(x)[1]()``), which gives
+  both from one pass;
 * ``ProductSet.project`` of the six sets (the kernel's fused
   ``project_rows``) on six copies of the start profile;
 * one step of each feasibility algorithm, averaged over the first steps of
@@ -91,7 +92,7 @@ def operations(problem):
     ]
     ops += [
         ("kernel.project_each", lambda: kernel.project_each(x)),
-        ("kernel.proximity2", lambda: kernel.proximity2(x)),
+        ("kernel.monitor", lambda: kernel.score(x)[0]),
         ("kernel.score", lambda: kernel.score(x)[1]()),
         ("ProductSet.project", lambda: product_set.project(parts)),
     ]
