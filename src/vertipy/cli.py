@@ -109,12 +109,7 @@ class _Options:
             value = self.config.get(name.replace("-", "_"))
         if value is None:
             return default
-        if cast is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError):
-                raise UsageError(f"invalid value for {name}: {value!r}")
-        return value
+        return value if cast is None else _cast(name, value, cast)
 
     def get_bool(self, name: str, default=False):
         value = self.get(name)
@@ -139,10 +134,21 @@ class _Options:
             raise UsageError(f"invalid list for {name}: {value!r}")
         if not value:
             raise UsageError(f"{name} must list at least one value")
+        return [_cast(name, v, cast) for v in value]
+
+
+# the types an int or float option takes: a string to parse, or a JSON number of its
+# kind from a config file (no bool, and no 2.9 for an int)
+_TYPES = {int: (str, int), float: (str, int, float)}
+
+
+def _cast(name, value, cast):
+    if cast not in _TYPES or type(value) in _TYPES[cast]:
         try:
-            return [cast(v) for v in value]
-        except (TypeError, ValueError):
-            raise UsageError(f"invalid value for {name}: {value!r}")
+            return cast(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise UsageError(f"invalid value for {name}: {value!r}")
 
 
 def _out_dir(opts, must_exist: bool = False) -> Path:

@@ -152,7 +152,7 @@ def exparp_step(x, sets, rows=None):
 
     Steps past the averaged projection by the ratio of the summed squared
     residuals to the squared norm of the summed displacement; identity on
-    the intersection.
+    the intersection.  The ratio is each segment's own (`_exparp_segment`).
     """
     x = np.asarray(x, dtype=float)
     kernel = kernel_of(sets)
@@ -160,23 +160,20 @@ def exparp_step(x, sets, rows=None):
     disp = np.zeros_like(x)
     for r in moves:
         disp += r
-    ratios, still = [], []
-    for sl in kernel.segments:
-        num = 0.0
-        for r in moves[:, sl]:
-            num += float(np.dot(r, r))
-        den = float(np.dot(disp[sl], disp[sl])) if num != 0.0 else 0.0
-        # num = 0: x is on every set; den < 1e-30: the residual displacements
-        # cancelled, and there is nothing sensible to extrapolate
-        if num == 0.0 or den < 1e-30:
-            still.append(sl)
-            ratios.append(0.0)
-        else:
-            ratios.append(num / den)
-    out = x + kernel.columns(ratios) * disp
-    for sl in still:
-        out[sl] = x[sl]
-    return out
+    return kernel.joined(kernel.each(_exparp_segment, x, moves, disp), x)
+
+
+def _exparp_segment(x, moves, disp):
+    # ExParP on one segment's columns: x + (sum_i ||r_i||^2 / ||disp||^2) disp
+    num = 0.0
+    for r in moves:
+        num += float(np.dot(r, r))
+    den = float(np.dot(disp, disp)) if num != 0.0 else 0.0
+    # num = 0: x is on every set; den < 1e-30: the residual displacements
+    # cancelled, and there is nothing sensible to extrapolate
+    if num == 0.0 or den < 1e-30:
+        return x.copy()
+    return x + (num / den) * disp
 
 
 def exaltp_step(x, sets, rows=None):
@@ -201,18 +198,18 @@ def exaltp_step(x, sets, rows=None):
     acc = np.zeros_like(z)
     for p in rows[1:]:
         acc += p
-    others = len(sets) - 1
-    p = sets[0].project(acc / others)
-    mus = []
-    for sl in kernel.segments:
-        zs = z[sl]
-        num = 0.0
-        for q in rows[1:, sl] - zs:
-            num += float(np.dot(q, q))
-        move = p[sl] - zs
-        den = others * float(np.dot(move, move))
-        mus.append(1.0 if (num == 0.0 or den < 1e-30) else num / den)
-    return z + kernel.columns(mus) * (p - z)
+    p = sets[0].project(acc / (len(sets) - 1))
+    return kernel.joined(kernel.each(_exaltp_segment, z, rows, p), z)
+
+
+def _exaltp_segment(z, rows, p):
+    # ExAltP on one segment's columns: z + mu (p - z), mu from rows[1:], the others' P_i z
+    num = 0.0
+    for q in rows[1:] - z:
+        num += float(np.dot(q, q))
+    move = p - z
+    den = (len(rows) - 1) * float(np.dot(move, move))
+    return z + (1.0 if (num == 0.0 or den < 1e-30) else num / den) * move
 
 
 def dr_two_set_step(x, set_a, set_b):
@@ -330,30 +327,25 @@ class CyclicDykstra(_Anchored):
         self.k += 1
 
 
-def _q_each(segments, x, y, z):
-    """Haugazeau's Q(x, y, z) on each segment's columns, and the segments that signal.
+def _q_each(kernel, x, y, z):
+    """Haugazeau's Q(x, y, z) on each segment of `kernel`, and the segments that signal.
 
     `bestapprox.q_operator` runs on each segment's slices (raveled, for the
     rows of a product point), so its dots are the ones that problem alone
     takes.  A segment whose Q finds the halfspaces disjoint keeps y, and
     the second value maps it to the message.
     """
-    signals = {}
-    if len(segments) == 1:  # a problem alone: its whole arrays, not a copy
-        return _q_or_keep(x, y, z, 0, signals), signals
-    out = y.copy()
-    for j, sl in enumerate(segments):
-        out[..., sl] = _q_or_keep(x[..., sl], y[..., sl], z[..., sl], j, signals)
-    return out, signals
+    parts, messages = zip(*kernel.each(_q_or_signal, x, y, z))
+    signals = {j: message for j, message in enumerate(messages) if message is not None}
+    return kernel.joined(parts, y), signals
 
 
-def _q_or_keep(x, y, z, segment, signals):
-    # Q of one segment's columns, or y if its Q signals (noted in `signals`)
+def _q_or_signal(x, y, z):
+    # (Q of one segment's columns, None), or (y, the message) if its Q signals
     try:
-        return bestapprox.q_operator(x.ravel(), y.ravel(), z.ravel()).reshape(y.shape)
+        return bestapprox.q_operator(x.ravel(), y.ravel(), z.ravel()).reshape(y.shape), None
     except bestapprox.InfeasibleIntersectionError as exc:
-        signals[segment] = str(exc)
-        return y
+        return y, str(exc)
 
 
 class HaugazeauCyclic(_Anchored):
@@ -361,8 +353,7 @@ class HaugazeauCyclic(_Anchored):
 
     def step(self):
         c = self.sets[self.k % len(self.sets)]
-        segments = self.sets.kernel.segments
-        self.x, self.signals = _q_each(segments, self.v, self.x, c.project(self.x))
+        self.x, self.signals = _q_each(self.sets.kernel, self.v, self.x, c.project(self.x))
         self.k += 1
 
 
@@ -370,9 +361,8 @@ class HaugazeauParallel(_Scored, _Anchored):
     """Averaged projections wrapped in Q: x <- Q(v, x, ParP(x))."""
 
     def step(self):
-        rows = None if self._rows is None else self._rows()
-        parp = parp_step(self.x, self.sets, rows)
-        x, self.signals = _q_each(self.sets.kernel.segments, self.v, self.x, parp)
+        parp = _of_rows(parp_step)(self.x, self.sets, self._rows)
+        x, self.signals = _q_each(self.sets.kernel, self.v, self.x, parp)
         self._keep(x)
 
 
@@ -403,8 +393,7 @@ class HaugazeauDouglasRachford(_ProductDR):
 
     def step(self):
         target = dr_two_set_step(self.parts, self.product_set, self.diagonal)
-        segments = self.sets.kernel.segments
-        self.parts, self.signals = _q_each(segments, self._anchor, self.parts, target)
+        self.parts, self.signals = _q_each(self.sets.kernel, self._anchor, self.parts, target)
 
 
 class AnchoredDouglasRachford(_ProductDR):
@@ -522,10 +511,7 @@ def _lay_out(problems):
     if not all(isinstance(k, ProfileKernel) and len(k.spans) == 1 for k in kernels):
         raise AlgorithmConfigError("only profile problems, each with its six sets, share a batch")
     kernel = lay_end_to_end(kernels)
-    v = np.zeros(kernel.n)
-    for sl, p in zip(kernel.segments, problems):
-        v[sl] = p.v
-    return kernel.constraint_sets(), v
+    return kernel.constraint_sets(), kernel.joined([p.v for p in problems], np.zeros(kernel.n))
 
 
 def _carried(algo, kept, algorithm, problems, options):

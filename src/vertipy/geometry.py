@@ -327,7 +327,29 @@ def _triple_weights(bounds, bp):
 _CANONICAL_TAGS = ("Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3")
 
 
-class ProfileKernel:
+class _Segmented:
+    """A per-problem scalar of a profile is taken on its segment's own columns (`segments`).
+
+    One segment takes no view and no copy: they cost a problem run alone 1-13%.
+    """
+
+    def each(self, fn, *arrays) -> list:
+        """[fn(*slices)] per segment, slicing each array's last axis; one segment: the arrays."""
+        if len(self.segments) == 1:
+            return [fn(*arrays)]
+        return [fn(*[a[..., sl] for a in arrays]) for sl in self.segments]
+
+    def joined(self, parts, base):
+        """A copy of base with each segment's columns set to its part; one segment: its part."""
+        if len(self.segments) == 1:
+            return parts[0]
+        out = base.copy()
+        for sl, part in zip(self.segments, parts):
+            out[..., sl] = part
+        return out
+
+
+class ProfileKernel(_Segmented):
     """The fused monitor and projections of one problem's six profile sets.
 
     `probgen.build_constraint_sets` builds one from all four specs and makes
@@ -347,8 +369,8 @@ class ProfileKernel:
 
     A kernel from `lay_end_to_end` holds several problems, each a segment
     of columns (`spans`, `segments`): the monitor gives one sum per
-    segment, taken on that segment's own slices.  A problem's own kernel
-    has one segment.
+    segment, taken on that segment's own slices, as `each` takes a step's
+    scalars.  A problem's own kernel has one segment.
 
     The arrays are computed on first use and then kept.  Generating and
     saving a problem uses none of them, and the kernel pickles as its specs
@@ -392,20 +414,6 @@ class ProfileKernel:
             bounds.append((i0, i1, e0, e1, e2, o, o + m - 2))
             e0 = e2
         return bounds
-
-    @cached_property
-    def _owner(self):
-        # the segment of each column; pads between segments belong to none (len(spans))
-        owner = np.full(self.n, len(self.spans))
-        for j, sl in enumerate(self.segments):
-            owner[sl] = j
-        return owner
-
-    def columns(self, values):
-        """Each segment's value on its columns, 0.0 between segments; one segment's, as is."""
-        if len(self.spans) == 1:
-            return values[0]
-        return np.append(values, 0.0)[self._owner]
 
     @cached_property
     def slope_interval(self):
@@ -563,16 +571,13 @@ class ProfileKernel:
         return self._moved(out, d, a, s, c)
 
 
-class _PerSet:
+class _PerSet(_Segmented):
     """`ProfileKernel`'s methods on any set list, computed set by set, as one segment."""
 
     segments = [slice(None)]
 
     def __init__(self, sets):
         self.sets = sets
-
-    def columns(self, values):
-        return values[0]
 
     def project_each(self, x) -> np.ndarray:
         return np.array([c.project(x) for c in self.sets])
@@ -590,10 +595,10 @@ class _SetList(tuple):
 
     `kernel` is the `ProfileKernel` that owns the list (see
     `ProfileKernel.owns`), else a per-set stand-in (one segment).  Either
-    has `segments`, `columns`, `project_each`, `score` and `project_rows`,
-    and both give the same numbers bitwise: the kernel's fused passes are
-    exactly the per-set sums and stacks.  An algorithm holds its sets as
-    one, so the steps and monitors it hands them to never ask `owns` again.
+    has `segments`, `each`, `joined`, `project_each`, `score` and
+    `project_rows`, and both give the same numbers bitwise: the kernel's
+    fused passes are the per-set sums and stacks.  An algorithm holds its
+    sets as one, so its steps and monitors never ask `owns` again.
     """
 
     def __new__(cls, sets):

@@ -81,16 +81,9 @@ class Superiorized(_Scored):
     def step(self):
         x, v, kernel = self.x, self.v, self.sets.kernel
         segments = kernel.segments
-        if len(segments) == 1:  # a problem alone: its whole arrays, not a copy
-            xt, passed, same = self._perturbed(x, v)
-            tried, unmoved = [0] if passed else [], [same]
-        else:
-            xt, tried, unmoved = x.copy(), [], []
-            for j, sl in enumerate(segments):
-                xt[sl], passed, same = self._perturbed(x[sl], v[sl])
-                unmoved.append(same)
-                if passed:
-                    tried.append(j)
+        points, passed, unmoved = zip(*kernel.each(self._perturbed, x, v))
+        xt = kernel.joined(points, x)
+        tried = [j for j, ok in enumerate(passed) if ok]
         self.theta *= 0.5
         self._fixed = [False] * len(segments)
         if not tried:

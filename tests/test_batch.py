@@ -185,6 +185,39 @@ def test_a_batch_profile_keeps_each_problem_on_its_parity_and_block():
         assert kernel.project_each(x)[:, sl].tobytes() == own.project_each(p.v).tobytes()
 
 
+def test_each_and_joined_take_each_segment_on_its_own_columns():
+    # a problem alone (its own kernel, or the per-set stand-in of any other
+    # set list) hands fn its very arrays and takes its part back as it is
+    problem = make_batch(0, count=1)[0]
+    x, rows = problem.v, np.ones((6, problem.v.size))
+    for kernel in (kernel_of(problem.sets), kernel_of(problem.sets[::-1])):
+        (got,) = kernel.each(lambda *arrays: arrays, x, rows)
+        assert got[0] is x and got[1] is rows
+        part = np.zeros(x.size)
+        assert kernel.joined([part], x) is part
+
+    # a batch hands fn each segment's slices and writes the parts over a copy of base
+    kernel = lay_end_to_end([kernel_of(p.sets) for p in make_batch(0, count=3)])
+    n, segments = kernel.n, kernel.segments
+    pads = np.ones(n, dtype=bool)
+    for sl in segments:
+        pads[sl] = False
+    assert pads.any()
+    x, rows = np.arange(n, dtype=float), np.arange(6.0 * n).reshape(6, n)
+    got = kernel.each(lambda *arrays: arrays, x, rows)
+    assert len(got) == len(segments) == 3
+    for (xs, rs), sl in zip(got, segments):
+        assert xs.tobytes() == x[sl].tobytes() and rs.tobytes() == rows[:, sl].tobytes()
+    for base in (x, rows):
+        before = base.copy()
+        parts = [np.full(base[..., sl].shape, -1.0 - j) for j, sl in enumerate(segments)]
+        out = kernel.joined(parts, base)
+        assert out is not base and base.tobytes() == before.tobytes()
+        for j, sl in enumerate(segments):
+            assert (out[..., sl] == -1.0 - j).all()
+        assert out[..., pads].tobytes() == base[..., pads].tobytes()
+
+
 def test_a_batch_takes_problems_of_one_slope_kind():
     problems = [make_batch(0, count=1)[0], make_batch(0, count=1, nonconvex=True)[0]]
     with pytest.raises(InvalidSpecError, match="one slope kind"):

@@ -518,6 +518,28 @@ def test_bad_list_values_exit_1(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, config",
+    [("generate", {"count": True}), ("generate", {"count": 2.9}), ("run", {"k_max": True}),
+     ("run", {"eps": True}), ("generate", {"speeds": [True]}), ("run", {"eps": 10**400})],
+    ids=["count-true", "count-2.9", "k_max-true", "eps-true", "speeds-true", "eps-10**400"],
+)
+def test_a_config_number_of_the_wrong_kind_exits_1(tmp_path, capsys, command, config):
+    # int() and float() took true for 1 and 2.9 for 2, and float() overflowed on 10**400
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    if command == "run":
+        _generate(out, count=1)
+        capsys.readouterr()
+    args = [command, "--out", str(out), "--config", str(path), "--algorithms", "CycP"]
+    assert cli.main(args if command == "run" else args[:-2]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid value for ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists() if command == "generate" else not (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize(
     "name, value",
     [("LENGTHS", "inf"), ("LENGTHS", "nan"), ("LENGTHS", "1e300"), ("LENGTHS", "1e9"),
      ("XI_MAX", "nan")],
