@@ -99,20 +99,28 @@ class _Options:
         self.args = args
         self.config = _load_config(getattr(args, "config", None) or _env("config"))
 
-    def get(self, name: str, default=None, cast=None):
+    def _value(self, name: str):
+        # the flag, else the environment, else the config file; None if none is set
         value = getattr(self.args, name.replace("-", "_"), None)
         if value is None:
-            raw = _env(name)
-            if raw is not None:
-                value = raw
+            value = _env(name)
         if value is None:
             value = self.config.get(name.replace("-", "_"))
+        return value
+
+    def get(self, name: str, default=None, cast=None):
+        # without a cast, a string option: a config value must be a JSON string too
+        value = self._value(name)
         if value is None:
             return default
-        return value if cast is None else _cast(name, value, cast)
+        if cast is not None:
+            return _cast(name, value, cast)
+        if isinstance(value, str):
+            return value
+        raise UsageError(f"invalid value for {name}: {value!r}")
 
     def get_bool(self, name: str, default=False):
-        value = self.get(name)
+        value = self._value(name)
         if value is None:
             return default
         if isinstance(value, bool):
@@ -125,7 +133,7 @@ class _Options:
         raise UsageError(f"invalid boolean for {name}: {value!r}")
 
     def get_list(self, name: str, cast, default=None):
-        value = self.get(name)
+        value = self._value(name)
         if value is None:
             return default
         if isinstance(value, str):

@@ -50,9 +50,10 @@ is rounded to a float as the set's own `residual` rounds it, the slope
 gaps are permuted so each parity's dot product runs on a contiguous slice
 (np.dot on a strided view rounds differently), and each curvature block
 sums its every-third-triple slice, which np.add.reduce adds as it adds a
-contiguous copy.  It returns the moves on request, for a point that may or
-may not be stepped from: the six projections as the rows of a (6, n)
-array (`project_each`), every pair's shift h and every triple's move
+contiguous copy; a block none of whose triples binds has residual 0.0 and
+is left out (see `score`).  It returns the moves on request, for a point
+that may or may not be stepped from: the six projections as the rows of a
+(6, n) array (`project_each`), every pair's shift h and every triple's move
 coef * u computed once, with the helpers the sets' own operators use, and
 scattered into its set's row.  All of that arithmetic is elementwise, so
 each row is bitwise the set's `project`.  `project_rows` projects a (6, n)
@@ -404,16 +405,24 @@ class ProfileKernel(_Segmented):
         )
 
     @cached_property
-    def _bounds(self):
-        # per segment: its pinned entries [i0, i1), its even and odd gaps [e0, e1) and
-        # [e1, e2) in perm order, and its triples [c0, c1)
-        bounds, e0 = [], 0
-        for o, m in self.spans:
+    def _plan(self):
+        # the monitor's slices, built once per layout.  Per segment: its pinned
+        # entries, its even and odd gaps in perm order, and its three curvature
+        # blocks, each as (its bincount bucket, its every-third-triple slice).
+        # `key` buckets each triple by segment * 3 + block (pad triples in the
+        # last bucket, which no segment reads), and `always` lists the triples
+        # whose ||u||^2 underflowed to 0: their 0 * 0 / 0 is NaN, so they bind
+        plan, key, e0 = [], np.full(self.n - 2, 3 * len(self.spans)), 0
+        for j, (o, m) in enumerate(self.spans):
             i0, i1 = np.searchsorted(self.interp.indices, (o, o + m)).tolist()
             e1, e2 = e0 + (m - 1) // 2, e0 + m - 1
-            bounds.append((i0, i1, e0, e1, e2, o, o + m - 2))
+            c1 = o + m - 2
+            key[o:c1] = 3 * j + np.arange(m - 2) % 3
+            blocks = tuple((3 * j + b, slice(o + b, c1, 3)) for b in range(3))
+            plan.append((slice(i0, i1), slice(e0, e1), slice(e1, e2), blocks))
             e0 = e2
-        return bounds
+        always = np.flatnonzero(~(self.weights[5] > 0))
+        return plan, key, always if always.size else None
 
     @cached_property
     def slope_interval(self):
@@ -469,22 +478,30 @@ class ProfileKernel(_Segmented):
 
     def _proximity2_from(self, x, dd, a, s, c) -> list:
         # one sum per segment, from its own slices: each distance is rounded to
-        # a float as the set's `residual` rounds it, and each dot and sum runs
-        # on what it runs on for that problem alone
+        # a float as the set's `residual` rounds it, each dot and sum runs on
+        # what it runs on for that problem alone, and `sum` adds the squares
+        # in canonical order.  A curvature block with no binding triple is left
+        # out (see `score`): `hits` counts each block's gaps g != 0 (NaN too)
+        plan, key, always = self._plan
         gap = (dd - a)[self.perm]
-        terms = _curvature_terms(s - c, self.weights[5])
         pinned = x[self.interp.indices] - self.interp.values
+        g = s - c
+        if len(plan) == 1:
+            hits = (always is not None or np.count_nonzero(g),) * 3
+        else:
+            binds = g != 0
+            if always is not None:
+                binds[always] = True
+            hits = np.bincount(key[binds], minlength=3 * len(plan)).tolist()
+        terms = _curvature_terms(g, self.weights[5]) if any(hits) else None
         d2 = []
-        for i0, i1, e0, e1, e2, c0, c1 in self._bounds:
-            r = (
-                _norm(pinned[i0:i1]),
-                _slope_residual(gap[e0:e1]),
-                _slope_residual(gap[e1:e2]),
-                _curvature_residual(terms[c0:c1:3]),
-                _curvature_residual(terms[c0 + 1 : c1 : 3]),
-                _curvature_residual(terms[c0 + 2 : c1 : 3]),
-            )
-            d2.append(float(sum(ri ** 2 for ri in r)))
+        for pin, even, odd, blocks in plan:
+            squares = [_norm(pinned[pin]) ** 2, _slope_residual(gap[even]) ** 2,
+                       _slope_residual(gap[odd]) ** 2]
+            for b, sl in blocks:
+                if hits[b]:
+                    squares.append(_curvature_residual(terms[sl]) ** 2)
+            d2.append(sum(squares))  # as the residuals' own sum adds them
         return d2
 
     def _project_each_from(self, x, d, a, s, c) -> np.ndarray:
@@ -515,6 +532,16 @@ class ProfileKernel(_Segmented):
         rounds it, slope dots run on contiguous slices, and a curvature
         block sums its every-third-triple slice.  Each segment of a batch
         takes those same steps on its own slices.
+
+        A curvature block runs its terms and its sum only if one of its
+        triples binds: its gap g = s - c is not 0 (NaN counts, as for an
+        infinite s on a side whose bound is infinite, where s == c but
+        inf - inf is NaN).  Every other block's terms g * g / ||u||^2 are
+        +0.0, so its residual is 0.0, and adding 0.0 to the segment's sum
+        of squares, which is +0.0 or more, changes no bit.  A triple whose
+        ||u||^2 underflowed to 0 always binds (0 * 0 / 0 is NaN).  A batch
+        counts the binding triples of each (segment, block) with one
+        bincount; a lone segment asks only whether any triple binds.
 
         The differences, the inner products and their clips are computed
         once; the gaps dd - a and s - c give the distances, and the targets

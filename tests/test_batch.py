@@ -229,3 +229,24 @@ def test_a_batch_needs_at_least_one_problem():
         lay_end_to_end([])
     with pytest.raises(InvalidSpecError, match="at least one problem"):
         list(F.run_batch("CycP", []))
+
+
+@pytest.mark.parametrize("name", ["hParP", "hCycP", "ParP", "CycP"])
+def test_a_segment_with_slack_curvature_beside_one_where_it_binds(name):
+    # the monitor leaves out a segment's curvature blocks where no triple binds:
+    # while both run, p0001's iterates often leave all its curvature slack
+    # where p0010's binds, and each record must still be its problem's own
+    seeded = make_batch(0, count=11)
+    problems = [seeded[1], seeded[10]]
+    batch, alone = _batch_and_alone(name, problems, StopRule(k_max=300))
+    assert [_key(r) for r in batch] == [_key(alone[r.problem_id]) for r in batch]
+    assert {r.problem_id for r in batch} == {"p0001", "p0010"}
+    algos = [F.make_algorithm(name, p.sets, p.v) for p in problems]
+    mixed = 0
+    for _ in range(min(r.iterations for r in batch)):
+        slack = []
+        for algo, p in zip(algos, problems):
+            algo.step()
+            slack.append(all(c.residual(algo.monitor()) == 0.0 for c in p.sets[3:]))
+        mixed += slack == [True, False]
+    assert mixed >= 10, mixed

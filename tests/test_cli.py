@@ -540,6 +540,29 @@ def test_a_config_number_of_the_wrong_kind_exits_1(tmp_path, capsys, command, co
 
 
 @pytest.mark.parametrize(
+    "command, config",
+    [("generate", {"out": 5}), ("run", {"out": 5}), ("report", {"out": 5}),
+     ("run", {"mode": [1]}), ("run", {"mode": {}})],
+    ids=["generate-out-5", "run-out-5", "report-out-5", "run-mode-list", "run-mode-dict"],
+)
+def test_a_config_value_for_a_string_option_must_be_a_string(
+    tmp_path, monkeypatch, capsys, command, config
+):
+    # the value went on as it was: Path(5) and `mode not in MODE_FAMILIES` raised TypeError
+    out = _generate(tmp_path / "o", count=1)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)  # the default out, "."
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    args = [command, "--config", str(path)] + ([] if "out" in config else ["--out", str(out)])
+    assert cli.main(args) == 1
+    ((name, value),) = config.items()
+    assert capsys.readouterr().err == f"error: invalid value for {name}: {value!r}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
     "name, value",
     [("LENGTHS", "inf"), ("LENGTHS", "nan"), ("LENGTHS", "1e300"), ("LENGTHS", "1e9"),
      ("XI_MAX", "nan")],

@@ -16,7 +16,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import on_triple
 from vertipy import feasibility as F
@@ -33,6 +33,7 @@ from vertipy.geometry import (
     SlopeBounds,
     SlopeConstraint,
     kernel_of,
+    lay_end_to_end,
 )
 from vertipy.metrics import proximity_squared_sum
 from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
@@ -556,6 +557,112 @@ def test_fused_steps_equal_the_per_set_steps_on_generated_problems(length, speed
             fused.step()
             generic.step()
             assert fused.x.tobytes() == generic.x.tobytes(), name
+
+
+# ------------------------------------------------------------ the monitor of a batch
+
+
+def _same(a, b):
+    # bitwise, the sign of a zero included; any NaN is any other
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+def _infinite_side(sets, at):
+    """The problem with infinite curvature bounds around x[at], and x = 7 with x[at] = +inf.
+
+    x[at] has weight tau > 0 in the triples at - 2 and at, whose gamma is
+    made inf, and -(tau_i + tau_{i+1}) in the triple at - 1, whose delta is
+    made -inf: each has s == c = +-inf, and its gap inf - inf is NaN.  No
+    other triple of the point binds, so a test of s != c would skip all three.
+    """
+    kernel = sets[0].kernel
+    gamma, delta = kernel.curvature.gamma.copy(), kernel.curvature.delta.copy()
+    gamma[[at - 2, at]] = np.inf
+    delta[at - 1] = -np.inf
+    sets = build_constraint_sets(kernel.bp, kernel.interp, kernel.slope, CurvatureBounds(gamma, delta))
+    x = np.full(kernel.n, 7.0)
+    x[at] = np.inf
+    return sets, x
+
+
+def _segment(n, seed, kind, nonconvex, edges):
+    """One problem of a batch and its point: drawn, constant (every triple slack), with
+    +-inf, NaN and -0.0 entries, or binding only through NaN gaps (`_infinite_side`)."""
+    if kind == "infinite side":
+        n = max(n, 5)
+    sets, x = _with_edges(*_problem(n, seed, nonconvex), seed, *edges)
+    if kind == "constant":
+        x = np.full(n, 7.0)
+    elif kind == "special":
+        rng = np.random.default_rng(seed)
+        special = np.array([np.inf, -np.inf, np.nan, -0.0])[rng.integers(0, 4, n)]
+        x = np.where(rng.random(n) < 0.2, special, x)
+    elif kind == "infinite side":
+        sets, x = _infinite_side(sets, 2 + seed % (n - 4))
+    return sets, x
+
+
+SEGMENTS = st.lists(
+    st.tuples(
+        st.integers(2, 40),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["drawn", "constant", "special", "infinite side"]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(segments=[(9, 1, "constant"), (12, 2, "drawn")], nonconvex=False, inf_alpha=False,
+         inf_curvature=False)
+@example(segments=[(7, 3, "drawn"), (8, 4, "infinite side")], nonconvex=True, inf_alpha=True,
+         inf_curvature=True)
+@example(segments=[(6, 5, "infinite side")], nonconvex=False, inf_alpha=False, inf_curvature=False)
+@example(segments=[(2, 6, "special"), (3, 7, "constant"), (2, 8, "drawn")], nonconvex=True,
+         inf_alpha=False, inf_curvature=True)
+@given(segments=SEGMENTS, nonconvex=st.booleans(), **EDGES)
+def test_a_batch_monitor_gives_each_segment_its_own_score_and_residual_sum(
+    segments, nonconvex, inf_alpha, inf_curvature
+):
+    # a curvature block none of whose triples binds is left out of the monitor;
+    # each segment's sum must still be bitwise its own kernel's and the per-set
+    # residual sum, with slack and binding blocks side by side, pads of NaN,
+    # and gaps that are NaN where s == c
+    problems = [
+        _segment(n, seed, kind, nonconvex, (inf_alpha, inf_curvature)) for n, seed, kind in segments
+    ]
+    batch = lay_end_to_end([kernel_of(sets) for sets, _ in problems])
+    x = batch.joined([x for _, x in problems], np.full(batch.n, np.nan))
+    with np.errstate(all="ignore"):
+        got = batch.score(x)[0]
+        assert len(got) == len(problems)
+        slack = []
+        for d2, (sets, xj) in zip(got, problems):
+            assert _same(d2, kernel_of(sets).score(xj)[0][0])
+            assert _same(d2, float(sum(c.residual(xj) ** 2 for c in sets)))
+            slack += [c.residual(xj) == 0.0 for c in sets[3:] if xj.size > c.block + 1]
+    if any(slack) and not all(slack):
+        event("slack and binding curvature blocks in one batch")
+
+
+def test_a_triple_whose_weight_underflows_to_0_always_binds():
+    # at tau = 1e-170, ||u||^2 = t0^2 + t1^2 + (t0 + t1)^2 underflows to 0: a
+    # triple with s == c has terms 0 * 0 / 0 = NaN, so its block cannot be skipped
+    n = 8
+    bp = Breakpoints(np.arange(n) * 1e-170)
+    interp = InterpolationSpec([0, n - 1], [0.0, 0.0])
+    slope = SlopeBounds(np.full(n - 1, 1.0))
+    sets = build_constraint_sets(bp, interp, slope, CurvatureBounds(np.ones(n - 2), -np.ones(n - 2)))
+    x = np.zeros(n)  # every s is 0 exactly, and so is every gap
+    with np.errstate(all="ignore"):
+        assert all(math.isnan(c.residual(x)) for c in sets[3:])
+        (d2,), _ = kernel_of(sets).score(x)
+        assert math.isnan(d2)
+        other, v = _problem(10, 0, False)
+        batch = lay_end_to_end([kernel_of(other), kernel_of(sets)])
+        got = batch.score(batch.joined([v, x], np.zeros(batch.n)))[0]
+    assert _same(got[0], proximity_squared_sum(v, other)) and math.isnan(got[1])
 
 
 # ------------------------------------------------------------ the driver's contract

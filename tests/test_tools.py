@@ -26,18 +26,23 @@ def test_op_timings_runs_with_one_repeat():
     assert header.split() == ["problem", "operation", "median_us", "iqr_us"]
     tags = ("Interp", "SlopeEven", "SlopeOdd", "Curv1", "Curv2", "Curv3")
     ops = [f"{t}.{m}" for t in tags for m in ("project", "intrepid", "residual")]
-    ops += ["kernel.project_each", "kernel.monitor", "kernel.score", "ProductSet.project"]
+    ops += ["kernel.project_each", "kernel.monitor", "kernel.monitor.near", "kernel.score",
+            "ProductSet.project"]
     ops += [f"step.{name}" for name in FEASIBILITY_ALGORITHMS]
     ops += [f"iter.{name}" for name in ALGORITHMS]
-    problems = {}
+    batch_ops = [f"{op}{per}" for op in ("kernel.monitor", "kernel.monitor.near")
+                 for per in ("", "/segment")]
+    problems, batches = {}, {}
     for row in rows:
         pid, size, kind, op, median, iqr = row.split()
-        problems.setdefault((pid, size, kind), []).append(op)
+        (batches if pid == "batch10" else problems).setdefault((pid, size, kind), []).append(op)
         assert float(median) > 0.0 and float(iqr) == 0.0, row
     sizes = [int(size[2:]) for _, size, _ in problems]
     assert [kind for *_, kind in problems] == ["convex"] * 3 + ["nonconvex"] * 3
     assert all(abs(n - target) <= 0.2 * target for n, target in zip(sizes, [10, 90, 650] * 2))
     assert all(found == ops for found in problems.values())
+    assert [kind for *_, kind in batches] == ["convex", "nonconvex"]
+    assert all(found == batch_ops for found in batches.values())
 
 
 def test_record_digests_prints_one_digest_per_benchmark_record():

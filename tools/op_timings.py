@@ -6,8 +6,10 @@ nonconvex, it times:
 * each of the six sets' ``project``, ``intrepid`` and ``residual``;
 * the profile kernel's fused ``project_each``, its monitor alone
   (``kernel.monitor``: ``score(x)[0]``, whose projections are never asked
-  for), and its ``score`` with both halves (``score(x)[1]()``), which gives
-  both from one pass;
+  for), the monitor at a near-feasible iterate, 50 CycP sweeps from the
+  start (``kernel.monitor.near``: most of its curvature blocks are slack,
+  and the monitor leaves those out), and its ``score`` with both halves
+  (``score(x)[1]()``), which gives both from one pass;
 * ``ProductSet.project`` of the six sets (the kernel's fused
   ``project_rows``) on six copies of the start profile;
 * one step of each feasibility algorithm, averaged over the first steps of
@@ -16,6 +18,11 @@ nonconvex, it times:
 * one iteration of every algorithm as ``run`` drives it: the step (one
   pass for the superiorized family) plus the squared proximity of the
   monitored point.
+
+The monitor and the near-feasible monitor are also timed on the first 10
+seed-0 problems laid end to end (``geometry.lay_end_to_end``), convex and
+nonconvex, per call and per segment (``.../segment``: the call divided by
+the 10 segments).
 
 Each timing is calibrated once (the call count is doubled until one repeat
 takes at least 5 ms) and then repeated; the table gives the median and the
@@ -38,23 +45,38 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so that it can name another vertipy
 
+import numpy as np  # noqa: E402
+
 from vertipy import feasibility, product  # noqa: E402
+from vertipy.geometry import lay_end_to_end  # noqa: E402
 from vertipy.probgen import make_batch  # noqa: E402
 
 SIZES = (10, 90, 650)
+BATCH = 10  # problems laid end to end for the batch monitor
+NEAR_SWEEPS = 50  # CycP sweeps from the start to the near-feasible iterate
 BUDGET_S = 0.005  # minimum duration of one repeat
 
 
 def pick_problems(sizes=SIZES):
-    """(label, problem) for the seed-0 problem nearest each size, convex then nonconvex."""
-    picked = []
+    """(label, problem) for the seed-0 problem nearest each size, then (kind, problems)
+    for the first BATCH of the batch; convex, then nonconvex."""
+    picked, batches = [], []
     for nonconvex in (False, True):
         batch = make_batch(0, count=100, nonconvex=nonconvex)
+        kind = "nonconvex" if nonconvex else "convex"
         for n in sizes:
             problem = min(batch, key=lambda p: (abs(p.v.size - n), p.problem_id))
-            kind = "nonconvex" if nonconvex else "convex"
             picked.append((f"{problem.problem_id} n={problem.v.size} {kind}", problem))
-    return picked
+        batches.append((kind, batch[:BATCH]))
+    return picked, batches
+
+
+def near_feasible(sets, v):
+    """The monitored point NEAR_SWEEPS CycP sweeps from v."""
+    algo = feasibility.make_algorithm("CycP", sets, v)
+    for _ in range(NEAR_SWEEPS):
+        algo.step()
+    return algo.monitor()
 
 
 def per_call_us(fn, repeats):
@@ -83,6 +105,7 @@ def operations(problem):
     """(name, zero-argument callable) for every timed operation on one problem."""
     sets, x = problem.sets, problem.v
     kernel = sets[0].kernel
+    near = near_feasible(sets, x)
     product_set = product.ProductSet(sets)
     parts = product.make_product_point(x, len(sets))
     ops = [
@@ -93,6 +116,7 @@ def operations(problem):
     ops += [
         ("kernel.project_each", lambda: kernel.project_each(x)),
         ("kernel.monitor", lambda: kernel.score(x)[0]),
+        ("kernel.monitor.near", lambda: kernel.score(near)[0]),
         ("kernel.score", lambda: kernel.score(x)[1]()),
         ("ProductSet.project", lambda: product_set.project(parts)),
     ]
@@ -110,6 +134,17 @@ def operations(problem):
     return ops
 
 
+def batch_operations(problems):
+    """The size of `problems` laid end to end, and (name, zero-argument callable) for its monitor."""
+    kernel = lay_end_to_end([p.sets[0].kernel for p in problems])
+    x = kernel.joined([p.v for p in problems], np.zeros(kernel.n))
+    near = near_feasible(kernel.constraint_sets(), x)
+    return kernel.n, [
+        ("kernel.monitor", lambda: kernel.score(x)[0]),
+        ("kernel.monitor.near", lambda: kernel.score(near)[0]),
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5, help="timed repeats per operation")
@@ -117,11 +152,19 @@ def main(argv=None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     print(f"vertipy from {Path(feasibility.__file__).parent}", file=sys.stderr)
-    print(f"{'problem':<26} {'operation':<22} {'median_us':>10} {'iqr_us':>8}")
-    for label, problem in pick_problems():
+    print(f"{'problem':<26} {'operation':<28} {'median_us':>10} {'iqr_us':>8}")
+    picked, batches = pick_problems()
+    for label, problem in picked:
         for name, fn in operations(problem):
             median, iqr = per_call_us(fn, args.repeats)
-            print(f"{label:<26} {name:<22} {median:>10.2f} {iqr:>8.2f}")
+            print(f"{label:<26} {name:<28} {median:>10.2f} {iqr:>8.2f}")
+    for kind, problems in batches:
+        n, ops = batch_operations(problems)
+        label, m = f"batch{len(problems)} n={n} {kind}", len(problems)
+        for name, fn in ops:
+            median, iqr = per_call_us(fn, args.repeats)
+            print(f"{label:<26} {name:<28} {median:>10.2f} {iqr:>8.2f}")
+            print(f"{label:<26} {name + '/segment':<28} {median / m:>10.2f} {iqr / m:>8.2f}")
     return 0
 
 
