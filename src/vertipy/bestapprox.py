@@ -5,10 +5,16 @@ approximation converges to P_C(v), the intersection point closest to the
 anchor v.  The m-set best-approximation algorithms (H-W, Dykstra, the
 Haugazeau methods and anchored D-R) live in :mod:`vertipy.feasibility`, next
 to the feasibility steps they are built from.  This module holds what they
-share: Haugazeau's three-point operator Q, its infeasibility signal, and
-the two-set anchored D-R recursion, which baD-R runs on the product set and
-the diagonal (:mod:`vertipy.product`) and the analytic fixtures run on two
-sets of the plane.
+share: Haugazeau's three-point operator Q and its infeasibility signal,
+and the two-set anchored D-R recursion, which baD-R runs on the product
+set and the diagonal (:mod:`vertipy.product`) and the analytic fixtures
+run on two sets of the plane.
+
+Q is stated once, in two halves: its scalar branch `q_branch` (three dots
+and the guarded case test on x - y and y - z) and its elementwise result
+`q_result`; `q_operator` is their composition.  The Haugazeau methods take
+x - y and y - z once over a batch profile, and each problem's branch from
+its own slices (`feasibility._q_each`).
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import numpy as np
 __all__ = [
     "InfeasibleIntersectionError",
     "q_operator",
+    "q_branch",
+    "q_result",
     "badr_two_set_step",
 ]
 
@@ -52,19 +60,37 @@ def q_operator(x, y, z):
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     xy = x - y
-    yz = y - z
-    chi = float(np.dot(xy, yz))
-    mu = float(np.dot(xy, xy))
-    nu = float(np.dot(yz, yz))
+    q = q_result(x, y, z, xy, q_branch(xy, y - z))
+    return z.copy() if q is z else q
+
+
+def q_branch(xy, yz):
+    """Q's scalars (chi, mu, nu, rho) from the 1-D x - y and y - z, guarded as in `q_operator`.
+
+    Raises :class:`InfeasibleIntersectionError` if the halfspaces do not intersect.
+    """
+    # ndarray.dot is np.dot without its dispatch: the same product, bitwise
+    chi = float(xy.dot(yz))
+    mu = float(xy.dot(xy))
+    nu = float(yz.dot(yz))
     rho = mu * nu - chi * chi
     if abs(rho) <= RHO_REL_TOL * mu * nu:
         rho = 0.0
+    if rho == 0.0 and chi < -CHI_TOL:
+        raise InfeasibleIntersectionError(
+            f"halfspaces cannot intersect (chi = {chi:.3e} < 0 with rho = 0)"
+        )
+    return chi, mu, nu, rho
+
+
+def q_result(x, y, z, xy, branch):
+    """Q(x, y, z) elementwise, from xy = x - y and the scalars of `q_branch`.
+
+    The arrays may have any one shape.  Where Q = z it returns z itself.
+    """
+    chi, mu, nu, rho = branch
     if rho == 0.0:
-        if chi < -CHI_TOL:
-            raise InfeasibleIntersectionError(
-                f"halfspaces cannot intersect (chi = {chi:.3e} < 0 with rho = 0)"
-            )
-        return z.copy()
+        return z
     if chi * nu >= rho:
         return x + (1.0 + chi / nu) * (z - y)
     return y + (nu / rho) * (chi * xy + mu * (z - y))

@@ -5,11 +5,15 @@ The feasibility methods drive an iterate toward the intersection: the six
 sweeps, each defined once in `_SWEEPS` and run plain or superiorized, and
 D-R.  The best-approximation methods seek the intersection point nearest
 the anchor v, and are built from the same steps: H-W sweeps with
-`cycp_step`, hParP wraps `parp_step` in Haugazeau's Q
-(:func:`vertipy.bestapprox.q_operator`), and D-R, hD-R (Q around D-R) and
+`cycp_step`, hCycP and hParP wrap one projection and `parp_step` in
+Haugazeau's Q (:func:`vertipy.bestapprox.q_operator`, which `_q_each`
+takes per segment from its two halves), and D-R, hD-R (Q around D-R) and
 baD-R run the two-set recursions on the product set and the diagonal of
 :mod:`vertipy.product`.  One iteration is one sweep (or one product-space
-update); CycDyk and hCycP take one projection per iteration.
+update); CycDyk and hCycP take one projection per iteration.  The six
+sweeps, hCycP, hParP and the superiorized family score each iterate they
+keep in the kernel pass whose projections their next step takes
+(`metrics._Scored`).
 
 `run` executes any registered algorithm on a `FeasibilityProblem` under a
 `StopRule`, recording the normalized proximity trace of the monitored
@@ -330,30 +334,46 @@ class CyclicDykstra(_Anchored):
 def _q_each(kernel, x, y, z):
     """Haugazeau's Q(x, y, z) on each segment of `kernel`, and the segments that signal.
 
-    `bestapprox.q_operator` runs on each segment's slices (raveled, for the
-    rows of a product point), so its dots are the ones that problem alone
-    takes.  A segment whose Q finds the halfspaces disjoint keeps y, and
-    the second value maps it to the message.
+    x - y and y - z are taken once over the profile.  Each segment takes
+    Q's branch (`bestapprox.q_branch`) from its own slices of them
+    (raveled, for the rows of a product point), so its dots are the ones
+    that problem alone takes, and its columns get that branch's result.
+    Pad columns keep y, as does a segment whose Q finds the halfspaces
+    disjoint; the second value maps it to the message.  One segment works
+    on the whole arrays.
     """
-    parts, messages = zip(*kernel.each(_q_or_signal, x, y, z))
-    signals = {j: message for j, message in enumerate(messages) if message is not None}
-    return kernel.joined(parts, y), signals
+    xy, yz = x - y, y - z
+    if len(kernel.segments) == 1:
+        try:
+            branch = bestapprox.q_branch(xy.ravel(), yz.ravel())
+        except bestapprox.InfeasibleIntersectionError as exc:
+            return y, {0: str(exc)}
+        return bestapprox.q_result(x, y, z, xy, branch), {}
+    out, signals = y.copy(), {}
+    for j, sl in enumerate(kernel.segments):
+        xyj = xy[..., sl]
+        try:
+            branch = bestapprox.q_branch(xyj.ravel(), yz[..., sl].ravel())
+        except bestapprox.InfeasibleIntersectionError as exc:
+            signals[j] = str(exc)
+            continue
+        out[..., sl] = bestapprox.q_result(x[..., sl], y[..., sl], z[..., sl], xyj, branch)
+    return out, signals
 
 
-def _q_or_signal(x, y, z):
-    # (Q of one segment's columns, None), or (y, the message) if its Q signals
-    try:
-        return bestapprox.q_operator(x.ravel(), y.ravel(), z.ravel()).reshape(y.shape), None
-    except bestapprox.InfeasibleIntersectionError as exc:
-        return y, str(exc)
+class HaugazeauCyclic(_Scored, _Anchored):
+    """Cyclic projections made strongly convergent: x <- Q(v, x, P_[k] x).
 
-
-class HaugazeauCyclic(_Anchored):
-    """Cyclic projections made strongly convergent: x <- Q(v, x, P_[k] x)."""
+    P_[k] x is row k of the pass that scored x, if one did, else the set's
+    projection: the driver scores no x that repeats its last monitored
+    point's bytes.
+    """
 
     def step(self):
-        c = self.sets[self.k % len(self.sets)]
-        self.x, self.signals = _q_each(self.sets.kernel, self.v, self.x, c.project(self.x))
+        i = self.k % len(self.sets)
+        z = self.sets[i].project(self.x) if self._rows is None else self._rows.row(i)
+        x, self.signals = _q_each(self.sets.kernel, self.v, self.x, z)
+        self._keep(x)
         self.k += 1
 
 
@@ -696,9 +716,9 @@ def run(
     ``algo.monitor()``, from ``algo.segment_proximity2(x)``, a function of
     x's bytes alone: an x with the bytes of the previous monitored point
     (hCycP and CycDyk often repeat one) repeats its d without asking.  The
-    six sweeps, hParP and the superiorized family score each iterate they
-    keep, the start included, in the one kernel pass whose projections
-    their next step may take (`metrics._Scored`).
+    six sweeps, hCycP, hParP and the superiorized family score each
+    iterate they keep, the start included, in the one kernel pass whose
+    projections their next step may take (`metrics._Scored`).
     """
     (record,) = run_batch(algorithm, [problem], stop, **options)
     return record

@@ -55,11 +55,12 @@ is left out (see `score`).  It returns the moves on request, for a point
 that may or may not be stepped from: the six projections as the rows of a
 (6, n) array (`project_each`), every pair's shift h and every triple's move
 coef * u computed once, with the helpers the sets' own operators use, and
-scattered into its set's row.  All of that arithmetic is elementwise, so
-each row is bitwise the set's `project`.  `project_rows` projects a (6, n)
-product point row i onto set i with the same pass, run on the differences
-and triples gathered from the rows through the same scatter positions the
-moves go back through.
+scattered into its set's row; or one set's row alone (`rows.row(i)`), from
+that set's pairs or triples of the same pass.  All of that arithmetic is
+elementwise, so each row is bitwise the set's `project`.  `project_rows`
+projects a (6, n) product point row i onto set i with the same pass, run on
+the differences and triples gathered from the rows through the same
+scatter positions the moves go back through.
 
 Problems of one slope kind can share one long profile, laid end to end
 (`lay_end_to_end`): the fused passes run on it unchanged, since every move
@@ -522,8 +523,32 @@ class ProfileKernel(_Segmented):
         flat[triples] += _triple_moves(c - s, self.weights).ravel()
         return out
 
+    def _row(self, i, x, d, a, s, c) -> np.ndarray:
+        # row i of `_project_each_from` alone: x with set i's moves only, each
+        # applied to its pairs or triples as the set's own `_move` applies it
+        out = x.copy()
+        if i == 0:
+            out[self.interp.indices] = self.interp.values
+        elif i < 3:
+            off = 2 - i  # SlopeEven's pairs start at column 1, SlopeOdd's at 0
+            h = _slope_shift(d[off::2], a[off::2], self.slope.convex, up=True)
+            end = off + 2 * h.size
+            out[off:end:2] -= h
+            out[off + 1 : end : 2] += h
+        else:
+            b = i - 3
+            shift = c[b::3] - s[b::3]
+            triples = out[b : b + 3 * shift.size].reshape(-1, 3)
+            triples += _triple_moves(shift, self._block_weights[b])
+        return out
+
+    @cached_property
+    def _block_weights(self):
+        # `weights` of each curvature block's every-third triples, contiguous
+        return [tuple(w[b::3].copy() for w in self.weights) for b in range(3)]
+
     def score(self, x):
-        """(d2, rows) from one pass over x; rows() is project_each(x).
+        """(d2, rows) from one pass over x; rows() is project_each(x), rows.row(i) its row i.
 
         d2 lists the sum of squared distances from each segment of x to the
         six sets.  For one problem it is bitwise the sum of
@@ -547,11 +572,12 @@ class ProfileKernel(_Segmented):
         once; the gaps dd - a and s - c give the distances, and the targets
         (a, put back on d's side for the band) and c - s give the moves.
         The moves wait until rows is called, so a caller that scores a point
-        and may step from it later keeps rows instead of passing x again.
-        x must not change while rows is kept.
+        and may step from it later keeps rows instead of passing x again;
+        rows.row(i) computes set i's moves alone, as hCycP needs one
+        projection.  x must not change while rows is kept.
         """
         x, d, dd, a, s, c = self._pass(x)
-        rows = partial(self._project_each_from, x, d, a, s, c)
+        rows = _Rows(self._project_each_from, x, d, a, s, c)
         return self._proximity2_from(x, dd, a, s, c), rows
 
     @cached_property
@@ -598,6 +624,16 @@ class ProfileKernel(_Segmented):
         return self._moved(out, d, a, s, c)
 
 
+class _Rows(partial):
+    """The deferred projections of a scored point: a partial of its source's `project_each`.
+
+    rows() is every row; rows.row(i) is row i alone, from the same pass.
+    """
+
+    def row(self, i) -> np.ndarray:
+        return self.func.__self__._row(i, *self.args)
+
+
 class _PerSet(_Segmented):
     """`ProfileKernel`'s methods on any set list, computed set by set, as one segment."""
 
@@ -610,7 +646,10 @@ class _PerSet(_Segmented):
         return np.array([c.project(x) for c in self.sets])
 
     def score(self, x):
-        return [float(sum(c.residual(x) ** 2 for c in self.sets))], partial(self.project_each, x)
+        return [float(sum(c.residual(x) ** 2 for c in self.sets))], _Rows(self.project_each, x)
+
+    def _row(self, i, x) -> np.ndarray:
+        return self.sets[i].project(x)
 
     def project_rows(self, parts) -> np.ndarray:
         parts = _product_point(parts, len(self.sets))

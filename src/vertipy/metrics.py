@@ -129,11 +129,12 @@ class _Algorithm:
 class _Scored(_Algorithm):
     """An algorithm that scores the iterate x it keeps and steps from that pass's projections.
 
-    The six sweeps (`feasibility._SWEEPS`), hParP and the superiorized
-    family.  `_score` gives `_d2`, the squared proximity of each segment of
-    x, from the kernel's `score` the first time it is asked for; that pass
-    leaves `_rows`, the deferred project_each(x), for the next step (None
-    while x is unscored: the step then projects x itself).
+    The six sweeps (`feasibility._SWEEPS`), hCycP, hParP and the
+    superiorized family.  `_score` gives `_d2`, the squared proximity of
+    each segment of x, from the kernel's `score` the first time it is asked
+    for; that pass leaves `_rows`, the deferred project_each(x), for the
+    next step, which takes all of it or one row (`rows.row(i)`); it is None
+    while x is unscored, and the step then projects x itself.
     `segment_proximity2` returns `_d2`, so `run` scores each iterate, the
     start too, in that one pass.  Every change of x goes through `_keep`,
     with the score and rows a step already has of it, or a stale `_d2` is

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from vertipy import bestapprox
 from vertipy import feasibility as F
-from vertipy.geometry import InterpolationSpec, InvalidSpecError, kernel_of, lay_end_to_end
+from vertipy.geometry import (
+    Breakpoints,
+    CurvatureBounds,
+    InterpolationSpec,
+    InvalidSpecError,
+    SlopeBounds,
+    kernel_of,
+    lay_end_to_end,
+)
 from vertipy.metrics import StopRule
 from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
 
@@ -108,22 +116,24 @@ def test_a_batch_stops_its_segments_one_by_one():
 
 @pytest.mark.parametrize("name", ["hCycP", "hParP", "hD-R"])
 def test_a_segment_whose_q_signals_stops_alone(monkeypatch, name):
-    # Q signals on the middle problem's fifth call; that segment stops with
-    # the flag and its last iterate, and the others run on as they do alone
+    # Q's branch signals on the middle problem's fifth call; that segment stops
+    # with the flag and its last iterate, and the others run on as they do alone.
+    # The branch sees one segment's x - y, so its length names the problem:
+    # n is 17, 13 and 11, and 6n for hD-R's product points
     problems = make_batch(0, count=3)
-    anchor = problems[1].v
-    anchors = {anchor.tobytes(), np.tile(anchor, (6, 1)).tobytes()}  # hD-R's is a product point
+    assert [p.v.size for p in problems] == [17, 13, 11]
+    middle = {13, 6 * 13}
     calls = []
-    q_operator = bestapprox.q_operator
+    q_branch = bestapprox.q_branch
 
-    def signals_on_the_fifth_call(x, y, z):
-        if np.asarray(x).tobytes() in anchors:
+    def signals_on_the_fifth_call(xy, yz):
+        if xy.size in middle:
             calls.append(1)
             if len(calls) == 5:
                 raise bestapprox.InfeasibleIntersectionError("injected")
-        return q_operator(x, y, z)
+        return q_branch(xy, yz)
 
-    monkeypatch.setattr(bestapprox, "q_operator", signals_on_the_fifth_call)
+    monkeypatch.setattr(bestapprox, "q_branch", signals_on_the_fifth_call)
     stop = StopRule(k_max=40)
     batch = list(F.run_batch(name, problems, stop))
     alone = {}
@@ -133,6 +143,90 @@ def test_a_segment_whose_q_signals_stops_alone(monkeypatch, name):
     assert batch[0].problem_id == "p0001" and batch[0].flags == {"infeasible_signal": "injected"}
     assert batch[0].iterations == 4 and not batch[0].converged
     assert sorted(_key(r) for r in batch) == sorted(_key(r) for r in alone.values()), name
+
+
+# Q's branches: (a, b) with y - z = a (x - y) + b f, f orthogonal to x - y and as
+# long.  b = 0 is collinear: Q = z for a > 0 and a signal for a < 0; for b > 0,
+# Q cuts when a (a^2 + b^2) >= b^2 and projects into the interior otherwise
+Q_BRANCHES = {
+    "z is y": None,
+    "collinear": ((0.5, 2.0), (0.0, 0.0)),
+    "signal": ((-0.9, -0.1), (0.0, 0.0)),
+    "cut": ((1.0, 2.0), (0.5, 1.0)),
+    "interior": ((-1.0, 0.2), (1.0, 2.0)),
+}
+
+
+def _signed_zeros(rng, shape, where):
+    return np.where(where, np.where(rng.random(shape) < 0.5, 0.0, -0.0), 1.0)
+
+
+def _q_segment(rng, shape, branch):
+    """x, y, z of one segment whose Q takes `branch`, with +-0.0 in some columns of all three."""
+    zero = rng.random(shape) < 0.25
+    zero.flat[:2] = False  # two nonzero columns span x - y and f
+    y, e, g = (rng.normal(size=shape) * _signed_zeros(rng, shape, zero) for _ in range(3))
+    x = y + e
+    if Q_BRANCHES[branch] is None:
+        return x, y, y * _signed_zeros(rng, shape, zero)  # z == y, with its zeros' signs redrawn
+    f = g - (np.vdot(g, e) / np.vdot(e, e)) * e
+    f *= np.sqrt(np.vdot(e, e) / np.vdot(f, f))
+    (a, b) = (rng.uniform(*bounds) for bounds in Q_BRANCHES[branch])
+    return x, y, y - (a * e + b * f)
+
+
+def _q_kernel(m):
+    # a profile kernel of m stations: only its layout matters to Q
+    bp = Breakpoints(np.arange(float(m)))
+    interp = InterpolationSpec([0, m - 1], [0.0, 0.0])
+    slope, curvature = SlopeBounds(np.ones(m - 1)), CurvatureBounds(np.ones(m - 2), -np.ones(m - 2))
+    return kernel_of(build_constraint_sets(bp, interp, slope, curvature))
+
+
+@settings(max_examples=80, deadline=None)
+@example(segments=[(3, "z is y"), (5, "collinear"), (2, "signal"), (4, "cut")], rows=0, seed=1)
+@example(segments=[(4, "interior"), (3, "signal"), (6, "z is y")], rows=6, seed=2)
+@example(segments=[(5, "signal")], rows=6, seed=3)
+@example(segments=[(7, "interior")], rows=0, seed=4)
+@given(
+    segments=st.lists(
+        st.tuples(st.integers(2, 9), st.sampled_from(sorted(Q_BRANCHES))), min_size=1, max_size=4
+    ),
+    rows=st.sampled_from([0, 6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_q_is_each_segments_own_q(segments, rows, seed):
+    # `_q_each` takes x - y and y - z once over the profile and each segment's
+    # branch from its slices; each segment's columns must be its own
+    # `q_operator`, bitwise, on 1-D points and on (6, n) product points; a
+    # segment that signals, and every pad column, keeps y
+    rng = np.random.default_rng(seed)
+    kernels = [_q_kernel(m) for m, _ in segments]
+    kernel = kernels[0] if len(kernels) == 1 else lay_end_to_end(kernels)
+    shape = (rows, kernel.n) if rows else (kernel.n,)
+    x, y, z = (rng.normal(size=shape) for _ in range(3))  # the pads' columns
+    for sl, (m, branch) in zip(kernel.segments, segments):
+        x[..., sl], y[..., sl], z[..., sl] = _q_segment(rng, (rows, m) if rows else (m,), branch)
+    out, signals = F._q_each(kernel, x, y, z)
+    assert out.shape == shape
+    signalled = {}
+    for j, sl in enumerate(kernel.segments):
+        xj, yj, zj = (a[..., sl] for a in (x, y, z))
+        try:
+            want = bestapprox.q_operator(xj.ravel(), yj.ravel(), zj.ravel()).reshape(yj.shape)
+        except bestapprox.InfeasibleIntersectionError as exc:
+            signalled[j], want = str(exc), yj
+            event("a segment signals")
+        else:
+            chi, _, nu, rho = bestapprox.q_branch((xj - yj).ravel(), (yj - zj).ravel())
+            event("Q = z" if rho == 0.0 else "cut" if chi * nu >= rho else "interior")
+            assert rho != 0.0 or want.tobytes() == zj.tobytes()  # z, signed zeros included
+        assert out[..., sl].tobytes() == want.tobytes(), (j, segments[j])
+    assert signals == signalled
+    pads = np.ones(kernel.n, dtype=bool)
+    for sl in kernel.segments:
+        pads[sl] = False
+    assert out[..., pads].tobytes() == y[..., pads].tobytes()
 
 
 @pytest.mark.parametrize("nonconvex", [False, True])

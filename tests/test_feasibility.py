@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from vertipy import feasibility as F
 from vertipy import product, verify
 from vertipy.feasibility import AlgorithmConfigError, FeasibilityProblem
-from vertipy.geometry import InvalidSpecError, ProfileKernel
+from vertipy.geometry import InvalidSpecError, ProfileKernel, kernel_of
 from vertipy.metrics import StopRule
 from vertipy.probgen import make_batch
 from vertipy.product import Diagonal, ProductSet
@@ -265,9 +265,9 @@ def test_run_scores_a_repeated_monitored_point_once(monkeypatch):
         points = [problem.v] + monitored[: rec.iterations]  # the last call gives the final
         fresh = sum(a.tobytes() != b.tobytes() for a, b in zip(points, points[1:]))
         assert len(scored) == 1 + fresh < 1 + rec.iterations, name  # 1: the normalizer
-        algo = make(name, problem.sets, problem.v)
-        (denom,) = algo.segment_proximity2(problem.v)
-        want = [math.sqrt(algo.segment_proximity2(x)[0] / denom) for x in points]
+        kernel = kernel_of(problem.sets)
+        (denom,) = kernel.score(problem.v)[0]
+        want = [math.sqrt(kernel.score(x)[0][0] / denom) for x in points]
         assert [d.hex() for d in rec.d_trace] == [d.hex() for d in want], name
 
 

@@ -416,6 +416,11 @@ def _edge_examples(test):
 def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_alpha, inf_curvature):
     sets, x = _with_edges(*_problem(n, seed, nonconvex), seed, inf_alpha, inf_curvature)
     kernel = sets[0].kernel
+    standalone = _standalone(kernel)
+    # a batch profile: this problem between two others, whose pads keep their value
+    other, y = _with_edges(*_problem(7, seed + 1, nonconvex), seed + 1, inf_alpha, inf_curvature)
+    batch = lay_end_to_end([kernel_of(other), kernel, kernel_of(other)])
+    batch_sets = batch.constraint_sets()
     for point in (x, sets[0].project(x), np.zeros(n)):
         rows = kernel.project_each(point)
         assert rows.shape == (6, n)
@@ -429,6 +434,17 @@ def test_project_each_rows_equal_the_sets_projections(n, seed, nonconvex, inf_al
         assert scored().tobytes() == rows.tobytes()
         (fused_d2,), fused_rows = kernel_of(sets).score(point)
         assert fused_d2.hex() == d2.hex() and fused_rows().tobytes() == rows.tobytes()
+        # each row alone, from the same pass: on the kernel, per set, and on the batch
+        per_set = kernel_of(standalone).score(point)[1]
+        for i, c in enumerate(sets):
+            assert scored.row(i).tobytes() == rows[i].tobytes(), c.tag
+            assert per_set.row(i).tobytes() == rows[i].tobytes(), c.tag
+        xb = batch.joined([y, point, y], np.full(batch.n, -0.0))
+        batch_rows = batch.project_each(xb)
+        batch_scored = batch.score(xb)[1]
+        for i, c in enumerate(batch_sets):
+            assert batch_rows[i].tobytes() == c.project(xb).tobytes(), c.tag
+            assert batch_scored.row(i).tobytes() == batch_rows[i].tobytes(), c.tag
 
 
 def _stacked_rows(parts, sets):

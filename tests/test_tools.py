@@ -28,20 +28,25 @@ def test_op_timings_runs_with_one_repeat():
     ops = [f"{t}.{m}" for t in tags for m in ("project", "intrepid", "residual")]
     ops += ["kernel.project_each", "kernel.monitor", "kernel.monitor.near", "kernel.score",
             "ProductSet.project"]
+    ops += [f"{t}.row" for t in tags] + ["Q.each", "Q.each.product"]
     ops += [f"step.{name}" for name in FEASIBILITY_ALGORITHMS]
     ops += [f"iter.{name}" for name in ALGORITHMS]
-    batch_ops = [f"{op}{per}" for op in ("kernel.monitor", "kernel.monitor.near")
+    batch_ops = [f"{op}{per}" for op in ("kernel.monitor", "kernel.monitor.near", "Q.each",
+                                         "Q.each.product")
                  for per in ("", "/segment")]
     problems, batches = {}, {}
     for row in rows:
         pid, size, kind, op, median, iqr = row.split()
-        (batches if pid == "batch10" else problems).setdefault((pid, size, kind), []).append(op)
+        group = batches if pid.startswith("batch") else problems
+        group.setdefault((pid, size, kind), []).append(op)
         assert float(median) > 0.0 and float(iqr) == 0.0, row
     sizes = [int(size[2:]) for _, size, _ in problems]
     assert [kind for *_, kind in problems] == ["convex"] * 3 + ["nonconvex"] * 3
     assert all(abs(n - target) <= 0.2 * target for n, target in zip(sizes, [10, 90, 650] * 2))
     assert all(found == ops for found in problems.values())
-    assert [kind for *_, kind in batches] == ["convex", "nonconvex"]
+    assert [(pid, kind) for pid, _, kind in batches] == [
+        (f"batch{count}", kind) for kind in ("convex", "nonconvex") for count in (2, 10)
+    ]
     assert all(found == batch_ops for found in batches.values())
 
 

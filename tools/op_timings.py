@@ -12,6 +12,12 @@ nonconvex, it times:
   (``score(x)[1]()``), which gives both from one pass;
 * ``ProductSet.project`` of the six sets (the kernel's fused
   ``project_rows``) on six copies of the start profile;
+* each set's projection as hCycP takes it from the pass that scored x
+  (``<set>.row``: ``rows.row(i)`` of ``score(x)``, whose pass is not
+  timed), beside the set's own ``project``;
+* Haugazeau's Q as hParP takes it (``Q.each``: ``feasibility._q_each`` on
+  the anchor, the iterate and its ParP step, Q_STEPS steps into a run) and
+  as hD-R takes it on (6, n) product points (``Q.each.product``);
 * one step of each feasibility algorithm, averaged over the first steps of
   a run from the problem's start profile (ParP, ExParP and ExAltP, whose
   iterates nothing scores here, project each one in the step);
@@ -19,10 +25,10 @@ nonconvex, it times:
   pass for the superiorized family) plus the squared proximity of the
   monitored point.
 
-The monitor and the near-feasible monitor are also timed on the first 10
-seed-0 problems laid end to end (``geometry.lay_end_to_end``), convex and
-nonconvex, per call and per segment (``.../segment``: the call divided by
-the 10 segments).
+The monitor, the near-feasible monitor and both Qs are also timed on the
+first 2 and the first 10 seed-0 problems laid end to end
+(``geometry.lay_end_to_end``), convex and nonconvex, per call and per
+segment (``.../segment``: the call divided by the number of segments).
 
 Each timing is calibrated once (the call count is doubled until one repeat
 takes at least 5 ms) and then repeated; the table gives the median and the
@@ -48,18 +54,19 @@ sys.path.append(str(ROOT / "src"))  # after PYTHONPATH, so that it can name anot
 import numpy as np  # noqa: E402
 
 from vertipy import feasibility, product  # noqa: E402
-from vertipy.geometry import lay_end_to_end  # noqa: E402
+from vertipy.geometry import kernel_of, lay_end_to_end  # noqa: E402
 from vertipy.probgen import make_batch  # noqa: E402
 
 SIZES = (10, 90, 650)
-BATCH = 10  # problems laid end to end for the batch monitor
+BATCHES = (2, 10)  # problems laid end to end for the batch monitor and Q
+Q_STEPS = 5  # hParP and hD-R steps from the start to the point whose Q is timed
 NEAR_SWEEPS = 50  # CycP sweeps from the start to the near-feasible iterate
 BUDGET_S = 0.005  # minimum duration of one repeat
 
 
 def pick_problems(sizes=SIZES):
     """(label, problem) for the seed-0 problem nearest each size, then (kind, problems)
-    for the first BATCH of the batch; convex, then nonconvex."""
+    for the first problems of the batch, as many as each of BATCHES; convex, then nonconvex."""
     picked, batches = [], []
     for nonconvex in (False, True):
         batch = make_batch(0, count=100, nonconvex=nonconvex)
@@ -67,7 +74,7 @@ def pick_problems(sizes=SIZES):
         for n in sizes:
             problem = min(batch, key=lambda p: (abs(p.v.size - n), p.problem_id))
             picked.append((f"{problem.problem_id} n={problem.v.size} {kind}", problem))
-        batches.append((kind, batch[:BATCH]))
+        batches += [(kind, batch[:count]) for count in BATCHES]
     return picked, batches
 
 
@@ -77,6 +84,26 @@ def near_feasible(sets, v):
     for _ in range(NEAR_SWEEPS):
         algo.step()
     return algo.monitor()
+
+
+def q_inputs(sets, v, product_point):
+    """(x, y, z) of the Q that hParP (1-D) or hD-R (product point) takes after Q_STEPS steps."""
+    algo = feasibility.make_algorithm("hD-R" if product_point else "hParP", sets, v)
+    for _ in range(Q_STEPS):
+        algo.step()
+    if product_point:
+        target = feasibility.dr_two_set_step(algo.parts, algo.product_set, algo.diagonal)
+        return product.make_product_point(v, len(sets)), algo.parts, target
+    return algo.v, algo.x, feasibility.parp_step(algo.x, sets)
+
+
+def q_operations(sets, v):
+    """(name, zero-argument callable) for both Qs on the profile of `sets`."""
+    kernel = kernel_of(sets)
+    return [
+        (name, lambda args=q_inputs(sets, v, product_point): feasibility._q_each(kernel, *args))
+        for name, product_point in (("Q.each", False), ("Q.each.product", True))
+    ]
 
 
 def per_call_us(fn, repeats):
@@ -120,6 +147,9 @@ def operations(problem):
         ("kernel.score", lambda: kernel.score(x)[1]()),
         ("ProductSet.project", lambda: product_set.project(parts)),
     ]
+    rows = kernel.score(x)[1]
+    ops += [(f"{c.tag}.row", lambda i=i: rows.row(i)) for i, c in enumerate(sets)]
+    ops += q_operations(sets, x)
     for name in feasibility.FEASIBILITY_ALGORITHMS:
         algo = feasibility.make_algorithm(name, sets, x)
         ops.append((f"step.{name}", algo.step))
@@ -135,13 +165,16 @@ def operations(problem):
 
 
 def batch_operations(problems):
-    """The size of `problems` laid end to end, and (name, zero-argument callable) for its monitor."""
+    """The size of `problems` laid end to end, and (name, zero-argument callable) for its
+    monitor and its Qs."""
     kernel = lay_end_to_end([p.sets[0].kernel for p in problems])
+    sets = kernel.constraint_sets()
     x = kernel.joined([p.v for p in problems], np.zeros(kernel.n))
-    near = near_feasible(kernel.constraint_sets(), x)
+    near = near_feasible(sets, x)
     return kernel.n, [
         ("kernel.monitor", lambda: kernel.score(x)[0]),
         ("kernel.monitor.near", lambda: kernel.score(near)[0]),
+        *q_operations(sets, x),
     ]
 
 
