@@ -11,8 +11,11 @@ Pipeline layout under the output directory (--out):
     delta.csv                 anchor-distance statistics table
     summary.txt               plain-text report
 
-Option precedence: command-line flag, then VERTIPY_<NAME> environment
-variable, then the --config JSON file, then the built-in default.  A run
+Options: OPTIONS gives each option's kind, default and check, and COMMANDS the
+options each command reads.  `_options` resolves each of them once, in order of
+precedence: command-line flag, then VERTIPY_<NAME> environment variable, then the
+--config JSON file, then the built-in default; every source passes the same cast and
+check.  argparse only decides which flags a command takes: they arrive as strings.  A run
 appends one line per finished (algorithm, problem) pair to records.jsonl, the
 only store of records, skips the pairs found there (so runs resume), and ends
 by sorting the file's own lines, so reruns produce identical files.
@@ -66,6 +69,40 @@ MODE_FAMILIES = {
     "ba": BEST_APPROXIMATION_ALGORITHMS,
 }
 
+# name -> (kind, default, check, flag help).  A kind is int, float, str, bool, or a list of
+# str or float; a check is a tuple of the allowed values or a rule of _RULES.  None help: no
+# flag, only VERTIPY_<NAME> and the config file.  k_table is config-only and not listed here.
+OPTIONS = {
+    "config": (str, None, None, "JSON config file (lowest-precedence options)"),
+    "out": (str, ".", "non-empty", "output directory (default .)"),
+    "seed": (int, 0, None, "master seed (default 0)"),
+    "count": (int, 100, "at least 1", "number of problems (default 100)"),
+    "nonconvex": (bool, False, None, "add the minimum-grade floor (union-of-stripes slope sets)"),
+    "lengths": ([float], DEFAULT_LENGTHS, None, None),
+    "speeds": ([float], DEFAULT_SPEEDS, None, None),
+    "xi_max": ([float], DEFAULT_XI_MAX, None, None),
+    "algorithms": ([str], None, None, "comma-separated algorithm ids (default: the --mode family)"),
+    "mode": (
+        str, "feas", tuple(MODE_FAMILIES),
+        "algorithm family when --algorithms is not given (default feas)",
+    ),
+    "eps": (float, 5e-3, None, "proximity tolerance (default 5e-3)"),
+    "k_max": (int, 5000, "at least 1", "iteration cap (default 5000)"),
+    "jobs": (int, os.cpu_count() or 1, "at least 1", "parallel workers (default: cpu count)"),
+    "superior_direction": (
+        str, "away", ("away", "toward"),
+        "perturbation direction for the superiorized variants (default away)",
+    ),
+    "checks": ([str], None, None, f"comma-separated subset of {', '.join(verify.ALL_CHECKS)}"),
+}
+
+_RULES = {"at least 1": lambda v: v >= 1, "non-empty": lambda v: v != ""}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+# the types a scalar option takes: a string to parse, or a JSON value of its kind from a
+# config file (no bool, and no 2.9 for an int)
+_TYPES = {int: (str, int), float: (str, int, float), str: (str,)}
+
 
 class UsageError(Exception):
     pass
@@ -74,10 +111,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); usage errors are 1
         raise UsageError(message)
-
-
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
 
 
 def _load_config(path):
@@ -92,87 +125,66 @@ def _load_config(path):
     return data
 
 
-class _Options:
-    """Merged view of flags, environment, config file, and defaults."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = _load_config(getattr(args, "config", None) or _env("config"))
-
-    def _value(self, name: str):
-        # the flag, else the environment, else the config file; None if none is set
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is None:
-            value = _env(name)
-        if value is None:
-            value = self.config.get(name.replace("-", "_"))
-        return value
-
-    def get(self, name: str, default=None, cast=None):
-        # without a cast, a string option: a config value must be a JSON string too
-        value = self._value(name)
-        if value is None:
-            return default
-        if cast is not None:
-            return _cast(name, value, cast)
-        if isinstance(value, str):
-            return value
-        raise UsageError(f"invalid value for {name}: {value!r}")
-
-    def get_bool(self, name: str, default=False):
-        value = self._value(name)
-        if value is None:
-            return default
+def _cast(label, value, kind):
+    if kind is bool:
         if isinstance(value, bool):
             return value
-        if isinstance(value, str):
-            if value.lower() in ("1", "true", "yes", "on"):
-                return True
-            if value.lower() in ("0", "false", "no", "off"):
-                return False
-        raise UsageError(f"invalid boolean for {name}: {value!r}")
-
-    def get_list(self, name: str, cast, default=None):
-        value = self._value(name)
-        if value is None:
-            return default
+        if isinstance(value, str) and value.lower() in _BOOLS:
+            return _BOOLS[value.lower()]
+        raise UsageError(f"invalid boolean for {label}: {value!r}")
+    if isinstance(kind, list):
         if isinstance(value, str):
             value = [part.strip() for part in value.split(",") if part.strip()]
         if not isinstance(value, list):
-            raise UsageError(f"invalid list for {name}: {value!r}")
+            raise UsageError(f"invalid list for {label}: {value!r}")
         if not value:
-            raise UsageError(f"{name} must list at least one value")
-        return [_cast(name, v, cast) for v in value]
-
-
-# the types an int or float option takes: a string to parse, or a JSON number of its
-# kind from a config file (no bool, and no 2.9 for an int)
-_TYPES = {int: (str, int), float: (str, int, float)}
-
-
-def _cast(name, value, cast):
-    if cast not in _TYPES or type(value) in _TYPES[cast]:
+            raise UsageError(f"{label} must list at least one value")
+        # a listed name that is not a string reaches the command's name check as its text
+        return [str(v) if kind == [str] else _cast(label, v, *kind) for v in value]
+    if type(value) in _TYPES[kind]:
         try:
-            return cast(value)
-        except (TypeError, ValueError, OverflowError):
+            return kind(value)
+        except (ValueError, OverflowError):
             pass
-    raise UsageError(f"invalid value for {name}: {value!r}")
+    raise UsageError(f"invalid value for {label}: {value!r}")
+
+
+def _value(name, args, config):
+    """One option: its flag, else VERTIPY_<NAME>, else the config file, else its default."""
+    kind, default, check, flag_help = OPTIONS[name]
+    value = getattr(args, name, None)
+    if value is None:
+        value = os.environ.get(ENV_PREFIX + name.upper())
+    if value is None:
+        value = config.get(name)
+    if value is None:
+        return default
+    label = name if flag_help is None else name.replace("_", "-")  # as its flag spells it
+    value = _cast(label, value, kind)
+    if isinstance(check, tuple) and value not in check:
+        raise UsageError(f"{label} must be one of {', '.join(check)}")
+    if isinstance(check, str) and not _RULES[check](value):
+        raise UsageError(f"{label} must be {check}")
+    return value
+
+
+def _options(args) -> dict:
+    """Every option the command reads, each resolved and checked once."""
+    config = _load_config(_value("config", args, {}))
+    opts = {name: _value(name, args, config) for name in COMMANDS[args.command][2]}
+    opts["k_table"] = config.get("k_table")  # config-only; make_batch checks it
+    return opts
 
 
 def _out_dir(opts, must_exist: bool = False) -> Path:
-    out = Path(opts.get("out", "."))
+    out = Path(opts["out"])
     if must_exist and not out.exists():
         raise UsageError(f"output directory {out} does not exist")
     return out
 
 
 def _select_algorithms(opts):
-    names = opts.get_list("algorithms", str)
-    if names is None:
-        mode = opts.get("mode", "feas")
-        if mode not in MODE_FAMILIES:
-            raise UsageError(f"mode must be one of {', '.join(MODE_FAMILIES)}")
-        names = sorted(MODE_FAMILIES[mode])
+    names = opts["algorithms"] or sorted(MODE_FAMILIES[opts["mode"]])
     unknown = [n for n in names if n not in ALGORITHMS]
     if unknown:
         raise UsageError(
@@ -190,29 +202,14 @@ def _select_algorithms(opts):
 
 
 def cmd_generate(opts) -> int:
-    count = opts.get("count", 100, int)
-    if count < 1:
-        raise UsageError("count must be at least 1")
-    seed = opts.get("seed", 0, int)
-    nonconvex = opts.get_bool("nonconvex")
-    lengths = opts.get_list("lengths", float, list(DEFAULT_LENGTHS))
-    speeds = opts.get_list("speeds", float, list(DEFAULT_SPEEDS))
-    xi_max = opts.get_list("xi_max", float, list(DEFAULT_XI_MAX))
-    k_table = opts.config.get("k_table")
     out = _out_dir(opts)
     problem_dir = out / "problems"
     if any(problem_dir.glob("*.json")) or (out / "records.jsonl").exists():
         raise UsageError(f"{out} already holds a batch; generate into a new directory")
 
-    problems = make_batch(
-        seed,
-        count=count,
-        nonconvex=nonconvex,
-        lengths=lengths,
-        speeds=speeds,
-        xi_max=xi_max,
-        k_table=k_table,
-    )
+    grid = {name: opts[name] for name in ("count", "nonconvex", "lengths", "speeds", "xi_max",
+                                          "k_table")}
+    problems = make_batch(opts["seed"], **grid)
     problem_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for problem in problems:
@@ -227,19 +224,10 @@ def cmd_generate(opts) -> int:
         )
     storage.write_manifest(
         out,
-        {
-            "created": datetime.now(timezone.utc).isoformat(),
-            "seed": seed,
-            "count": count,
-            "nonconvex": nonconvex,
-            "lengths": lengths,
-            "speeds": speeds,
-            "xi_max": xi_max,
-            "k_table": k_table,
-            "problems": entries,
-        },
+        {"created": datetime.now(timezone.utc).isoformat(), "seed": opts["seed"], **grid,
+         "problems": entries},
     )
-    print(f"wrote {count} problem(s) to {problem_dir}")
+    print(f"wrote {len(problems)} problem(s) to {problem_dir}")
     return 0
 
 
@@ -279,14 +267,9 @@ def cmd_run(opts) -> int:
         raise UsageError(f"no problem files in {problem_dir}; run `generate` first")
 
     algorithms = _select_algorithms(opts)
-    stop = StopRule(eps=opts.get("eps", 5e-3, float), k_max=opts.get("k_max", 5000, int))
-    direction = opts.get("superior_direction", "away")
-    if direction not in ("away", "toward"):
-        raise UsageError("superior-direction must be 'away' or 'toward'")
-    jobs = opts.get("jobs", os.cpu_count() or 1, int)
-    if jobs < 1:
-        raise UsageError("jobs must be at least 1")
-    options = {"direction": direction}
+    stop = StopRule(eps=opts["eps"], k_max=opts["k_max"])
+    jobs = opts["jobs"]
+    options = {"direction": opts["superior_direction"]}
 
     record_path = out / "records.jsonl"
     done = {(r.algorithm, r.problem_id) for r in storage.read_records(record_path)}
@@ -325,9 +308,6 @@ def cmd_run(opts) -> int:
 
 def cmd_report(opts) -> int:
     out = _out_dir(opts, must_exist=True)
-    k_max = opts.get("k_max", 5000, int)
-    if k_max < 1:
-        raise UsageError("k-max must be at least 1")
     records = storage.read_records(out / "records.jsonl")
     if not records:
         raise UsageError(f"no records in {out / 'records.jsonl'}; run `run` first")
@@ -344,7 +324,7 @@ def cmd_report(opts) -> int:
     if misfit:
         raise UsageError(f"record final does not fit its problem's profile: {', '.join(misfit)}")
 
-    kappa, rho = performance_profile(records, k_max=k_max)
+    kappa, rho = performance_profile(records, k_max=opts["k_max"])
     for algorithm, curve in rho.items():
         if np.any(np.diff(curve) < 0):
             raise InvalidSpecError(f"profile for {algorithm} is not nondecreasing")
@@ -382,8 +362,7 @@ def cmd_report(opts) -> int:
 
 
 def cmd_verify(opts) -> int:
-    names = opts.get_list("checks", str)
-    results = verify.run_checks(names)
+    results = verify.run_checks(opts["checks"])
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name}: {res.detail} [tol {res.tolerance:g}]")
@@ -399,71 +378,45 @@ def cmd_verify(opts) -> int:
 # argument wiring
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file (lowest-precedence options)")
-    sub.add_argument("--out", help="output directory (default .)")
+COMMANDS = {  # name -> (function, help, the options it reads besides config)
+    "generate": (
+        cmd_generate, "write a seeded problem batch",
+        ("out", "seed", "count", "nonconvex", "lengths", "speeds", "xi_max"),
+    ),
+    "run": (
+        cmd_run, "run algorithms over the generated batch",
+        ("out", "algorithms", "mode", "eps", "k_max", "jobs", "superior_direction"),
+    ),
+    "report": (cmd_report, "write CSV curves and the summary table", ("out", "k_max")),
+    "verify": (cmd_verify, "run the built-in consistency checks", ("checks",)),
+}
 
 
 @functools.cache  # once per process: `main` runs in process, call after call
 def build_parser() -> _Parser:
+    """Each command's flags from OPTIONS, as plain strings: `_options` casts and checks them."""
     parser = _Parser(prog="vertipy", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    gen = commands.add_parser("generate", help="write a seeded problem batch")
-    _add_common(gen)
-    gen.add_argument("--seed", type=int, help="master seed (default 0)")
-    gen.add_argument("--count", type=int, help="number of problems (default 100)")
-    gen.add_argument(
-        "--nonconvex",
-        action="store_const",
-        const=True,
-        help="add the minimum-grade floor (union-of-stripes slope sets)",
-    )
-
-    runp = commands.add_parser("run", help="run algorithms over the generated batch")
-    _add_common(runp)
-    runp.add_argument(
-        "--algorithms", help="comma-separated algorithm ids (default: the --mode family)"
-    )
-    runp.add_argument(
-        "--mode",
-        choices=sorted(MODE_FAMILIES),
-        help="algorithm family when --algorithms is not given (default feas)",
-    )
-    runp.add_argument("--eps", type=float, help="proximity tolerance (default 5e-3)")
-    runp.add_argument("--k-max", type=int, help="iteration cap (default 5000)")
-    runp.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
-    runp.add_argument(
-        "--superior-direction",
-        choices=("away", "toward"),
-        help="perturbation direction for the superiorized variants (default away)",
-    )
-
-    rep = commands.add_parser("report", help="write CSV curves and the summary table")
-    _add_common(rep)
-    rep.add_argument("--k-max", type=int, help="iteration cap used by the profiles")
-
-    ver = commands.add_parser("verify", help="run the built-in consistency checks")
-    ver.add_argument("--config", help="JSON config file (lowest precedence; only checks applies)")
-    ver.add_argument("--checks", help=f"comma-separated subset of {', '.join(verify.ALL_CHECKS)}")
-
+    for command, (_, about, names) in COMMANDS.items():
+        sub = commands.add_parser(command, help=about)
+        for name in ("config", *names):
+            kind, _, check, flag_help = OPTIONS[name]
+            if flag_help is None:
+                continue
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                sub.add_argument(flag, action="store_const", const=True, help=flag_help)
+            else:  # allowed values show as argparse shows choices
+                metavar = "{%s}" % ",".join(check) if isinstance(check, tuple) else None
+                sub.add_argument(flag, metavar=metavar, help=flag_help)
     return parser
-
-
-COMMANDS = {
-    "generate": cmd_generate,
-    "run": cmd_run,
-    "report": cmd_report,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        opts = _Options(args)
-        return COMMANDS[args.command](opts)
+        return COMMANDS[args.command][0](_options(args))
     except (UsageError, InvalidSpecError, storage.RecordFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

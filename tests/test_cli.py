@@ -1,17 +1,23 @@
 """End-to-end tests for the command-line pipeline (generate/run/report/verify)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import vertipy
 from vertipy import cli, storage, verify
@@ -19,7 +25,7 @@ from vertipy import feasibility as F
 from vertipy.feasibility import BEST_APPROXIMATION_ALGORITHMS, SUPERIORIZED_ALGORITHMS
 from vertipy.geometry import ProfileKernel
 from vertipy.metrics import StopRule
-from vertipy.probgen import make_batch
+from vertipy.probgen import DEFAULT_LENGTHS, DEFAULT_SPEEDS, DEFAULT_XI_MAX, make_batch
 from vertipy.verify import CheckResult
 
 
@@ -676,6 +682,174 @@ def test_jobs_and_k_max_below_1_exit_1(tmp_path, capsys, value):
     assert cli.main(["report", "--out", str(out), "--k-max", value]) == 1
     assert capsys.readouterr().err == "error: k-max must be at least 1\n"
     assert not (out / "profiles.csv").exists()
+
+
+def _tree(directory):
+    return {p: p.read_bytes() if p.is_file() else None for p in Path(directory).rglob("*")}
+
+
+def _given(source, name, value, args, config, env):
+    """Put one option's value where `source` says: a flag, VERTIPY_<NAME> or the config file."""
+    if source == "flag":
+        args += ["--" + name.replace("_", "-"), value]
+    elif source == "env":
+        env["VERTIPY_" + name.upper()] = value
+    else:
+        config[name] = value
+
+
+@pytest.fixture(scope="module")
+def batch_dir(tmp_path_factory):
+    """A 2-problem batch with CycP's records: what `run` and `report` read."""
+    out = tmp_path_factory.mktemp("batch") / "o"
+    _generate(out, count=2, seed=3)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1",
+                     "--k-max", "20"]) == 0
+    return out
+
+
+def _cli_in(work, args, config, env):
+    """cli.main in `work` with `config` as its config file and `env` set; (code, stderr)."""
+    path = work / "conf.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([*args, "--config", str(path)])
+    finally:
+        os.chdir(cwd)
+    path.unlink()
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("command", ["generate", "run", "report"])
+def test_an_empty_out_exits_1_and_writes_nothing(tmp_path, batch_dir, source, command):
+    # Path("") is ".": generate wrote its batch into the working directory
+    shutil.copytree(batch_dir, tmp_path / "o")
+    config, env, args = {}, {}, [command]
+    _given(source, "out", "", args, config, env)
+    before = _tree(tmp_path)
+    code, err = _cli_in(tmp_path, args, config, env)
+    assert (code, err) == (1, "error: out must be non-empty\n")
+    assert _tree(tmp_path) == before
+
+
+# each option that the table checks, with a value its check refuses
+_REFUSED = {"tuple": "bogus", "at least 1": "0", "non-empty": ""}
+_CHECKED = [
+    (command, name, _REFUSED["tuple" if isinstance(check, tuple) else check])
+    for command, (_, _, names) in cli.COMMANDS.items()
+    for name in names
+    for _, _, check, _ in [cli.OPTIONS[name]]
+    if check is not None
+]
+
+
+@pytest.mark.parametrize("command, name, value", _CHECKED,
+                         ids=[f"{c}-{n}" for c, n, _ in _CHECKED])
+def test_a_refused_value_gives_one_error_from_every_source(tmp_path, batch_dir, command, name,
+                                                           value):
+    # the flag, VERTIPY_<NAME> and the config file pass one check with one message;
+    # mode is checked although --algorithms is given
+    shutil.copytree(batch_dir, tmp_path / "o")
+    errors = set()
+    for source in ("flag", "env", "config"):
+        config = {"jobs": 1, "k_max": 5} if command == "run" else {}
+        env, args = {}, [command]
+        args += ["--out", "o"] if name != "out" else []
+        args += ["--algorithms", "CycP"] if command == "run" else []
+        _given(source, name, value, args, config, env)
+        before = _tree(tmp_path)
+        code, err = _cli_in(tmp_path, args, config, env)
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (source, err)
+        assert name.replace("_", "-") in err, err  # named as its flag spells it
+        assert _tree(tmp_path) == before, source
+        errors.add(err)
+    assert len(errors) == 1, errors
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_lists_the_table_flags_of_each_command(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    flags = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)) - {"--help"}
+    names = ("config", *cli.COMMANDS[command][2])
+    expected = {"--" + n.replace("_", "-") for n in names if cli.OPTIONS[n][3] is not None}
+    assert flags == expected
+
+
+def _names(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+# the values each option is drawn from, as a flag or environment string: no draw is slow
+# (at most 3 problems, from the default grid, and at most 50 iterations); one in eight is
+# junk instead, or a JSON value of any kind from a config file
+_DRAWS = {
+    "out": st.just("o"),
+    "seed": st.integers(0, 2**32).map(str),
+    "count": st.integers(1, 3).map(str),
+    "nonconvex": st.sampled_from(["1", "0", "yes", "off"]),
+    "lengths": _names(DEFAULT_LENGTHS),
+    "speeds": _names(DEFAULT_SPEEDS),
+    "xi_max": _names(DEFAULT_XI_MAX),
+    "algorithms": _names(["CycP", "sParP", "hCycP", "baD-R"]),
+    "mode": st.sampled_from(list(cli.MODE_FAMILIES)),
+    "eps": st.sampled_from(["5e-3", "0.1", "1"]),
+    "k_max": st.integers(1, 50).map(str),
+    "jobs": st.just("1"),  # the default, the cpu count, would start a pool
+    "superior_direction": st.sampled_from(["away", "toward"]),
+    "checks": st.just("dr-cycling"),
+}
+_JUNK = st.sampled_from(["", "x", "-1", "0", "2.9", "nan", ",", "true", "1e400", "missing",
+                         "Nope", "CycP,CycP", "bogus"])
+_JSON = st.sampled_from([True, 2.9, -1, "x", [1], {}, "", [], [True], ["a"], {"a": 1}, 0])
+_RARE = st.integers(0, 7).map(lambda i: i == 7)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_drawn_options_exit_cleanly(batch_dir, command, data):
+    # any mix of values and sources exits 0, 1 or 2 with no traceback, and an
+    # exit 1 leaves the directory as it was
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        if command != "generate":
+            shutil.copytree(batch_dir, work / "o")
+        config, env, args = {}, {}, [command]
+        for name in cli.COMMANDS[command][2]:
+            # jobs is always 1; run's k_max and verify's checks are always set, since
+            # their defaults run long
+            forced = name in ("jobs", "checks") or (command, name) == ("run", "k_max")
+            sources = ["flag"] if cli.OPTIONS[name][3] is not None else []
+            sources += ["env", "config"] + ([] if forced else [None])
+            source = data.draw(st.sampled_from(sources), f"{name} source")
+            if source is None:
+                continue
+            value = data.draw(_DRAWS[name], name)
+            if name != "jobs" and data.draw(_RARE, f"{name} junk"):
+                as_json = source == "config" and data.draw(st.booleans(), f"{name} as JSON")
+                value = data.draw(_JSON if as_json else _JUNK, name)
+            if source == "flag" and name == "nonconvex":
+                args.append("--nonconvex")  # a switch: it takes no value
+            else:
+                _given(source, name, value, args, config, env)
+        if command == "generate" and data.draw(_RARE, "k_table"):
+            config["k_table"] = data.draw(_JSON, "k_table")
+        before = _tree(work)
+        code, err = _cli_in(work, args, config, env)
+        event(f"exit {code}")
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ")
+            assert _tree(work) == before
 
 
 def test_verify_all_checks_pass(capsys):
