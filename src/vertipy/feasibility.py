@@ -366,14 +366,18 @@ class HaugazeauCyclic(_Scored, _Anchored):
 
     P_[k] x is row k of the pass that scored x, if one did, else the set's
     projection: the driver scores no x that repeats its last monitored
-    point's bytes.
+    point's bytes.  A step whose Q gives back x's bytes (x was on set k)
+    keeps that pass, which a score of the new x would repeat.
     """
 
     def step(self):
         i = self.k % len(self.sets)
         z = self.sets[i].project(self.x) if self._rows is None else self._rows.row(i)
         x, self.signals = _q_each(self.sets.kernel, self.v, self.x, z)
-        self._keep(x)
+        if x.tobytes() == self.x.tobytes():
+            self._keep(x, self._d2, self._rows)
+        else:
+            self._keep(x)
         self.k += 1
 
 

@@ -58,8 +58,8 @@ class StopRule:
     k_max: int = 5000
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise InvalidSpecError("eps must be positive")
+        if not 0 < self.eps <= 1:  # d starts at 1: a larger eps ends every run before a step
+            raise InvalidSpecError(f"eps must be in (0, 1], got {self.eps!r}")
         if not self.k_max >= 1:
             raise InvalidSpecError("k_max must be at least 1")
         if self.k_max > MAX_ITERATIONS:

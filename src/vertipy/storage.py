@@ -133,7 +133,7 @@ def problem_from_dict(data: dict) -> FeasibilityProblem:
 
 
 def save_problem(problem: FeasibilityProblem, path) -> None:
-    Path(path).write_text(json.dumps(problem_to_dict(problem), indent=1) + "\n")
+    Path(path).write_text(json.dumps(problem_to_dict(problem)) + "\n")
 
 
 def load_problem(path) -> FeasibilityProblem:
@@ -379,7 +379,7 @@ def write_delta_csv(path, stats) -> None:
 
 
 def write_manifest(directory, data: dict) -> None:
-    Path(directory, "manifest.json").write_text(json.dumps(data, indent=1) + "\n")
+    Path(directory, "manifest.json").write_text(json.dumps(data) + "\n")
 
 
 def read_manifest(directory) -> dict:

@@ -475,7 +475,7 @@ def test_malformed_k_table_exits_1(tmp_path, capsys, k_table):
     assert cli.main(["generate", "--out", str(out), "--config", str(config), "--count", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: k_table") and "Traceback" not in err
-    assert not any(out.glob("problems/*.json"))
+    assert not out.exists()  # make_batch checks the table before any draw
 
 
 def test_bad_boolean_env_rejected(tmp_path, monkeypatch, capsys):
@@ -738,7 +738,7 @@ def test_an_empty_out_exits_1_and_writes_nothing(tmp_path, batch_dir, source, co
     assert _tree(tmp_path) == before
 
 
-# each option that the table checks, with a value its check refuses
+# each option that the table checks, with a value its check refuses, and eps
 _REFUSED = {"tuple": "bogus", "at least 1": "0", "non-empty": ""}
 _CHECKED = [
     (command, name, _REFUSED["tuple" if isinstance(check, tuple) else check])
@@ -746,11 +746,12 @@ _CHECKED = [
     for name in names
     for _, _, check, _ in [cli.OPTIONS[name]]
     if check is not None
-]
+] + [("run", "eps", value) for value in ("0", "1.5", "inf")]  # StopRule's check of eps
 
 
 @pytest.mark.parametrize("command, name, value", _CHECKED,
-                         ids=[f"{c}-{n}" for c, n, _ in _CHECKED])
+                         ids=[f"{c}-{n}" + (f"-{v}" if n == "eps" else "")
+                              for c, n, v in _CHECKED])
 def test_a_refused_value_gives_one_error_from_every_source(tmp_path, batch_dir, command, name,
                                                            value):
     # the flag, VERTIPY_<NAME> and the config file pass one check with one message;

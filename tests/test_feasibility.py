@@ -271,6 +271,24 @@ def test_run_scores_a_repeated_monitored_point_once(monkeypatch):
         assert [d.hex() for d in rec.d_trace] == [d.hex() for d in want], name
 
 
+def test_hcycp_keeps_the_pass_when_q_gives_x_back(monkeypatch):
+    # about half of hCycP's steps leave x's bytes as they were (x is on the set);
+    # such a step keeps the pass that scored x, so no step projects x afresh
+    fresh, kept = [], []
+    step = F.HaugazeauCyclic.step
+
+    def counted(self):
+        x = self.x
+        fresh.append(self._rows is None)
+        step(self)
+        kept.append(self.x.tobytes() == x.tobytes())
+
+    monkeypatch.setattr(F.HaugazeauCyclic, "step", counted)
+    rec = F.run("hCycP", make_batch(0, count=1)[0], StopRule(k_max=300))
+    assert len(fresh) == rec.iterations == 300 and sum(kept) > 100
+    assert not any(fresh)
+
+
 def test_product_methods_average_the_rows_once_per_iteration(monkeypatch):
     # the monitor's average after step k is the one step k + 1 starts from
     problem = make_batch(0, count=1)[0]

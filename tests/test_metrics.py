@@ -57,6 +57,11 @@ def test_stop_rule_validation():
     assert StopRule().k_max == 5000
     with pytest.raises(InvalidSpecError):
         StopRule(eps=0.0)
+    # d starts at 1, so an eps above 1 would end every run before its first step
+    assert StopRule(eps=1.0).eps == 1.0
+    for eps in (-1.0, np.nextafter(1.0, 2.0), 1.5, math.inf, math.nan):
+        with pytest.raises(InvalidSpecError, match=r"eps must be in \(0, 1\]"):
+            StopRule(eps=eps)
     with pytest.raises(InvalidSpecError, match="k_max must be at least 1"):
         StopRule(k_max=0)
     # every record holds k_max + 1 trace entries: a stalled run at k_max = 10**13

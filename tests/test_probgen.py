@@ -1,5 +1,9 @@
 """Problem generator: determinism, postconditions, and the parameter grid."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,3 +207,66 @@ def test_generated_problem_plugs_into_run():
     rec = F.run("CycP", prob, StopRule(eps=5e-3, k_max=2000))
     assert rec.converged
     assert rec.d_trace[-1] < 5e-3
+
+
+GRID = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "grid.json").read_text())
+
+
+def _digest(problems) -> str:
+    """sha256 over the float64 bytes of every problem's t, v, bounds and interpolation spec."""
+    h = hashlib.sha256()
+    for prob in problems:
+        kernel = prob.sets[0].kernel
+        slope, curv, interp = kernel.slope, kernel.curvature, kernel.interp
+        beta = () if slope.beta is None else slope.beta
+        for values in (prob.breakpoints.t, prob.v, slope.alpha, beta, curv.gamma, curv.delta,
+                       interp.indices, interp.values):
+            h.update(np.asarray(values, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _widened(problems) -> int:
+    """How many gaps the widen-the-gap fallback stretched to the design spacing 0.625 V."""
+    return sum(
+        int(np.sum(np.isclose(p.breakpoints.tau, 0.625 * p.meta["speed"], rtol=1e-9, atol=0.0)))
+        for p in problems
+    )
+
+
+# each batch as the generator drew it with one rng.uniform call per candidate elevation
+@pytest.mark.parametrize(
+    "seed, count, nonconvex, grid, digest, widened",
+    [
+        (0, 100, False, {},
+         "f6f10f8b0bf48b8b749fd8d663e89f6f10b4f37156b1e991968fb0feb4d97779", 784),
+        (0, 100, True, {},
+         "86546c211864b66b05c042c49a539862823fc6dac9c75deed19a6239b9907a73", 784),
+        (1, 100, False, {},
+         "a866e0442d814cc301487b43a30cea1ae778e1c8604941e5c8d50aa0f4bf4584", 424),
+        (1, 100, True, {},
+         "69911397896cda02d1e01425469bcee78044c7d9f94d62273142fb4c09aa0699", 424),
+        (0, 20, False, GRID,
+         "871c8e13f7285a686a2f45fdd58ad63cf4c8e34b5b34214a7eeea3d0232bceea", 0),
+        (0, 20, True, GRID,
+         "3833c167448761f754233ce8dc6cafe3b7c5bf0ca9dc07a0a7a4e7d6e58412ba", 0),
+    ],
+    ids=["seed0", "seed0-nonconvex", "seed1", "seed1-nonconvex", "grid", "grid-nonconvex"],
+)
+def test_batches_are_pinned_bitwise(seed, count, nonconvex, grid, digest, widened):
+    problems = probgen.make_batch(seed, count=count, nonconvex=nonconvex, **grid)
+    assert _digest(problems) == digest
+    # the default grid's narrow elevation ranges take the fallback and its 101st draw
+    assert _widened(problems) == widened
+
+
+def test_make_batch_reads_the_k_table_once(monkeypatch):
+    reads, read = [], probgen.default_curvature_table
+    monkeypatch.setattr(probgen, "default_curvature_table", lambda: reads.append(1) or read())
+    assert len(probgen.make_batch(0, count=25)) == 25
+    assert len(reads) == 1
+
+
+def test_make_batch_checks_a_malformed_k_table_before_any_draw(monkeypatch):
+    monkeypatch.setattr(probgen, "generate", lambda *args: pytest.fail("a problem was drawn"))
+    with pytest.raises(InvalidSpecError, match="k_table"):
+        probgen.make_batch(0, count=3, k_table={"30": 0})

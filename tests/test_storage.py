@@ -48,6 +48,22 @@ def test_problem_round_trip(tmp_path):
         assert back.meta == prob.meta
 
 
+def test_problem_files_are_one_line_and_indented_ones_still_load(tmp_path):
+    # save_problem and write_manifest write compact JSON; files of the indented
+    # layout that earlier versions wrote load to the same values
+    prob = _problem(nonconvex=True)
+    path = tmp_path / "p.json"
+    storage.save_problem(prob, path)
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    data = json.loads(text)
+    assert data == storage.problem_to_dict(prob)
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    assert storage.problem_to_dict(storage.load_problem(path)) == data
+    storage.write_manifest(tmp_path, {"seed": 0, "problems": [{"id": "p0000"}]})
+    assert (tmp_path / "manifest.json").read_text().count("\n") == 1
+
+
 def test_problem_to_dict_requires_breakpoints():
     sets = [HalfspaceSet([1.0, 0.0], 0.0), HalfspaceSet([0.0, 1.0], 0.0)]
     prob = FeasibilityProblem(v=[1.0, 1.0], sets=sets)

@@ -1,5 +1,8 @@
 """Smoke tests of the scripts in tools/."""
 
+import importlib.util
+import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +14,10 @@ from vertipy import cli
 from vertipy.feasibility import ALGORITHMS, FEASIBILITY_ALGORITHMS
 
 ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("record_digests",
+                                               ROOT / "tools" / "record_digests.py")
+record_digests = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(record_digests)
 
 
 def test_op_timings_runs_with_one_repeat():
@@ -60,17 +67,37 @@ def test_record_digests_prints_one_digest_per_benchmark_record():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
-    assert proc.stderr.endswith("230 record(s), 16 report file(s)\n")
-    records = [row for row in rows if row[1] != "report"]
+    assert proc.stderr.endswith("133 problem(s), 230 record(s), 16 report file(s)\n")
+    problems = [row for row in rows if row[1] == "problem"]
+    records = [row for row in rows if row[1] not in ("problem", "report")]
     reports = [row for row in rows if row[1] == "report"]
-    assert len(records) == 230 and len(rows) == 246
+    assert len(problems) == 133 and len(records) == 230 and len(rows) == 379
     assert len({(workload, algorithm, pid) for workload, algorithm, pid, _ in records}) == 230
-    files = ["profiles.csv", "proximity.csv", "delta.csv", "summary.txt"]
+    # the four workloads' batches (10 + 20 + 1 + 2), then the seed-0 default batch
     workloads = list(dict.fromkeys(workload for workload, *_ in rows))
+    assert workloads[-1] == "default-batch"
+    assert [(workload, pid) for workload, _, pid, _ in problems[-100:]] == [
+        ("default-batch", f"p{i:04d}") for i in range(100)
+    ]
+    files = ["profiles.csv", "proximity.csv", "delta.csv", "summary.txt"]
     assert [(workload, name) for workload, _, name, _ in reports] == [
-        (workload, name) for workload in workloads for name in files
+        (workload, name) for workload in workloads[:-1] for name in files
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in rows)
+
+
+def test_a_problem_digest_sees_the_values_and_not_the_layout(tmp_path):
+    # an indented file and a compact one of the same problem digest alike; any value moves it
+    out = tmp_path / "run"
+    assert cli.main(["generate", "--out", str(out), "--seed", "0", "--count", "1"]) == 0
+    path = out / "problems" / "p0000.json"
+    (compact,) = record_digests.problem_digests(out)
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    assert list(record_digests.problem_digests(out)) == [compact]
+    data["v"][1] = math.nextafter(data["v"][1], math.inf)
+    path.write_text(json.dumps(data) + "\n")
+    assert list(record_digests.problem_digests(out)) != [compact]
 
 
 def test_record_digests_out_digests_a_run_directory(tmp_path):
@@ -86,10 +113,10 @@ def test_record_digests_out_digests_a_run_directory(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(Path(vertipy.__file__).parents[1])),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.endswith("4 record(s), 4 report file(s)\n")
+    assert proc.stderr.endswith("2 problem(s), 4 record(s), 4 report file(s)\n")
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert [row[:2] for row in rows] == [
-        ["CycP", "p0000"], ["CycP", "p0001"], ["SaP", "p0000"], ["SaP", "p0001"],
+        ["problem", "p0000"], ["problem", "p0001"], ["CycP", "p0000"], ["CycP", "p0001"], ["SaP", "p0000"], ["SaP", "p0001"],
         ["report", "profiles.csv"], ["report", "proximity.csv"], ["report", "delta.csv"],
         ["report", "summary.txt"],
     ]

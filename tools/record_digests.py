@@ -1,12 +1,17 @@
-"""Print one sha256 per record and per report file of the benchmark workloads.
+"""Print one sha256 per problem, per record and per report file of the benchmark workloads.
 
 Every workload in ``perfbench.workloads.WORKLOADS`` runs through
 ``vertipy.cli.main`` in a temporary directory: its ``generate_args`` (seed 0),
-its ``run_args``, then its ``report_args``.  Each (algorithm, problem) record
-then prints as one line: workload, algorithm, problem id, and the sha256 of
-the record's JSON text without ``wall_time``.  Every digit of every float
-counts, and so does the sign of a zero.  Each report file follows as one
-line: workload, ``report``, file name, and the sha256 of the file's bytes.
+its ``run_args``, then its ``report_args``.  Each generated problem then
+prints as one line: workload, ``problem``, problem id, and the sha256 of the
+JSON text of the file's decoded values, so the digest sees the values and
+not the file's layout.  Each (algorithm, problem) record follows as one
+line: workload, algorithm, problem id, and the sha256 of the record's JSON
+text without ``wall_time``.  Every digit of every float counts, and so does
+the sign of a zero.  Each report file follows as one line: workload,
+``report``, file name, and the sha256 of the file's bytes.  Last come the
+problems of the seed-0 100-problem default batch (workload
+``default-batch``), generated only.
 
 A change that must not move results is checked by diffing the output for
 the code before and after it:
@@ -15,9 +20,9 @@ the code before and after it:
     PYTHONPATH=/path/to/parent/src python tools/record_digests.py > before.txt
     diff before.txt after.txt
 
-With ``--out DIR`` it runs nothing: it digests the records and the report
-files already in the run directory DIR, one line each, without the
-workload column.  Two runs of one batch, say with ``--jobs 1`` and
+With ``--out DIR`` it runs nothing: it digests the problems, the records
+and the report files already in the run directory DIR, one line each,
+without the workload column.  Two runs of one batch, say with ``--jobs 1`` and
 ``--jobs 2``, are checked the same way:
 
     python tools/record_digests.py --out seq > seq.txt
@@ -25,7 +30,8 @@ workload column.  Two runs of one batch, say with ``--jobs 1`` and
     diff seq.txt par.txt
 
 A vertipy on PYTHONPATH wins; without one, this checkout's ``src`` is used.
-The vertipy in use and the record and report file counts go to stderr.
+The vertipy in use and the problem, record and report file counts go to
+stderr.
 """
 
 from __future__ import annotations
@@ -57,14 +63,26 @@ def _call(args) -> None:
 REPORT_FILES = ("profiles.csv", "proximity.csv", "delta.csv", "summary.txt")
 
 
+def _sha256(value) -> str:
+    # Python floats round-trip through JSON text exactly
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def problem_digests(directory):
+    """Yield ("problem", problem id, sha256) for each problem file in `directory`/problems."""
+    for path in sorted((Path(directory) / "problems").glob("*.json")):
+        problem = json.loads(path.read_text())
+        yield "problem", problem["problem_id"], _sha256(problem)
+
+
 def directory_digests(directory):
-    """Yield (algorithm, problem id, sha256) for each record in `directory`'s records.jsonl,
-    then ("report", file name, sha256) for each report file there."""
+    """Yield `problem_digests`, then (algorithm, problem id, sha256) for each record in
+    `directory`'s records.jsonl, then ("report", file name, sha256) for each report file."""
+    yield from problem_digests(directory)
     for line in (Path(directory) / "records.jsonl").read_text().splitlines():
         record = json.loads(line)
         del record["wall_time"]
-        text = json.dumps(record)  # Python floats round-trip through JSON text exactly
-        yield record["algorithm"], record["problem_id"], hashlib.sha256(text.encode()).hexdigest()
+        yield record["algorithm"], record["problem_id"], _sha256(record)
     for name in REPORT_FILES:
         path = Path(directory) / name
         if path.exists():
@@ -80,11 +98,16 @@ def digests(workload, directory):
 
 
 def _workload_digests():
-    """(workload, kind, item, sha256) of every workload, each run in a temporary directory."""
+    """(workload, kind, item, sha256) of every workload, each run in a temporary directory,
+    then the problems of the seed-0 default batch."""
     for name, workload in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
             for row in digests(workload, tmp):
                 yield (name, *row)
+    with tempfile.TemporaryDirectory() as tmp:
+        _call(["generate", "--out", tmp, "--seed", "0", "--count", "100"])
+        for row in problem_digests(tmp):
+            yield ("default-batch", *row)
 
 
 def main(argv=None) -> int:
@@ -92,12 +115,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="digest this run directory instead of running the workloads")
     args = parser.parse_args(argv)
     print(f"vertipy from {Path(cli.__file__).parent}", file=sys.stderr)
-    records = reports = 0
+    counts = {"problem": 0, "record": 0, "report": 0}
     for row in directory_digests(args.out) if args.out else _workload_digests():
         print(*row)
-        reports += row[-3] == "report"
-        records += row[-3] != "report"
-    print(f"{records} record(s), {reports} report file(s)", file=sys.stderr)
+        counts[row[-3] if row[-3] in ("problem", "report") else "record"] += 1
+    print(f"{counts['problem']} problem(s), {counts['record']} record(s), "
+          f"{counts['report']} report file(s)", file=sys.stderr)
     return 0
 
 
