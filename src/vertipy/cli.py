@@ -311,8 +311,8 @@ def cmd_report(opts) -> int:
     records = storage.read_records(out / "records.jsonl")
     if not records:
         raise UsageError(f"no records in {out / 'records.jsonl'}; run `run` first")
-    problems = storage.load_problem_dir(out / "problems")
-    v_by_problem = {p.problem_id: p.v for p in problems}
+    # each file's id and start profile: report builds no constraint sets
+    v_by_problem = dict(storage.load_problem_dir(out / "problems", storage.profile_from_dict))
     missing = {r.problem_id for r in records} - set(v_by_problem)
     if missing:
         raise UsageError(f"records reference missing problem file(s): {sorted(missing)}")

@@ -23,6 +23,8 @@ a design speed V (km/h) and an elevation range [0, xi_max]:
 * curvature caps gamma_i = min(tau_i, tau_{i+1}) / (100 K_V) from a
   design-speed K table (meters per percent of grade change) shipped as
   data/curvature_k.json and overridable per call, delta_i = -gamma_i.
+  `design_bounds` computes all four from the stations and the meta, which
+  records sigma_max, min_grade and K; a problem file's loader calls it too.
 
 The last elevation is drawn within 0.9 * sigma_max * span of the first, so
 the straight chord between the pinned endpoints satisfies every convex
@@ -61,6 +63,7 @@ __all__ = [
     "point_count_range",
     "child_seed",
     "build_constraint_sets",
+    "design_bounds",
     "generate",
     "make_batch",
     "DEFAULT_LENGTHS",
@@ -132,6 +135,39 @@ def build_constraint_sets(bp, interp, slope, curvature):
     The six share one `geometry.ProfileKernel`, built here once per problem.
     """
     return ProfileKernel(interp, slope, curvature, bp).constraint_sets()
+
+
+def _meta_number(meta, key) -> float:
+    value = meta[key]
+    if type(value) not in (int, float):
+        raise InvalidSpecError(f"meta {key} is not a number: {value!r}")
+    return value
+
+
+def design_bounds(bp, meta) -> tuple[SlopeBounds, CurvatureBounds]:
+    """The slope and curvature bounds of the road model at stations `bp`.
+
+    From the meta `generate` writes: alpha = sigma_max * tau, beta =
+    min_grade * tau if nonconvex (else None), gamma = min(tau_i, tau_{i+1})
+    / (100 K) with K = curvature_k, and delta = -gamma.  `generate` and the
+    problem-file loader both take the bounds from here.  A missing key
+    raises KeyError; a value of the wrong kind, or a K too small for a
+    finite gamma, InvalidSpecError.
+    """
+    nonconvex = meta["nonconvex"]
+    if type(nonconvex) is not bool:
+        raise InvalidSpecError(f"meta nonconvex is not a boolean: {nonconvex!r}")
+    k_value = _meta_number(meta, "curvature_k")
+    if not 0 < k_value < math.inf:
+        raise InvalidSpecError(f"meta curvature_k must be positive and finite, got {k_value}")
+    tau = bp.tau
+    alpha = _meta_number(meta, "sigma_max") * tau
+    beta = _meta_number(meta, "min_grade") * tau if nonconvex else None
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        gamma = np.minimum(tau[:-1], tau[1:]) / (100.0 * k_value)
+    if not np.all(np.isfinite(gamma)):
+        raise InvalidSpecError(f"K value {k_value} is too small: a curvature bound is infinite")
+    return SlopeBounds(alpha, beta), CurvatureBounds(gamma, -gamma)
 
 
 def _curvature_table(k_table) -> dict:
@@ -207,18 +243,6 @@ def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProbl
     if not (np.all(spacing >= bound - 1e-9) and np.all((v >= 0) & (v <= spec.xi_max))):
         raise AssertionError("generator postcondition violated")  # pragma: no cover
 
-    alpha = _SIGMA_MAX * bp.tau
-    beta = _MIN_GRADE * bp.tau if spec.nonconvex else None
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        gamma = np.minimum(bp.tau[:-1], bp.tau[1:]) / (100.0 * k_value)
-    if not np.all(np.isfinite(gamma)):
-        raise InvalidSpecError(f"K value {k_value} is too small: a curvature bound is infinite")
-    sets = build_constraint_sets(
-        bp,
-        InterpolationSpec([0, n - 1], [v[0], v[-1]]),
-        SlopeBounds(alpha, beta),
-        CurvatureBounds(gamma, -gamma),
-    )
     meta = {
         "length": spec.length,
         "speed": spec.speed,
@@ -229,6 +253,9 @@ def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProbl
         "min_grade": _MIN_GRADE,
         "curvature_k": k_value,
     }
+    sets = build_constraint_sets(
+        bp, InterpolationSpec([0, n - 1], [v[0], v[-1]]), *design_bounds(bp, meta)
+    )
     return FeasibilityProblem(
         v=v, sets=sets, breakpoints=bp, problem_id=spec.problem_id, meta=meta
     )

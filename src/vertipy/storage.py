@@ -1,7 +1,11 @@
 """File formats: problem JSON, run-record JSONL, report CSVs.
 
-Problems serialize losslessly (stations, start profile, bound vectors);
-constraint sets are rebuilt in the canonical order on load.  Records go to
+A problem file holds the stations t, the start profile v, the interpolation
+spec and the meta.  The slope and curvature bounds are stored only when the
+meta does not rebuild them bitwise (hand-built problems, custom bounds); a
+generated problem's are rebuilt on load by `probgen.design_bounds`, the
+generator's own expressions, and files that store them still load.  Each
+constraint set is rebuilt in the canonical order on load.  Records go to
 JSON-lines so interrupted runs can resume, and the report tables are plain
 CSV with deterministic float formatting -- two runs from the same seed
 produce byte-identical CSVs.  Timestamps live only in the batch manifest.
@@ -13,6 +17,7 @@ import csv
 import fcntl
 import io
 import json
+import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -33,13 +38,15 @@ from .geometry import (
     SlopeConstraint,
 )
 from .metrics import STAT_FIELDS, RunRecord
-from .probgen import build_constraint_sets
+from .probgen import build_constraint_sets, design_bounds
 
 __all__ = [
     "RecordFileError",
     "RecordSummary",
+    "Profile",
     "problem_to_dict",
     "problem_from_dict",
+    "profile_from_dict",
     "save_problem",
     "load_problem",
     "load_problem_dir",
@@ -82,73 +89,126 @@ def _first_set(problem, cls):
     raise InvalidSpecError(f"problem {problem.problem_id} has no {cls.__name__}")
 
 
+def _bound_bytes(slope, curv) -> list:
+    """The bytes of each bound vector (each a 1-D float64 array), None for no beta."""
+    bounds = (slope.alpha, slope.beta, curv.gamma, curv.delta)
+    return [b if b is None else b.tobytes() for b in bounds]
+
+
+def _rebuilds(problem, slope, curv) -> bool:
+    """True if `design_bounds` of the problem's own t and meta gives its bounds bitwise."""
+    try:
+        built = design_bounds(problem.breakpoints, problem.meta)
+    except (KeyError, TypeError, ValueError):  # the meta does not define the bounds
+        return False
+    return _bound_bytes(*built) == _bound_bytes(slope, curv)
+
+
 def problem_to_dict(problem: FeasibilityProblem) -> dict:
+    """The problem as a file holds it: t, v, the interpolation spec and the meta.
+
+    The slope and curvature bounds are left out when the meta rebuilds them
+    bitwise (`probgen.design_bounds`), as it does for every generated
+    problem; any other bounds are stored.
+    """
     if problem.breakpoints is None:
         raise InvalidSpecError("only breakpoint-based problems are serializable")
     interp = _first_set(problem, InterpolationConstraint).spec
     slope = _first_set(problem, SlopeConstraint).bounds
     curv = _first_set(problem, CurvatureConstraint).bounds
+    constraints = {
+        "interpolation": {
+            "indices": [int(i) for i in interp.indices],
+            "values": _floats(interp.values),
+        },
+    }
+    if not _rebuilds(problem, slope, curv):
+        constraints["slope"] = {
+            "alpha": _floats(slope.alpha),
+            "beta": None if slope.beta is None else _floats(slope.beta),
+        }
+        constraints["curvature"] = {"gamma": _floats(curv.gamma), "delta": _floats(curv.delta)}
     return {
         "problem_id": problem.problem_id,
         "t": _floats(problem.breakpoints.t),
         "v": _floats(problem.v),
-        "constraints": {
-            "interpolation": {
-                "indices": [int(i) for i in interp.indices],
-                "values": _floats(interp.values),
-            },
-            "slope": {
-                "alpha": _floats(slope.alpha),
-                "beta": None if slope.beta is None else _floats(slope.beta),
-            },
-            "curvature": {
-                "gamma": _floats(curv.gamma),
-                "delta": _floats(curv.delta),
-            },
-        },
+        "constraints": constraints,
         "meta": problem.meta,
     }
 
 
-def problem_from_dict(data: dict) -> FeasibilityProblem:
+def _decode(data: dict) -> tuple:
+    """(breakpoints, v, interpolation spec, slope bounds, curvature bounds, meta) of a problem dict.
+
+    The bounds are the stored ones if the dict has them (files of earlier
+    versions, bounds the meta does not define), else `design_bounds` of t
+    and the meta.  v is a list of numbers, one per station.
+    """
     bp = Breakpoints(np.asarray(data["t"], dtype=float))
+    v = _vector(data, "v")
+    if v.size != bp.n:
+        raise InvalidSpecError(f"v has {v.size} entries for {bp.n} stations")
     cons = data["constraints"]
     interp = InterpolationSpec(cons["interpolation"]["indices"], cons["interpolation"]["values"])
-    beta = cons["slope"]["beta"]
-    slope = SlopeBounds(
-        np.asarray(cons["slope"]["alpha"], dtype=float),
-        None if beta is None else np.asarray(beta, dtype=float),
-    )
-    curv = CurvatureBounds(
-        np.asarray(cons["curvature"]["gamma"], dtype=float),
-        np.asarray(cons["curvature"]["delta"], dtype=float),
-    )
+    meta = data.get("meta", {})
+    if "slope" in cons or "curvature" in cons:
+        beta = cons["slope"]["beta"]
+        slope = SlopeBounds(
+            np.asarray(cons["slope"]["alpha"], dtype=float),
+            None if beta is None else np.asarray(beta, dtype=float),
+        )
+        curv = CurvatureBounds(
+            np.asarray(cons["curvature"]["gamma"], dtype=float),
+            np.asarray(cons["curvature"]["delta"], dtype=float),
+        )
+    else:
+        slope, curv = design_bounds(bp, meta)
+    return bp, v, interp, slope, curv, meta
+
+
+def problem_from_dict(data: dict) -> FeasibilityProblem:
+    bp, v, interp, slope, curv, meta = _decode(data)
     return FeasibilityProblem(
-        v=np.asarray(data["v"], dtype=float),
+        v=v,
         sets=build_constraint_sets(bp, interp, slope, curv),
         breakpoints=bp,
         problem_id=data["problem_id"],
-        meta=data.get("meta", {}),
+        meta=meta,
     )
+
+
+class Profile(NamedTuple):
+    """What `report` takes of a problem file: its id and start profile."""
+
+    problem_id: str
+    v: np.ndarray
+
+
+def profile_from_dict(data: dict) -> Profile:
+    """The id and v of a problem dict, checked as `problem_from_dict` checks it; no sets built."""
+    return Profile(data["problem_id"], _decode(data)[1])
 
 
 def save_problem(problem: FeasibilityProblem, path) -> None:
     Path(path).write_text(json.dumps(problem_to_dict(problem)) + "\n")
 
 
-def load_problem(path) -> FeasibilityProblem:
-    """Read one problem file; a file that does not hold a problem raises InvalidSpecError."""
+def load_problem(path, decode=problem_from_dict):
+    """`decode` of one problem file; a file that does not hold a problem raises InvalidSpecError."""
     try:
-        return problem_from_dict(json.loads(Path(path).read_text()))
+        return decode(json.loads(Path(path).read_text()))
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         cause = f"{type(exc).__name__}: {exc}"
         raise InvalidSpecError(f"{path}: malformed problem ({cause})") from exc
 
 
-def load_problem_dir(directory) -> list:
-    """Load every problems/*.json file, sorted by problem id; no two may hold one id."""
+def load_problem_dir(directory, decode=problem_from_dict) -> list:
+    """`load_problem` of every problems/*.json file, sorted by problem id; no two may hold one id.
+
+    `decode=profile_from_dict` gives each file's `Profile` in place of its problem.
+    """
     paths = [p for p in sorted(Path(directory).glob("*.json")) if p.name != "manifest.json"]
-    problems, first = [load_problem(p) for p in paths], {}
+    problems, first = [load_problem(p, decode) for p in paths], {}
     for path, problem in zip(paths, problems):
         seen = first.setdefault(problem.problem_id, path)
         if seen != path:
@@ -348,16 +408,19 @@ def _formatted(values) -> list:
 def _write_curves(path, header, xs, curves) -> None:
     """One line per (algorithm, x, y), written as csv.writer would write it.
 
-    Each algorithm's lines are built as one string and written with one
-    call; only one algorithm's lines exist at a time.  As with zip, a curve
-    and `xs` pair up to the shorter of the two.
+    Each ",x," cell is built once for all algorithms.  Each algorithm's
+    lines are joined as one string and written with one call; only one
+    algorithm's lines exist at a time.  As with zip, a curve and `xs` pair
+    up to the shorter of the two.
     """
+    cells = [f",{x}," for x in xs]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for algorithm in sorted(curves):
             name = _csv_field(algorithm)
-            cells = zip(xs, _formatted(curves[algorithm]))
-            fh.write("".join([f"{name},{x},{y}\r\n" for x, y in cells]))
+            body = f"\r\n{name}".join(map(operator.add, cells, _formatted(curves[algorithm])))
+            if body:  # no pairs, no line
+                fh.write(f"{name}{body}\r\n")
 
 
 def write_profile_csv(path, kappa, rho) -> None:

@@ -385,6 +385,22 @@ def test_malformed_problem_file_exits_1(tmp_path, capsys, text, cause):
         assert "Traceback" not in err
 
 
+def test_a_file_whose_meta_cannot_rebuild_its_bounds_exits_1(tmp_path, capsys):
+    # a generated file leaves its bounds to the meta; without K they are undefined
+    out = _generate(tmp_path, count=2, seed=3)
+    assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
+    path = out / "problems" / "p0001.json"
+    data = json.loads(path.read_text())
+    assert "curvature" not in data["constraints"]
+    del data["meta"]["curvature_k"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in ("run", "report"):
+        assert cli.main([command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: malformed problem (KeyError: 'curvature_k')\n", command
+
+
 def test_two_problem_files_with_one_id_exit_1_before_running(tmp_path, capsys):
     # a copied problem file would give each of its pairs two records, and the
     # record file would then fail every later run and report

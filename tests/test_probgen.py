@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from vertipy import probgen
+from vertipy import probgen, storage
 from vertipy.feasibility import FeasibilityProblem
 from vertipy.geometry import InvalidSpecError
 from vertipy.probgen import ProblemSpec
@@ -234,7 +234,7 @@ def _widened(problems) -> int:
 
 
 # each batch as the generator drew it with one rng.uniform call per candidate elevation
-@pytest.mark.parametrize(
+PINNED = pytest.mark.parametrize(
     "seed, count, nonconvex, grid, digest, widened",
     [
         (0, 100, False, {},
@@ -252,11 +252,53 @@ def _widened(problems) -> int:
     ],
     ids=["seed0", "seed0-nonconvex", "seed1", "seed1-nonconvex", "grid", "grid-nonconvex"],
 )
+
+
+@PINNED
 def test_batches_are_pinned_bitwise(seed, count, nonconvex, grid, digest, widened):
     problems = probgen.make_batch(seed, count=count, nonconvex=nonconvex, **grid)
     assert _digest(problems) == digest
     # the default grid's narrow elevation ranges take the fallback and its 101st draw
     assert _widened(problems) == widened
+
+
+@PINNED
+def test_saved_batches_load_back_pinned_bitwise(tmp_path, seed, count, nonconvex, grid, digest,
+                                                widened):
+    # the files leave the bounds out; the loader rebuilds them from t and the meta
+    for problem in probgen.make_batch(seed, count=count, nonconvex=nonconvex, **grid):
+        storage.save_problem(problem, tmp_path / f"{problem.problem_id}.json")
+    loaded = storage.load_problem_dir(tmp_path)
+    assert _digest(loaded) == digest
+    assert not any("slope" in json.loads(path.read_text())["constraints"]
+                   for path in tmp_path.iterdir())
+
+
+def test_design_bounds_are_the_road_model():
+    spec = ProblemSpec(length=1000.0, speed=50.0, xi_max=60.0, seed=4, nonconvex=True)
+    problem = probgen.generate(spec)
+    tau = problem.breakpoints.tau
+    slope, curv = probgen.design_bounds(problem.breakpoints, problem.meta)
+    k = probgen.default_curvature_table()[50.0]
+    assert slope.alpha.tobytes() == (0.04 * tau).tobytes()
+    assert slope.beta.tobytes() == (0.005 * tau).tobytes()
+    assert curv.gamma.tobytes() == (np.minimum(tau[:-1], tau[1:]) / (100.0 * k)).tobytes()
+    assert curv.delta.tobytes() == (-curv.gamma).tobytes()
+    convex = {**problem.meta, "nonconvex": False}
+    assert probgen.design_bounds(problem.breakpoints, convex)[0].beta is None
+    for key, value, match in [
+        ("nonconvex", 1, "nonconvex is not a boolean"),
+        ("sigma_max", "0.04", "sigma_max is not a number"),
+        ("curvature_k", 0.0, "curvature_k must be positive and finite"),
+        ("curvature_k", float("nan"), "curvature_k must be positive and finite"),
+        ("curvature_k", 1e-320, "curvature bound is infinite"),
+    ]:
+        with pytest.raises(InvalidSpecError, match=match):
+            probgen.design_bounds(problem.breakpoints, {**problem.meta, key: value})
+    meta = dict(problem.meta)
+    del meta["curvature_k"]
+    with pytest.raises(KeyError):
+        probgen.design_bounds(problem.breakpoints, meta)
 
 
 def test_make_batch_reads_the_k_table_once(monkeypatch):

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 import vertipy
 from vertipy import probgen, storage
 from vertipy.feasibility import FeasibilityProblem
-from vertipy.geometry import InvalidSpecError
+from vertipy.geometry import CurvatureBounds, InvalidSpecError, SlopeBounds
 from vertipy.metrics import STAT_FIELDS, RunRecord
 from vertipy.probgen import ProblemSpec
 from vertipy.sets import HalfspaceSet
@@ -62,6 +62,94 @@ def test_problem_files_are_one_line_and_indented_ones_still_load(tmp_path):
     assert storage.problem_to_dict(storage.load_problem(path)) == data
     storage.write_manifest(tmp_path, {"seed": 0, "problems": [{"id": "p0000"}]})
     assert (tmp_path / "manifest.json").read_text().count("\n") == 1
+
+
+def _bounds(problem):
+    kernel = problem.sets[0].kernel
+    slope, curv = kernel.slope, kernel.curvature
+    return [b if b is None else b.tobytes()
+            for b in (slope.alpha, slope.beta, curv.gamma, curv.delta)]
+
+
+def test_a_generated_file_holds_no_bounds(tmp_path):
+    for nonconvex in (False, True):
+        prob = _problem(nonconvex)
+        path = tmp_path / f"{nonconvex}.json"
+        storage.save_problem(prob, path)
+        data = json.loads(path.read_text())
+        assert list(data) == ["problem_id", "t", "v", "constraints", "meta"]
+        assert list(data["constraints"]) == ["interpolation"]
+        assert _bounds(storage.load_problem(path)) == _bounds(prob)
+
+
+def test_bounds_the_meta_does_not_give_are_stored_and_round_trip_bitwise(tmp_path):
+    prob = _problem(nonconvex=True)
+    slope, curv = prob.sets[0].kernel.slope, prob.sets[0].kernel.curvature
+    nudged = np.nextafter(slope.alpha, np.inf)
+    cases = {
+        "alpha": (prob.meta, SlopeBounds(nudged, slope.beta), curv),
+        "convex": (prob.meta, SlopeBounds(slope.alpha), curv),
+        "gamma": (prob.meta, slope, CurvatureBounds(curv.gamma / 2, curv.delta)),
+        "no-meta": ({}, slope, curv),
+        "no-k": ({k: v for k, v in prob.meta.items() if k != "curvature_k"}, slope, curv),
+    }
+    for name, (meta, slope_b, curv_b) in cases.items():
+        hand = FeasibilityProblem(
+            v=prob.v,
+            sets=probgen.build_constraint_sets(
+                prob.breakpoints, prob.sets[0].spec, slope_b, curv_b
+            ),
+            breakpoints=prob.breakpoints,
+            problem_id=name,
+            meta=meta,
+        )
+        path = tmp_path / f"{name}.json"
+        storage.save_problem(hand, path)
+        assert list(json.loads(path.read_text())["constraints"]) == [
+            "interpolation", "slope", "curvature"
+        ], name
+        back = storage.load_problem(path)
+        assert _bounds(back) == _bounds(hand), name
+        assert back.v.tobytes() == hand.v.tobytes() and back.meta == meta
+
+
+def test_a_file_with_stored_bounds_loads_them(tmp_path):
+    # files of earlier versions store the bounds, indented: they load to the same problem,
+    # and stored bounds win over the meta
+    prob = _problem(nonconvex=True)
+    slope, curv = prob.sets[0].kernel.slope, prob.sets[0].kernel.curvature
+    data = storage.problem_to_dict(prob)
+    data["constraints"]["slope"] = {"alpha": slope.alpha.tolist(), "beta": slope.beta.tolist()}
+    data["constraints"]["curvature"] = {"gamma": curv.gamma.tolist(), "delta": curv.delta.tolist()}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    assert _bounds(storage.load_problem(path)) == _bounds(prob)
+    data["constraints"]["slope"]["alpha"] = (2 * slope.alpha).tolist()
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    assert storage.load_problem(path).sets[1].bounds.alpha.tobytes() == (2 * slope.alpha).tobytes()
+    del data["constraints"]["curvature"]  # one stored bound and not the other
+    path.write_text(json.dumps(data) + "\n")
+    with pytest.raises(InvalidSpecError, match="KeyError: 'curvature'"):
+        storage.load_problem(path)
+
+
+def test_a_profile_is_the_id_and_v_of_a_checked_file(tmp_path):
+    prob = _problem(nonconvex=True)
+    path = tmp_path / "p.json"
+    storage.save_problem(prob, path)
+    profile = storage.load_problem(path, storage.profile_from_dict)
+    assert profile.problem_id == prob.problem_id and profile.v.tobytes() == prob.v.tobytes()
+    data = json.loads(path.read_text())
+    for key, value, cause in [
+        ("v", data["v"][:-1], "v has"),
+        ("v", [str(x) for x in data["v"]], "v is not a list of numbers"),
+        ("t", data["t"][::-1], "strictly increasing"),
+        ("meta", {**data["meta"], "sigma_max": None}, "sigma_max is not a number"),
+    ]:
+        path.write_text(json.dumps({**data, key: value}))
+        for decode in (storage.problem_from_dict, storage.profile_from_dict):
+            with pytest.raises(InvalidSpecError, match=cause):
+                storage.load_problem(path, decode)
 
 
 def test_problem_to_dict_requires_breakpoints():

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import vertipy
-from vertipy import cli
+from vertipy import cli, storage
 from vertipy.feasibility import ALGORITHMS, FEASIBILITY_ALGORITHMS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,14 +87,28 @@ def test_record_digests_prints_one_digest_per_benchmark_record():
 
 
 def test_a_problem_digest_sees_the_values_and_not_the_layout(tmp_path):
-    # an indented file and a compact one of the same problem digest alike; any value moves it
+    # an indented file and a compact one of the same problem digest alike, and so does a
+    # file of the earlier format, which stores the bounds; any value moves it
     out = tmp_path / "run"
-    assert cli.main(["generate", "--out", str(out), "--seed", "0", "--count", "1"]) == 0
+    assert cli.main(["generate", "--out", str(out), "--seed", "0", "--count", "1",
+                     "--nonconvex"]) == 0
     path = out / "problems" / "p0000.json"
     (compact,) = record_digests.problem_digests(out)
     data = json.loads(path.read_text())
     path.write_text(json.dumps(data, indent=1) + "\n")
     assert list(record_digests.problem_digests(out)) == [compact]
+    kernel = storage.load_problem(path).sets[0].kernel
+    old = json.loads(json.dumps(data))
+    old["constraints"]["slope"] = {"alpha": kernel.slope.alpha.tolist(),
+                                   "beta": kernel.slope.beta.tolist()}
+    old["constraints"]["curvature"] = {"gamma": kernel.curvature.gamma.tolist(),
+                                       "delta": kernel.curvature.delta.tolist()}
+    path.write_text(json.dumps(old, indent=1) + "\n")
+    assert list(record_digests.problem_digests(out)) == [compact]
+    alpha = old["constraints"]["slope"]["alpha"]
+    alpha[0] = math.nextafter(alpha[0], math.inf)
+    path.write_text(json.dumps(old) + "\n")
+    assert list(record_digests.problem_digests(out)) != [compact]
     data["v"][1] = math.nextafter(data["v"][1], math.inf)
     path.write_text(json.dumps(data) + "\n")
     assert list(record_digests.problem_digests(out)) != [compact]
@@ -121,3 +135,11 @@ def test_record_digests_out_digests_a_run_directory(tmp_path):
         ["report", "summary.txt"],
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for *_, digest in rows)
+
+
+def test_record_digests_out_digests_a_generated_batch(tmp_path):
+    # a directory with problems and no records: one line per problem
+    out = tmp_path / "gen"
+    assert cli.main(["generate", "--out", str(out), "--seed", "0", "--count", "2"]) == 0
+    rows = list(record_digests.directory_digests(out))
+    assert [row[:2] for row in rows] == [("problem", "p0000"), ("problem", "p0001")]

@@ -4,10 +4,12 @@ Every workload in ``perfbench.workloads.WORKLOADS`` runs through
 ``vertipy.cli.main`` in a temporary directory: its ``generate_args`` (seed 0),
 its ``run_args``, then its ``report_args``.  Each generated problem then
 prints as one line: workload, ``problem``, problem id, and the sha256 of the
-JSON text of the file's decoded values, so the digest sees the values and
-not the file's layout.  Each (algorithm, problem) record follows as one
-line: workload, algorithm, problem id, and the sha256 of the record's JSON
-text without ``wall_time``.  Every digit of every float counts, and so does
+JSON text of its values as ``storage.load_problem`` gives them (t, v, the
+interpolation spec, the four bound vectors and the meta), so the digest sees
+the problem and not the file's layout: a file that stores its bounds and one
+that leaves them to the meta digest alike.  Each (algorithm, problem) record
+follows as one line: workload, algorithm, problem id, and the sha256 of the
+record's JSON text without ``wall_time``.  Every digit of every float counts, and so does
 the sign of a zero.  Each report file follows as one line: workload,
 ``report``, file name, and the sha256 of the file's bytes.  Last come the
 problems of the seed-0 100-problem default batch (workload
@@ -21,9 +23,9 @@ the code before and after it:
     diff before.txt after.txt
 
 With ``--out DIR`` it runs nothing: it digests the problems, the records
-and the report files already in the run directory DIR, one line each,
-without the workload column.  Two runs of one batch, say with ``--jobs 1`` and
-``--jobs 2``, are checked the same way:
+and the report files already in the run directory DIR (those it holds), one
+line each, without the workload column.  Two runs of one batch, say with
+``--jobs 1`` and ``--jobs 2``, are checked the same way:
 
     python tools/record_digests.py --out seq > seq.txt
     python tools/record_digests.py --out par > par.txt
@@ -49,7 +51,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path += [str(ROOT), str(ROOT / "src")]  # after PYTHONPATH, so that it can name another vertipy
 
 from perfbench.workloads import WORKLOADS  # noqa: E402
-from vertipy import cli  # noqa: E402
+from vertipy import cli, storage  # noqa: E402
 
 
 def _call(args) -> None:
@@ -68,18 +70,37 @@ def _sha256(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
+def _values(problem) -> dict:
+    """A loaded problem's values, read through attributes that every vertipy since the
+    profile kernel has."""
+    kernel = problem.sets[0].kernel
+    slope, curvature, interp = kernel.slope, kernel.curvature, kernel.interp
+    return {
+        "t": problem.breakpoints.t.tolist(),
+        "v": problem.v.tolist(),
+        "indices": interp.indices.tolist(),
+        "values": interp.values.tolist(),
+        "alpha": slope.alpha.tolist(),
+        "beta": None if slope.beta is None else slope.beta.tolist(),
+        "gamma": curvature.gamma.tolist(),
+        "delta": curvature.delta.tolist(),
+        "meta": problem.meta,
+    }
+
+
 def problem_digests(directory):
     """Yield ("problem", problem id, sha256) for each problem file in `directory`/problems."""
     for path in sorted((Path(directory) / "problems").glob("*.json")):
-        problem = json.loads(path.read_text())
-        yield "problem", problem["problem_id"], _sha256(problem)
+        problem = storage.load_problem(path)
+        yield "problem", problem.problem_id, _sha256(_values(problem))
 
 
 def directory_digests(directory):
     """Yield `problem_digests`, then (algorithm, problem id, sha256) for each record in
     `directory`'s records.jsonl, then ("report", file name, sha256) for each report file."""
     yield from problem_digests(directory)
-    for line in (Path(directory) / "records.jsonl").read_text().splitlines():
+    records = Path(directory) / "records.jsonl"
+    for line in records.read_text().splitlines() if records.exists() else ():
         record = json.loads(line)
         del record["wall_time"]
         yield record["algorithm"], record["problem_id"], _sha256(record)
