@@ -60,7 +60,7 @@ from .metrics import (
     proximity_squared_sum,
     relative_proximity_curve,
 )
-from .probgen import ProblemSpec, build_constraint_sets, child_seed, generate, make_batch
+from .probgen import ProblemSpec, child_seed, generate, make_batch
 from .product import diagonal_part, make_product_point
 from .sets import BallSet, HalfspaceSet, SlabSet, SpanSet
 from .superior import Superiorized

@@ -47,7 +47,7 @@ from .feasibility import (
     run_batch,
     start_proximity2,
 )
-from .geometry import InvalidSpecError, kernel_of
+from .geometry import InvalidSpecError
 from .metrics import (
     StopRule,
     distance_stats,
@@ -243,7 +243,7 @@ def _batches(pairs) -> list:
     """
     groups = {}
     for a, p in pairs:
-        groups.setdefault((a, kernel_of(p.sets).slope.convex), []).append((a, p))
+        groups.setdefault((a, p.kernel.slope.convex), []).append((a, p))
     return list(groups.values())
 
 
@@ -311,8 +311,7 @@ def cmd_report(opts) -> int:
     records = storage.read_records(out / "records.jsonl")
     if not records:
         raise UsageError(f"no records in {out / 'records.jsonl'}; run `run` first")
-    # each file's id and start profile: report builds no constraint sets
-    v_by_problem = dict(storage.load_problem_dir(out / "problems", storage.profile_from_dict))
+    v_by_problem = {p.problem_id: p.v for p in storage.load_problem_dir(out / "problems")}
     missing = {r.problem_id for r in records} - set(v_by_problem)
     if missing:
         raise UsageError(f"records reference missing problem file(s): {sorted(missing)}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -77,11 +77,14 @@ class AlgorithmConfigError(InvalidSpecError):
 
 @dataclass
 class FeasibilityProblem:
-    """A start v plus the sets whose intersection is sought (m >= 2)."""
+    """A start v plus the sets whose intersection is sought (m >= 2).
+
+    A profile problem's stations and specs are its `kernel`'s.
+    """
 
     v: np.ndarray
     sets: list
-    breakpoints: Breakpoints | None = None
+    _: KW_ONLY
     problem_id: str = "p0"
     meta: dict = field(default_factory=dict)
 
@@ -98,6 +101,19 @@ class FeasibilityProblem:
     @property
     def m(self) -> int:
         return len(self.sets)
+
+    @property
+    def kernel(self):
+        """The one-segment `ProfileKernel` whose six sets in canonical order are `sets`, or None.
+
+        It holds the stations t (`bp`) and the interpolation, slope and
+        curvature specs: a profile problem is this kernel and v.
+        """
+        kernel = kernel_of(self.sets)
+        # one problem's kernel is on its stations; a batch profile's (`lay_end_to_end`) on intervals
+        if isinstance(kernel, ProfileKernel) and isinstance(kernel.bp, Breakpoints):
+            return kernel
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +547,8 @@ def _lay_out(problems):
     """The sets and start of one profile holding `problems` end to end; one problem's own."""
     if len(problems) == 1:
         return problems[0].sets, problems[0].v
-    kernels = [kernel_of(p.sets) for p in problems]
-    if not all(isinstance(k, ProfileKernel) and len(k.spans) == 1 for k in kernels):
+    kernels = [p.kernel for p in problems]
+    if any(k is None for k in kernels):
         raise AlgorithmConfigError("only profile problems, each with its six sets, share a batch")
     kernel = lay_end_to_end(kernels)
     return kernel.constraint_sets(), kernel.joined([p.v for p in problems], np.zeros(kernel.n))

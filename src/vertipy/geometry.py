@@ -354,9 +354,11 @@ class _Segmented:
 class ProfileKernel(_Segmented):
     """The fused monitor and projections of one problem's six profile sets.
 
-    `probgen.build_constraint_sets` builds one from all four specs and makes
-    the six constraints on it with `constraint_sets`, the only place that
-    sets a constraint's `kernel`.  `perm` lists the even-parity differences,
+    `probgen.generate` and `storage.problem_from_dict` build one from all
+    four specs and make the six constraints on it with `constraint_sets`,
+    the only place that sets a constraint's `kernel`; a problem's own
+    kernel is `FeasibilityProblem.kernel`, where its stations and specs
+    are read.  `perm` lists the even-parity differences,
     then the odd; `slope_interval` holds the interval of every difference,
     and `weights` the curvature weights and intervals of all triples.
     `score` computes the differences, the inner products and their clips

@@ -62,7 +62,6 @@ __all__ = [
     "default_curvature_table",
     "point_count_range",
     "child_seed",
-    "build_constraint_sets",
     "design_bounds",
     "generate",
     "make_batch",
@@ -127,14 +126,6 @@ def child_seed(master_seed: int, index: int) -> int:
         raise InvalidSpecError(f"seed must be a non-negative integer, got {master_seed}")
     state = np.random.SeedSequence([int(master_seed), int(index)]).generate_state(2)
     return (int(state[0]) << 32) | int(state[1])
-
-
-def build_constraint_sets(bp, interp, slope, curvature):
-    """The canonical six-set list: Interp, SlopeEven, SlopeOdd, Curv1..3.
-
-    The six share one `geometry.ProfileKernel`, built here once per problem.
-    """
-    return ProfileKernel(interp, slope, curvature, bp).constraint_sets()
 
 
 def _meta_number(meta, key) -> float:
@@ -253,12 +244,9 @@ def generate(spec: ProblemSpec, k_table: dict | None = None) -> FeasibilityProbl
         "min_grade": _MIN_GRADE,
         "curvature_k": k_value,
     }
-    sets = build_constraint_sets(
-        bp, InterpolationSpec([0, n - 1], [v[0], v[-1]]), *design_bounds(bp, meta)
-    )
-    return FeasibilityProblem(
-        v=v, sets=sets, breakpoints=bp, problem_id=spec.problem_id, meta=meta
-    )
+    interp = InterpolationSpec([0, n - 1], [v[0], v[-1]])
+    sets = ProfileKernel(interp, *design_bounds(bp, meta), bp).constraint_sets()
+    return FeasibilityProblem(v, sets, problem_id=spec.problem_id, meta=meta)
 
 
 def make_batch(

@@ -1,11 +1,13 @@
 """File formats: problem JSON, run-record JSONL, report CSVs.
 
-A problem file holds the stations t, the start profile v, the interpolation
-spec and the meta.  The slope and curvature bounds are stored only when the
-meta does not rebuild them bitwise (hand-built problems, custom bounds); a
-generated problem's are rebuilt on load by `probgen.design_bounds`, the
-generator's own expressions, and files that store them still load.  Each
-constraint set is rebuilt in the canonical order on load.  Records go to
+A problem file holds the start profile v, the meta, and what the problem's
+`kernel` holds: the stations t, the interpolation spec, and the slope and
+curvature bounds, which are stored only when the meta does not rebuild them
+bitwise (hand-built problems, custom bounds); a generated problem's are
+rebuilt on load by `probgen.design_bounds`, the generator's own
+expressions, and files that store them still load.  `problem_from_dict` is
+the one decoder: it checks every field and builds the six sets on one
+kernel, in canonical order.  Records go to
 JSON-lines so interrupted runs can resume, and the report tables are plain
 CSV with deterministic float formatting -- two runs from the same seed
 produce byte-identical CSVs.  Timestamps live only in the batch manifest.
@@ -30,23 +32,19 @@ from .feasibility import FeasibilityProblem
 from .geometry import (
     Breakpoints,
     CurvatureBounds,
-    CurvatureConstraint,
-    InterpolationConstraint,
     InterpolationSpec,
     InvalidSpecError,
+    ProfileKernel,
     SlopeBounds,
-    SlopeConstraint,
 )
 from .metrics import STAT_FIELDS, RunRecord
-from .probgen import build_constraint_sets, design_bounds
+from .probgen import design_bounds
 
 __all__ = [
     "RecordFileError",
     "RecordSummary",
-    "Profile",
     "problem_to_dict",
     "problem_from_dict",
-    "profile_from_dict",
     "save_problem",
     "load_problem",
     "load_problem_dir",
@@ -82,47 +80,42 @@ def _floats(values):
     return np.asarray(values, dtype=float).tolist()
 
 
-def _first_set(problem, cls):
-    for c in problem.sets:
-        if isinstance(c, cls):
-            return c
-    raise InvalidSpecError(f"problem {problem.problem_id} has no {cls.__name__}")
-
-
 def _bound_bytes(slope, curv) -> list:
     """The bytes of each bound vector (each a 1-D float64 array), None for no beta."""
     bounds = (slope.alpha, slope.beta, curv.gamma, curv.delta)
     return [b if b is None else b.tobytes() for b in bounds]
 
 
-def _rebuilds(problem, slope, curv) -> bool:
-    """True if `design_bounds` of the problem's own t and meta gives its bounds bitwise."""
+def _rebuilds(kernel, meta) -> bool:
+    """True if `design_bounds` of the kernel's stations and `meta` gives its bounds bitwise."""
     try:
-        built = design_bounds(problem.breakpoints, problem.meta)
+        built = design_bounds(kernel.bp, meta)
     except (KeyError, TypeError, ValueError):  # the meta does not define the bounds
         return False
-    return _bound_bytes(*built) == _bound_bytes(slope, curv)
+    return _bound_bytes(*built) == _bound_bytes(kernel.slope, kernel.curvature)
 
 
 def problem_to_dict(problem: FeasibilityProblem) -> dict:
     """The problem as a file holds it: t, v, the interpolation spec and the meta.
 
-    The slope and curvature bounds are left out when the meta rebuilds them
-    bitwise (`probgen.design_bounds`), as it does for every generated
-    problem; any other bounds are stored.
+    t and the specs are the problem's `kernel`'s; a problem without one
+    raises InvalidSpecError.  The slope and curvature bounds are left out
+    when the meta rebuilds them bitwise (`probgen.design_bounds`), as it
+    does for every generated problem; any other bounds are stored.
     """
-    if problem.breakpoints is None:
-        raise InvalidSpecError("only breakpoint-based problems are serializable")
-    interp = _first_set(problem, InterpolationConstraint).spec
-    slope = _first_set(problem, SlopeConstraint).bounds
-    curv = _first_set(problem, CurvatureConstraint).bounds
+    kernel = problem.kernel
+    if kernel is None:
+        raise InvalidSpecError(
+            f"problem {problem.problem_id} is not a profile problem (six sets on one kernel)"
+        )
+    slope, curv = kernel.slope, kernel.curvature
     constraints = {
         "interpolation": {
-            "indices": [int(i) for i in interp.indices],
-            "values": _floats(interp.values),
+            "indices": [int(i) for i in kernel.interp.indices],
+            "values": _floats(kernel.interp.values),
         },
     }
-    if not _rebuilds(problem, slope, curv):
+    if not _rebuilds(kernel, problem.meta):
         constraints["slope"] = {
             "alpha": _floats(slope.alpha),
             "beta": None if slope.beta is None else _floats(slope.beta),
@@ -130,85 +123,64 @@ def problem_to_dict(problem: FeasibilityProblem) -> dict:
         constraints["curvature"] = {"gamma": _floats(curv.gamma), "delta": _floats(curv.delta)}
     return {
         "problem_id": problem.problem_id,
-        "t": _floats(problem.breakpoints.t),
+        "t": _floats(kernel.bp.t),
         "v": _floats(problem.v),
         "constraints": constraints,
         "meta": problem.meta,
     }
 
 
-def _decode(data: dict) -> tuple:
-    """(breakpoints, v, interpolation spec, slope bounds, curvature bounds, meta) of a problem dict.
+def problem_from_dict(data: dict) -> FeasibilityProblem:
+    """The problem of a problem dict; ValueError, KeyError, TypeError or InvalidSpecError if none.
 
-    The bounds are the stored ones if the dict has them (files of earlier
-    versions, bounds the meta does not define), else `design_bounds` of t
-    and the meta.  v is a list of numbers, one per station.
+    problem_id is a string, the interpolation indices a list of ints, and
+    t, v, the interpolation values and any stored bound vector lists of
+    numbers (`_vector`), v one per station.  The bounds are the stored ones
+    if the dict has them (files of earlier versions, bounds the meta does
+    not define), else `design_bounds` of t and the meta.
     """
-    bp = Breakpoints(np.asarray(data["t"], dtype=float))
+    if type(data["problem_id"]) is not str:
+        raise ValueError(f"problem_id is not a JSON string: {data['problem_id']!r}")
+    bp = Breakpoints(_vector(data, "t"))
     v = _vector(data, "v")
     if v.size != bp.n:
         raise InvalidSpecError(f"v has {v.size} entries for {bp.n} stations")
     cons = data["constraints"]
-    interp = InterpolationSpec(cons["interpolation"]["indices"], cons["interpolation"]["values"])
+    indices = cons["interpolation"]["indices"]
+    if type(indices) is not list or not all(type(i) is int for i in indices):
+        raise ValueError(f"indices is not a list of ints: {indices!r}")
+    interp = InterpolationSpec(indices, _vector(cons["interpolation"], "values"))
     meta = data.get("meta", {})
     if "slope" in cons or "curvature" in cons:
-        beta = cons["slope"]["beta"]
-        slope = SlopeBounds(
-            np.asarray(cons["slope"]["alpha"], dtype=float),
-            None if beta is None else np.asarray(beta, dtype=float),
-        )
-        curv = CurvatureBounds(
-            np.asarray(cons["curvature"]["gamma"], dtype=float),
-            np.asarray(cons["curvature"]["delta"], dtype=float),
-        )
+        stored = cons["slope"]
+        beta = None if stored["beta"] is None else _vector(stored, "beta")
+        slope = SlopeBounds(_vector(stored, "alpha"), beta)
+        stored = cons["curvature"]
+        curv = CurvatureBounds(_vector(stored, "gamma"), _vector(stored, "delta"))
     else:
         slope, curv = design_bounds(bp, meta)
-    return bp, v, interp, slope, curv, meta
-
-
-def problem_from_dict(data: dict) -> FeasibilityProblem:
-    bp, v, interp, slope, curv, meta = _decode(data)
-    return FeasibilityProblem(
-        v=v,
-        sets=build_constraint_sets(bp, interp, slope, curv),
-        breakpoints=bp,
-        problem_id=data["problem_id"],
-        meta=meta,
-    )
-
-
-class Profile(NamedTuple):
-    """What `report` takes of a problem file: its id and start profile."""
-
-    problem_id: str
-    v: np.ndarray
-
-
-def profile_from_dict(data: dict) -> Profile:
-    """The id and v of a problem dict, checked as `problem_from_dict` checks it; no sets built."""
-    return Profile(data["problem_id"], _decode(data)[1])
+    sets = ProfileKernel(interp, slope, curv, bp).constraint_sets()
+    return FeasibilityProblem(v, sets, problem_id=data["problem_id"], meta=meta)
 
 
 def save_problem(problem: FeasibilityProblem, path) -> None:
     Path(path).write_text(json.dumps(problem_to_dict(problem)) + "\n")
 
 
-def load_problem(path, decode=problem_from_dict):
-    """`decode` of one problem file; a file that does not hold a problem raises InvalidSpecError."""
+def load_problem(path) -> FeasibilityProblem:
+    """The problem of one problem file; a file that does not hold one raises InvalidSpecError."""
     try:
-        return decode(json.loads(Path(path).read_text()))
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        return problem_from_dict(json.loads(Path(path).read_text()))
+    # JSONDecodeError is a ValueError; an int too large for an index overflows
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         cause = f"{type(exc).__name__}: {exc}"
         raise InvalidSpecError(f"{path}: malformed problem ({cause})") from exc
 
 
-def load_problem_dir(directory, decode=problem_from_dict) -> list:
-    """`load_problem` of every problems/*.json file, sorted by problem id; no two may hold one id.
-
-    `decode=profile_from_dict` gives each file's `Profile` in place of its problem.
-    """
+def load_problem_dir(directory) -> list:
+    """`load_problem` of every problems/*.json file, sorted by problem id; no two may hold one id."""
     paths = [p for p in sorted(Path(directory).glob("*.json")) if p.name != "manifest.json"]
-    problems, first = [load_problem(p, decode) for p in paths], {}
+    problems, first = [load_problem(p) for p in paths], {}
     for path, problem in zip(paths, problems):
         seen = first.setdefault(problem.problem_id, path)
         if seen != path:

@@ -11,24 +11,25 @@ from vertipy.geometry import (
     CurvatureBounds,
     InterpolationSpec,
     InvalidSpecError,
+    ProfileKernel,
     SlopeBounds,
     kernel_of,
     lay_end_to_end,
 )
 from vertipy.metrics import StopRule
-from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
+from vertipy.probgen import ProblemSpec, generate, make_batch
 
 LENGTHS = [50.0, 100.0, 200.0, 500.0]  # at 30 km/h: n = 2, 2-4, 4-8, 9-18
 
 
 def _feasible_start(problem):
     """The problem with its pins moved so that its start, the chord at a 2% grade, is feasible."""
-    kernel = kernel_of(problem.sets)
-    t = problem.breakpoints.t
+    kernel = problem.kernel
+    t = kernel.bp.t
     v = problem.v[0] + 0.02 * t
     interp = InterpolationSpec([0, t.size - 1], [v[0], v[-1]])
-    sets = build_constraint_sets(problem.breakpoints, interp, kernel.slope, kernel.curvature)
-    feasible = F.FeasibilityProblem(v, sets, problem.breakpoints, problem.problem_id)
+    sets = ProfileKernel(interp, kernel.slope, kernel.curvature, kernel.bp).constraint_sets()
+    feasible = F.FeasibilityProblem(v, sets, problem_id=problem.problem_id)
     assert F.start_proximity2(feasible) == 0.0
     return feasible
 
@@ -180,7 +181,7 @@ def _q_kernel(m):
     bp = Breakpoints(np.arange(float(m)))
     interp = InterpolationSpec([0, m - 1], [0.0, 0.0])
     slope, curvature = SlopeBounds(np.ones(m - 1)), CurvatureBounds(np.ones(m - 2), -np.ones(m - 2))
-    return kernel_of(build_constraint_sets(bp, interp, slope, curvature))
+    return ProfileKernel(interp, slope, curvature, bp)
 
 
 @settings(max_examples=80, deadline=None)

@@ -361,21 +361,57 @@ def test_generate_refuses_a_directory_that_holds_a_batch(tmp_path, capsys):
     _generate(empty, count=1)  # an empty directory is fine
 
 
+def _set(*path, to):
+    """An edit of a problem file's JSON: the entry at `path` becomes `to` of its value."""
+
+    def edit(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = to(data[last])
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "text, cause",
     [
         (None, "JSONDecodeError"),  # None: the file cut off half-way
         ('{"problem_id": "p0000"}', "KeyError: 't'"),
-        ('{"problem_id": "p0000", "t": 3}', "one-dimensional"),
+        ('{"problem_id": "p0000", "t": 3}', "t is not a list of numbers"),
         ("[1, 2]", "TypeError"),
+        # a function: an edit of the generated JSON
+        pytest.param(_set("problem_id", to=lambda _: 5), "problem_id is not a JSON string: 5",
+                     id="problem_id-int"),
+        pytest.param(_set("t", to=lambda t: [str(x) for x in t]), "t is not a list of numbers",
+                     id="t-strings"),
+        pytest.param(_set("constraints", "interpolation", "indices", -1, to=lambda i: i - 0.3),
+                     "indices is not a list of ints", id="index-float"),
+        pytest.param(_set("constraints", "interpolation", "indices", 0, to=lambda _: False),
+                     "indices is not a list of ints", id="index-bool"),
+        pytest.param(_set("constraints", "interpolation", "indices", -1, to=lambda _: 10**30),
+                     "OverflowError", id="index-huge"),
+        pytest.param(_set("constraints", "interpolation", "values", 0, to=lambda _: True),
+                     "values is not a list of numbers", id="value-bool"),
+        pytest.param(
+            _set("constraints", to=lambda cons: {
+                **cons, "slope": {"alpha": "steep", "beta": None}, "curvature": {}
+            }),
+            "alpha is not a list of numbers", id="stored-bound-string",
+        ),
     ],
 )
 def test_malformed_problem_file_exits_1(tmp_path, capsys, text, cause):
     out = _generate(tmp_path, count=2, seed=3)
     assert cli.main(["run", "--out", str(out), "--algorithms", "CycP", "--jobs", "1"]) == 0
     assert cli.main(["report", "--out", str(out)]) == 0
+    records = (out / "records.jsonl").read_bytes()
     path = out / "problems" / "p0000.json"
     body = path.read_text()
+    if callable(text):
+        data = json.loads(body)
+        text(data)
+        text = json.dumps(data)
     path.write_text(body[: len(body) // 2] if text is None else text)
     capsys.readouterr()
     for command in ("run", "report"):
@@ -383,6 +419,7 @@ def test_malformed_problem_file_exits_1(tmp_path, capsys, text, cause):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and cause in err
         assert "Traceback" not in err
+    assert (out / "records.jsonl").read_bytes() == records
 
 
 def test_a_file_whose_meta_cannot_rebuild_its_bounds_exits_1(tmp_path, capsys):

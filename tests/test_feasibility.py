@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from vertipy import feasibility as F
 from vertipy import product, verify
 from vertipy.feasibility import AlgorithmConfigError, FeasibilityProblem
-from vertipy.geometry import InvalidSpecError, ProfileKernel, kernel_of
+from vertipy.geometry import InvalidSpecError, ProfileKernel, kernel_of, lay_end_to_end
 from vertipy.metrics import StopRule
 from vertipy.probgen import make_batch
 from vertipy.product import Diagonal, ProductSet
@@ -204,6 +204,20 @@ def test_problem_validation():
         FeasibilityProblem(v=[1.0, 1.0, 1.0], sets=sets)
     prob = FeasibilityProblem(v=[1.0, 1.0], sets=sets)
     assert prob.m == 2
+
+
+def test_a_profile_problem_is_its_kernel_and_v():
+    problem = make_batch(0, count=1)[0]
+    kernel = problem.kernel
+    assert kernel is problem.sets[0].kernel and kernel.bp.n == problem.v.size
+    # the id and meta are keyword-only: stations where the id went raise
+    with pytest.raises(TypeError):
+        FeasibilityProblem(problem.v, problem.sets, kernel.bp)
+    # no kernel: sets out of canonical order, other sets, a batch profile's kernel
+    batch = lay_end_to_end([kernel]).constraint_sets()
+    others = [(problem.v, problem.sets[::-1]), ([1.0, 1.0], _half_and_axis()), (problem.v, batch)]
+    for v, sets in others:
+        assert FeasibilityProblem(v, sets).kernel is None
 
 
 def test_run_converges_on_easy_instance():

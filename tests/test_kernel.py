@@ -36,7 +36,7 @@ from vertipy.geometry import (
     lay_end_to_end,
 )
 from vertipy.metrics import proximity_squared_sum
-from vertipy.probgen import ProblemSpec, build_constraint_sets, generate, make_batch
+from vertipy.probgen import ProblemSpec, generate, make_batch
 from vertipy.sets import SlabSet
 
 
@@ -165,9 +165,9 @@ def _problem(n, seed, nonconvex):
     x = 100.0 + np.concatenate([[0.0], np.cumsum(d)])
     ends = [0, n - 1]
     interp = InterpolationSpec(ends, x[ends] + rng.uniform(-5.0, 5.0, 2))
-    sets = build_constraint_sets(
-        bp, interp, SlopeBounds(alpha, beta), CurvatureBounds(gamma, -gamma)
-    )
+    sets = ProfileKernel(
+        interp, SlopeBounds(alpha, beta), CurvatureBounds(gamma, -gamma), bp
+    ).constraint_sets()
     return sets, x
 
 
@@ -391,9 +391,9 @@ def _with_edges(sets, x, seed, inf_alpha, inf_curvature):
     if inf_curvature:
         gamma[rng.random(n - 2) < 0.3] = np.inf
         delta[rng.random(n - 2) < 0.3] = -np.inf
-    sets = build_constraint_sets(
-        kernel.bp, kernel.interp, SlopeBounds(alpha, beta), CurvatureBounds(gamma, delta)
-    )
+    sets = ProfileKernel(
+        kernel.interp, SlopeBounds(alpha, beta), CurvatureBounds(gamma, delta), kernel.bp
+    ).constraint_sets()
     # neighbouring signed zeros give differences of +0.0 and -0.0: the band's tie
     zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
     return sets, np.where(rng.random(n) < 0.4, zeros, x)
@@ -595,7 +595,9 @@ def _infinite_side(sets, at):
     gamma, delta = kernel.curvature.gamma.copy(), kernel.curvature.delta.copy()
     gamma[[at - 2, at]] = np.inf
     delta[at - 1] = -np.inf
-    sets = build_constraint_sets(kernel.bp, kernel.interp, kernel.slope, CurvatureBounds(gamma, delta))
+    sets = ProfileKernel(
+        kernel.interp, kernel.slope, CurvatureBounds(gamma, delta), kernel.bp
+    ).constraint_sets()
     x = np.full(kernel.n, 7.0)
     x[at] = np.inf
     return sets, x
@@ -669,7 +671,8 @@ def test_a_triple_whose_weight_underflows_to_0_always_binds():
     bp = Breakpoints(np.arange(n) * 1e-170)
     interp = InterpolationSpec([0, n - 1], [0.0, 0.0])
     slope = SlopeBounds(np.full(n - 1, 1.0))
-    sets = build_constraint_sets(bp, interp, slope, CurvatureBounds(np.ones(n - 2), -np.ones(n - 2)))
+    curvature = CurvatureBounds(np.ones(n - 2), -np.ones(n - 2))
+    sets = ProfileKernel(interp, slope, curvature, bp).constraint_sets()
     x = np.zeros(n)  # every s is 0 exactly, and so is every gap
     with np.errstate(all="ignore"):
         assert all(math.isnan(c.residual(x)) for c in sets[3:])
@@ -712,7 +715,7 @@ def _pinned_negative_zero(problem):
     values = kernel.interp.values.copy()
     values[0] = -0.0
     interp = InterpolationSpec(kernel.interp.indices, values)
-    sets = build_constraint_sets(kernel.bp, interp, kernel.slope, kernel.curvature)
+    sets = ProfileKernel(interp, kernel.slope, kernel.curvature, kernel.bp).constraint_sets()
     return F.FeasibilityProblem(problem.v, sets, problem_id=problem.problem_id)
 
 

@@ -55,7 +55,7 @@ def test_generate_is_deterministic():
     p1 = probgen.generate(spec)
     p2 = probgen.generate(spec)
     assert_allclose(p1.v, p2.v, atol=0)
-    assert_allclose(p1.breakpoints.t, p2.breakpoints.t, atol=0)
+    assert_allclose(p1.kernel.bp.t, p2.kernel.bp.t, atol=0)
     q = probgen.generate(ProblemSpec(length=1000.0, speed=50.0, xi_max=60.0, seed=1235))
     assert p1.v.shape != q.v.shape or not np.allclose(p1.v, q.v)
 
@@ -71,7 +71,7 @@ def test_generate_is_deterministic():
 def test_generate_postconditions(length, xi_max, speed, seed, nonconvex):
     spec = ProblemSpec(length=length, speed=speed, xi_max=xi_max, seed=seed, nonconvex=nonconvex)
     prob = probgen.generate(spec)
-    v, bp = prob.v, prob.breakpoints
+    v, bp = prob.v, prob.kernel.bp
     lo, hi = probgen.point_count_range(length, speed)
     assert lo <= v.size <= hi
     # stations start at 0, strictly increasing, and span the length; a gap
@@ -105,7 +105,7 @@ def test_generate_constraint_sets_structure():
     assert_allclose(interp.spec.values, [prob.v[0], prob.v[-1]], atol=0)
     # slope caps are per-interval grade times interval length
     slope = prob.sets[1]
-    assert_allclose(slope.bounds.alpha, prob.meta["sigma_max"] * prob.breakpoints.tau, atol=0)
+    assert_allclose(slope.bounds.alpha, prob.meta["sigma_max"] * prob.kernel.bp.tau, atol=0)
     assert slope.bounds.beta is None
 
 
@@ -114,7 +114,7 @@ def test_generate_nonconvex_adds_minimum_grade():
     prob = probgen.generate(spec)
     slope = prob.sets[1]
     assert slope.bounds.beta is not None
-    assert_allclose(slope.bounds.beta, 0.005 * prob.breakpoints.tau, atol=0)
+    assert_allclose(slope.bounds.beta, 0.005 * prob.kernel.bp.tau, atol=0)
     assert prob.meta["nonconvex"] is True
 
 
@@ -219,7 +219,7 @@ def _digest(problems) -> str:
         kernel = prob.sets[0].kernel
         slope, curv, interp = kernel.slope, kernel.curvature, kernel.interp
         beta = () if slope.beta is None else slope.beta
-        for values in (prob.breakpoints.t, prob.v, slope.alpha, beta, curv.gamma, curv.delta,
+        for values in (prob.kernel.bp.t, prob.v, slope.alpha, beta, curv.gamma, curv.delta,
                        interp.indices, interp.values):
             h.update(np.asarray(values, dtype=float).tobytes())
     return h.hexdigest()
@@ -228,7 +228,7 @@ def _digest(problems) -> str:
 def _widened(problems) -> int:
     """How many gaps the widen-the-gap fallback stretched to the design spacing 0.625 V."""
     return sum(
-        int(np.sum(np.isclose(p.breakpoints.tau, 0.625 * p.meta["speed"], rtol=1e-9, atol=0.0)))
+        int(np.sum(np.isclose(p.kernel.bp.tau, 0.625 * p.meta["speed"], rtol=1e-9, atol=0.0)))
         for p in problems
     )
 
@@ -277,15 +277,15 @@ def test_saved_batches_load_back_pinned_bitwise(tmp_path, seed, count, nonconvex
 def test_design_bounds_are_the_road_model():
     spec = ProblemSpec(length=1000.0, speed=50.0, xi_max=60.0, seed=4, nonconvex=True)
     problem = probgen.generate(spec)
-    tau = problem.breakpoints.tau
-    slope, curv = probgen.design_bounds(problem.breakpoints, problem.meta)
+    tau = problem.kernel.bp.tau
+    slope, curv = probgen.design_bounds(problem.kernel.bp, problem.meta)
     k = probgen.default_curvature_table()[50.0]
     assert slope.alpha.tobytes() == (0.04 * tau).tobytes()
     assert slope.beta.tobytes() == (0.005 * tau).tobytes()
     assert curv.gamma.tobytes() == (np.minimum(tau[:-1], tau[1:]) / (100.0 * k)).tobytes()
     assert curv.delta.tobytes() == (-curv.gamma).tobytes()
     convex = {**problem.meta, "nonconvex": False}
-    assert probgen.design_bounds(problem.breakpoints, convex)[0].beta is None
+    assert probgen.design_bounds(problem.kernel.bp, convex)[0].beta is None
     for key, value, match in [
         ("nonconvex", 1, "nonconvex is not a boolean"),
         ("sigma_max", "0.04", "sigma_max is not a number"),
@@ -294,11 +294,11 @@ def test_design_bounds_are_the_road_model():
         ("curvature_k", 1e-320, "curvature bound is infinite"),
     ]:
         with pytest.raises(InvalidSpecError, match=match):
-            probgen.design_bounds(problem.breakpoints, {**problem.meta, key: value})
+            probgen.design_bounds(problem.kernel.bp, {**problem.meta, key: value})
     meta = dict(problem.meta)
     del meta["curvature_k"]
     with pytest.raises(KeyError):
-        probgen.design_bounds(problem.breakpoints, meta)
+        probgen.design_bounds(problem.kernel.bp, meta)
 
 
 def test_make_batch_reads_the_k_table_once(monkeypatch):

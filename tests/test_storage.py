@@ -16,9 +16,9 @@ from numpy.testing import assert_allclose
 
 import vertipy
 from vertipy import probgen, storage
-from vertipy.feasibility import FeasibilityProblem
-from vertipy.geometry import CurvatureBounds, InvalidSpecError, SlopeBounds
-from vertipy.metrics import STAT_FIELDS, RunRecord
+from vertipy.feasibility import AlgorithmConfigError, FeasibilityProblem, run_batch
+from vertipy.geometry import CurvatureBounds, InvalidSpecError, ProfileKernel, SlopeBounds
+from vertipy.metrics import STAT_FIELDS, RunRecord, StopRule
 from vertipy.probgen import ProblemSpec
 from vertipy.sets import HalfspaceSet
 
@@ -37,7 +37,7 @@ def test_problem_round_trip(tmp_path):
         back = storage.load_problem(path)
         assert back.problem_id == prob.problem_id
         assert_allclose(back.v, prob.v, atol=0)
-        assert_allclose(back.breakpoints.t, prob.breakpoints.t, atol=1e-12)
+        assert_allclose(back.kernel.bp.t, prob.kernel.bp.t, atol=1e-12)
         assert [c.tag for c in back.sets] == [c.tag for c in prob.sets]
         slope_a, slope_b = prob.sets[1].bounds, back.sets[1].bounds
         assert_allclose(slope_b.alpha, slope_a.alpha, atol=1e-12)
@@ -96,10 +96,7 @@ def test_bounds_the_meta_does_not_give_are_stored_and_round_trip_bitwise(tmp_pat
     for name, (meta, slope_b, curv_b) in cases.items():
         hand = FeasibilityProblem(
             v=prob.v,
-            sets=probgen.build_constraint_sets(
-                prob.breakpoints, prob.sets[0].spec, slope_b, curv_b
-            ),
-            breakpoints=prob.breakpoints,
+            sets=ProfileKernel(prob.sets[0].spec, slope_b, curv_b, prob.kernel.bp).constraint_sets(),
             problem_id=name,
             meta=meta,
         )
@@ -137,8 +134,8 @@ def test_a_profile_is_the_id_and_v_of_a_checked_file(tmp_path):
     prob = _problem(nonconvex=True)
     path = tmp_path / "p.json"
     storage.save_problem(prob, path)
-    profile = storage.load_problem(path, storage.profile_from_dict)
-    assert profile.problem_id == prob.problem_id and profile.v.tobytes() == prob.v.tobytes()
+    back = storage.load_problem(path)
+    assert back.problem_id == prob.problem_id and back.v.tobytes() == prob.v.tobytes()
     data = json.loads(path.read_text())
     for key, value, cause in [
         ("v", data["v"][:-1], "v has"),
@@ -147,9 +144,8 @@ def test_a_profile_is_the_id_and_v_of_a_checked_file(tmp_path):
         ("meta", {**data["meta"], "sigma_max": None}, "sigma_max is not a number"),
     ]:
         path.write_text(json.dumps({**data, key: value}))
-        for decode in (storage.problem_from_dict, storage.profile_from_dict):
-            with pytest.raises(InvalidSpecError, match=cause):
-                storage.load_problem(path, decode)
+        with pytest.raises(InvalidSpecError, match=cause):
+            storage.load_problem(path)
 
 
 def test_problem_to_dict_requires_breakpoints():
@@ -269,14 +265,24 @@ def test_no_append_is_lost_to_a_concurrent_close(tmp_path):
     assert [r.problem_id for r in back] == [f"p{i:04d}" for i in range(count)]
 
 
-def test_problem_to_dict_finds_specs_by_type():
-    for nonconvex in (False, True):
-        prob = _problem(nonconvex)
-        shuffled = FeasibilityProblem(
-            v=prob.v, sets=[prob.sets[i] for i in (5, 2, 0, 4, 1, 3)],
-            breakpoints=prob.breakpoints, problem_id=prob.problem_id, meta=prob.meta,
-        )
-        assert storage.problem_to_dict(shuffled) == storage.problem_to_dict(prob)
+def test_only_a_problem_with_its_kernel_saves_or_shares_a_batch(tmp_path):
+    # a profile problem is its six sets on one kernel, in canonical order; any
+    # other set list has no stations or specs to save or to lay in a batch profile
+    prob = _problem()
+    n = prob.v.size
+    others = {
+        "shuffled": [prob.sets[i] for i in (5, 2, 0, 4, 1, 3)],
+        "generic": [HalfspaceSet(np.ones(n), 0.0), HalfspaceSet(-np.ones(n), 1.0)],
+    }
+    for name, sets in others.items():
+        other = FeasibilityProblem(prob.v, sets, problem_id=name, meta=prob.meta)
+        assert other.kernel is None
+        path = tmp_path / f"{name}.json"
+        with pytest.raises(InvalidSpecError, match=f"problem {name} is not a profile problem"):
+            storage.save_problem(other, path)
+        assert not path.exists()
+        with pytest.raises(AlgorithmConfigError, match="only profile problems"):
+            list(run_batch("CycP", [prob, other], StopRule(k_max=10)))
 
 
 def _two_records(path):

@@ -4,8 +4,9 @@ Every workload in ``perfbench.workloads.WORKLOADS`` runs through
 ``vertipy.cli.main`` in a temporary directory: its ``generate_args`` (seed 0),
 its ``run_args``, then its ``report_args``.  Each generated problem then
 prints as one line: workload, ``problem``, problem id, and the sha256 of the
-JSON text of its values as ``storage.load_problem`` gives them (t, v, the
-interpolation spec, the four bound vectors and the meta), so the digest sees
+JSON text of its values as ``storage.load_problem`` gives them: v, the meta,
+and t, the interpolation spec and the four bound vectors, all read from the
+kernel its six sets share (``problem.sets[0].kernel``), so the digest sees
 the problem and not the file's layout: a file that stores its bounds and one
 that leaves them to the meta digest alike.  Each (algorithm, problem) record
 follows as one line: workload, algorithm, problem id, and the sha256 of the
@@ -76,7 +77,7 @@ def _values(problem) -> dict:
     kernel = problem.sets[0].kernel
     slope, curvature, interp = kernel.slope, kernel.curvature, kernel.interp
     return {
-        "t": problem.breakpoints.t.tolist(),
+        "t": kernel.bp.t.tolist(),
         "v": problem.v.tolist(),
         "indices": interp.indices.tolist(),
         "values": interp.values.tolist(),
