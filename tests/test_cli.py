@@ -378,7 +378,9 @@ def _set(*path, to):
     [
         (None, "JSONDecodeError"),  # None: the file cut off half-way
         ('{"problem_id": "p0000"}', "KeyError: 't'"),
-        ('{"problem_id": "p0000", "t": 3}', "t is not a list of numbers"),
+        # a scalar t is not one-dimensional; it is refused by the list-of-numbers check
+        pytest.param('{"problem_id": "p0000", "t": 3}', "t is not a list of numbers",
+                     id='{"problem_id": "p0000", "t": 3}-one-dimensional'),
         ("[1, 2]", "TypeError"),
         # a function: an edit of the generated JSON
         pytest.param(_set("problem_id", to=lambda _: 5), "problem_id is not a JSON string: 5",
